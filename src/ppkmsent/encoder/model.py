@@ -6,6 +6,12 @@ attention and a GELU feed-forward sublayer (each followed by residual add and
 layer norm), then an affine classification head over the position-0 hidden
 state.  The attention/feed-forward projections carry no bias terms.
 
+Inputs may have any width up to ``max_sequence_length``.  Padded key
+positions are masked out of attention, so trailing padding never changes
+the logits or the gradients; the training and prediction helpers in
+:mod:`ppkmsent.encoder.train` therefore cut each batch to its longest real
+sequence rather than pass the fixed-length rows of ``format_input``.
+
 Everything runs in float64.  ``backward`` consumes the cache produced by a
 training-mode ``forward`` call and returns a gradient for every parameter
 tensor; gradients are exact, which the test suite checks against central
@@ -147,15 +153,18 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
+# the powers below are written as products: numpy's general ``**`` is an
+# order of magnitude slower than a multiply, and GELU runs on every
+# feed-forward unit in both passes
 def _gelu(x: np.ndarray) -> np.ndarray:
     """tanh-approximation GELU."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (
-        1.0 + 3.0 * _GELU_A * x**2
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (
+        1.0 + 3.0 * _GELU_A * (x * x)
     )
 
 

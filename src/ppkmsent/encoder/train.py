@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +109,34 @@ def encode_documents(
     )
 
 
+def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the trailing columns that are padding in every row.
+
+    Inputs follow the ``[CLS] … [SEP] [PAD]…`` layout, so the cut keeps
+    every real token and the batch's width becomes its longest real
+    sequence.  Padded keys are masked out of attention, so the logits do
+    not depend on the width.
+    """
+    width = int(np.nonzero(mask)[-1].max()) + 1
+    return ids[..., :width], mask[..., :width]
+
+
+def _batches(
+    ids: np.ndarray,
+    mask: np.ndarray,
+    batch_size: int,
+    order: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(rows, ids, mask)`` for consecutive batches of ``batch_size``
+    rows, taken in ``order`` (default: dataset order) and trimmed by
+    :func:`_trim`."""
+    if order is None:
+        order = np.arange(ids.shape[0])
+    for start in range(0, order.shape[0], batch_size):
+        rows = order[start : start + batch_size]
+        yield (rows, *_trim(ids[rows], mask[rows]))
+
+
 def _evaluate(
     ids: np.ndarray,
     mask: np.ndarray,
@@ -121,14 +149,11 @@ def _evaluate(
     total = ids.shape[0]
     loss_sum = 0.0
     correct = 0
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
-        result = forward(ids[start:stop], mask[start:stop], params, config, "eval")
-        loss, _ = cross_entropy(result.logits, labels[start:stop])
-        loss_sum += loss * (stop - start)
-        correct += int(
-            np.sum(np.argmax(result.logits, axis=-1) == labels[start:stop])
-        )
+    for rows, batch_ids, batch_mask in _batches(ids, mask, batch_size):
+        result = forward(batch_ids, batch_mask, params, config, "eval")
+        loss, _ = cross_entropy(result.logits, labels[rows])
+        loss_sum += loss * rows.shape[0]
+        correct += int(np.sum(np.argmax(result.logits, axis=-1) == labels[rows]))
     return loss_sum / total, correct / total
 
 
@@ -160,22 +185,21 @@ def fine_tune(
             val_documents, vocab, config
         )
     history: list[EpochStats] = []
-    total = train_ids.shape[0]
     for epoch in range(1, profile.epochs + 1):
-        order = rng.permutation(total)
-        for step, start in enumerate(range(0, total, profile.batch_size)):
-            batch = order[start : start + profile.batch_size]
+        order = rng.permutation(train_ids.shape[0])
+        batches = _batches(train_ids, train_mask, profile.batch_size, order)
+        for step, (rows, batch_ids, batch_mask) in enumerate(batches):
             try:
                 result = forward(
-                    train_ids[batch],
-                    train_mask[batch],
+                    batch_ids,
+                    batch_mask,
                     params,
                     config,
                     "train",
                     rng=rng,
                     want_cache=True,
                 )
-                loss, dlogits = cross_entropy(result.logits, train_labels[batch])
+                loss, dlogits = cross_entropy(result.logits, train_labels[rows])
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(
                         epoch, step, f"batch loss is {loss!r}"
@@ -221,7 +245,9 @@ def predict(
     config: EncoderConfig,
 ) -> tuple[SentimentLabel, np.ndarray]:
     """Predicted label and class-probability vector for one document."""
-    ids, mask = format_input(document.tokens, vocab, config.max_sequence_length)
+    ids, mask = _trim(
+        *format_input(document.tokens, vocab, config.max_sequence_length)
+    )
     result = forward(ids, mask, params, config, "eval")
     probs = softmax(result.logits, axis=-1)[0]
     return SentimentLabel(int(np.argmax(probs))), probs
@@ -239,9 +265,8 @@ def predict_batch(
         documents, vocab, config, require_labels=False
     )
     labels: list[SentimentLabel] = []
-    for start in range(0, ids.shape[0], batch_size):
-        stop = min(start + batch_size, ids.shape[0])
-        result = forward(ids[start:stop], mask[start:stop], params, config, "eval")
+    for _, batch_ids, batch_mask in _batches(ids, mask, batch_size):
+        result = forward(batch_ids, batch_mask, params, config, "eval")
         labels.extend(
             SentimentLabel(int(i)) for i in np.argmax(result.logits, axis=-1)
         )

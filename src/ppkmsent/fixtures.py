@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,8 @@ def synthetic_documents(n: int = 600, seed: int = 0) -> list[Document]:
 _URL_NOISE = ("https://t.co/abc123", "http://example.com/ppkm-info", "")
 _MENTION_NOISE = ("@dinkesdki", "@infojkt", "")
 _KEYWORD_FORMS = ("PPKM", "ppkm", "Ppkm", "#PPKM", "Jakarta", "JAKARTA", "jakarta")
+# tweet timestamps count minutes from this instant (UTC)
+_FIRST_TWEET = datetime(2021, 7, 3)
 _OFFTOPIC_TEXTS = (
     "cuaca hari ini panas sekali di kota",
     "resep masakan minggu ini enak banget",
@@ -173,7 +176,7 @@ def synthetic_tweets(
         base_minute += int(rng.integers(1, 5))
         draw = rng.random()
         if rows and draw < duplicate_rate:
-            row["text"] = str(rng.choice([r["text"] for r in rows]))
+            row["text"] = rows[int(rng.integers(len(rows)))]["text"]
         elif draw < duplicate_rate + offtopic_rate:
             row["text"] = str(rng.choice(_OFFTOPIC_TEXTS))
         else:
@@ -187,10 +190,8 @@ def synthetic_tweets(
             pieces = [pieces[j] for j in rng.permutation(len(pieces)) if pieces[j]]
             row["text"] = " ".join(pieces)
         if rng.random() > 0.05:
-            hour, minute = divmod(base_minute, 60)
-            row["created_at"] = (
-                f"2021-07-{3 + hour // 24:02d}T{hour % 24:02d}:{minute:02d}:00Z"
-            )
+            stamp = _FIRST_TWEET + timedelta(minutes=base_minute)
+            row["created_at"] = stamp.strftime("%Y-%m-%dT%H:%M:00Z")
         rows.append(row)
     return rows
 

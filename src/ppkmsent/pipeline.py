@@ -436,8 +436,20 @@ def document_to_json(doc: Document, score: int | None = None) -> dict:
     return payload
 
 
-def document_from_json(payload: dict) -> Document:
+_DOCUMENT_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "tokens": list}
+
+
+def document_from_json(payload: object) -> Document:
+    """Inverse of :func:`document_to_json`; raises ValueError on a row of
+    the wrong shape."""
+    if not isinstance(payload, dict):
+        raise ValueError("row is not a JSON object")
+    for key, kind in _DOCUMENT_FIELDS.items():
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
     label = payload.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("'label' is not a str")
     return Document(
         id=payload["id"],
         raw_text=payload["raw_text"],
@@ -464,7 +476,16 @@ def _read_jsonl(path: Path) -> list[dict]:
 
 def load_labeled_documents(output_dir: Path) -> list[Document]:
     path = _require_artifact(output_dir / LABELED_FILE, "label")
-    return [document_from_json(row) for row in _read_jsonl(path)]
+    documents = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                documents.append(document_from_json(json.loads(line)))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return documents
 
 
 def _csv_text(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:

@@ -70,6 +70,35 @@ class TestExitCodes:
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                lambda row: {k: v for k, v in row.items() if k != "tokens"},
+                "'tokens'",
+            ),
+            (lambda row: [row], "not a JSON object"),
+        ],
+        ids=["missing-tokens", "not-an-object"],
+    )
+    def test_corrupt_labeled_row_exits_one(
+        self, tmp_path, capsys, corrupt, message
+    ):
+        config_path = write_setup(tmp_path)
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        labeled = tmp_path / "out" / pipeline.LABELED_FILE
+        lines = labeled.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps(corrupt(json.loads(lines[1])))
+        labeled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        for stage in ("train", "eval"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), stage
+            assert f"{pipeline.LABELED_FILE}:2: " in err, stage
+            assert message in err, stage
+
     def test_missing_stage_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main([])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import encoder_gradient_check, make_doc
+from ppkmsent.encoder import train as encoder_train
 from ppkmsent.encoder.checkpoint import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -34,6 +35,7 @@ from ppkmsent.encoder.model import (
     softmax,
 )
 from ppkmsent.encoder.train import (
+    _trim,
     encode_documents,
     fine_tune,
     history_to_csv,
@@ -773,6 +775,78 @@ class TestEncodeAndPredict:
         batched = predict_batch(docs, params, vocab, config, batch_size=2)
         single = [predict(d, params, vocab, config)[0] for d in docs]
         assert batched == single
+
+
+class TestBatchTrimming:
+    def varied_docs(self):
+        words = ["rugi", "parah", "ppkm", "bagus", "sekali", "berlaku"]
+        return [
+            make_doc(words[: 1 + i % 6], SentimentLabel(i % 3), f"d{i}")
+            for i in range(12)
+        ]
+
+    def test_trimmed_batch_matches_fully_padded_batch(self):
+        docs = self.varied_docs()[:4]
+        vocab = build_token_vocab(docs)
+        config = tiny_config(
+            vocab_size=vocab.size,
+            num_layers=2,
+            num_heads=2,
+            hidden_size=8,
+            max_sequence_length=12,
+        )
+        params = init_params(config, seed=3)
+        # lift the gradients well above the tolerance, as the gradient check does
+        for name, tensor in params.named_tensors():
+            if not name.endswith(("_gain", "_bias", "head_b")):
+                tensor *= 25.0
+        ids, mask, labels = encode_documents(docs, vocab, config)
+        trimmed = _trim(ids, mask)
+        # the longest document is [CLS] + 4 tokens + [SEP]
+        assert trimmed[0].shape == trimmed[1].shape == (4, 6)
+        outputs = []
+        for batch_ids, batch_mask in ((ids, mask), trimmed):
+            result = forward(
+                batch_ids, batch_mask, params, config, "train", want_cache=True
+            )
+            _, dlogits = cross_entropy(result.logits, labels)
+            grads = backward(dlogits, params, config, result.cache)
+            outputs.append((result.logits, grads))
+        (full_logits, full_grads), (cut_logits, cut_grads) = outputs
+        np.testing.assert_allclose(cut_logits, full_logits, rtol=0, atol=1e-12)
+        assert set(cut_grads) == set(full_grads)
+        for name, grad in full_grads.items():
+            np.testing.assert_allclose(
+                cut_grads[name], grad, rtol=0, atol=1e-12, err_msg=name
+            )
+        assert np.abs(full_grads["position_embedding"][:6]).min() > 1e-6
+
+    def test_forward_sees_each_batch_cut_to_its_longest_sequence(
+        self, monkeypatch
+    ):
+        docs = self.varied_docs()
+        vocab = build_token_vocab(docs)
+        config = tiny_config(
+            vocab_size=vocab.size, hidden_size=8, num_heads=2, max_sequence_length=12
+        )
+        profile = TrainProfile(batch_size=5, epochs=2, learning_rate=1e-2, seed=0)
+        masks = []
+        real_forward = encoder_train.forward
+
+        def recording_forward(ids, mask, *args, **kwargs):
+            masks.append(np.atleast_2d(mask))
+            return real_forward(ids, mask, *args, **kwargs)
+
+        monkeypatch.setattr(encoder_train, "forward", recording_forward)
+        params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
+        predict_batch(docs, params, vocab, config, batch_size=5)
+        predict(docs[0], params, vocab, config)
+        # per epoch: 3 train + 3 eval batches and 1 validation batch;
+        # then 3 predict_batch batches and one predict call
+        assert len(masks) == 2 * 7 + 3 + 1
+        for mask in masks:
+            assert mask.shape[1] == int(mask.sum(axis=1).max())
+        assert {mask.shape[1] for mask in masks} == {3, 6, 7, 8}
 
 
 class TestHistoryCsv:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from datetime import datetime
 
 import pytest
 
+from ppkmsent.corpus import ingest_file
 from ppkmsent.data import default_lexicon, default_stopwords
 from ppkmsent.errors import ConfigError
 from ppkmsent.fixtures import (
@@ -176,6 +178,22 @@ class TestSyntheticTweets:
     def test_rejects_zero_rows(self):
         with pytest.raises(ConfigError, match="at least one"):
             synthetic_tweets(0)
+
+    def test_twenty_thousand_rows_ingest_without_row_errors(self, tmp_path):
+        # timestamps run into August past about 16.8k rows
+        rows = synthetic_tweets(20_000)
+        path = tmp_path / "raw.jsonl"
+        write_jsonl(rows, path)
+        result = ingest_file(path)
+        assert result.errors == []
+        assert len(result.records) == len(rows)
+        stamps = [
+            datetime.fromisoformat(r["created_at"][:-1])
+            for r in rows
+            if "created_at" in r
+        ]
+        assert stamps == sorted(stamps)
+        assert stamps[-1].month == 8
 
 
 class TestWriteJsonl:
