@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ppkmsent.errors import CheckpointFormatError, MissingClassError
-from ppkmsent.preprocess import Document, SentimentLabel
+from ppkmsent.preprocess import Document, SentimentLabel, rank_tokens
 
 MODEL_MAGIC = "ppkmsent/bow-model"
 MODEL_VERSION = 1
@@ -30,8 +30,7 @@ NUM_CLASSES = 3
 class BowVocab:
     """Dense token index over the training split.
 
-    Indices run 0..V-1 ordered by descending corpus frequency, ties broken
-    lexicographically.
+    Indices run 0..V-1 in :func:`~ppkmsent.preprocess.rank_tokens` order.
     """
 
     token_to_index: dict[str, int]
@@ -57,8 +56,7 @@ def build_vocab(documents: list[Document], min_count: int = 1) -> BowVocab:
     for doc in documents:
         totals.update(doc.tokens)
         doc_freq.update(set(doc.tokens))
-    kept = [t for t, c in totals.items() if c >= min_count]
-    kept.sort(key=lambda t: (-totals[t], t))
+    kept = rank_tokens(totals, min_count)
     token_to_index = {t: i for i, t in enumerate(kept)}
     return BowVocab(
         token_to_index=token_to_index,
@@ -322,7 +320,7 @@ def load_model(path: str | Path):
     """Load (model, vocab) from a container written by save_model."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("magic") != MODEL_MAGIC:
+    if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
         raise CheckpointFormatError(f"{path}: not a ppkmsent bow model file")
     if payload.get("version") != MODEL_VERSION:
         raise CheckpointFormatError(

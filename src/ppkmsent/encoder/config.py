@@ -11,7 +11,7 @@ Two named setups ship with the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ppkmsent.errors import ConfigError
 
@@ -77,17 +77,7 @@ class EncoderConfig:
         return self.hidden_size // self.num_heads
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "hidden_size": self.hidden_size,
-            "feedforward_size": self.feedforward_size,
-            "max_sequence_length": self.max_sequence_length,
-            "vocab_size": self.vocab_size,
-            "num_classes": self.num_classes,
-            "dropout_rate": self.dropout_rate,
-            "layer_norm_eps": self.layer_norm_eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EncoderConfig":
@@ -129,15 +119,7 @@ class TrainProfile:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainProfile":

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ppkmsent.errors import ConfigError
-from ppkmsent.preprocess import Document
+from ppkmsent.preprocess import Document, rank_tokens
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -62,37 +62,22 @@ class TokenVocab:
 
 
 def build_token_vocab(
-    documents: Iterable[Document],
-    max_size: int | None = None,
-    min_count: int = 1,
+    documents: Iterable[Document], min_count: int = 1
 ) -> TokenVocab:
     """Build a vocabulary from document tokens.
 
-    Content tokens are ranked by descending corpus frequency with ties broken
-    lexicographically, and receive ids after the four reserved entries.
+    Content tokens follow the four reserved entries in
+    :func:`~ppkmsent.preprocess.rank_tokens` order.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    if max_size is not None and max_size < len(RESERVED_TOKENS):
-        raise ConfigError(
-            f"max_size must leave room for the {len(RESERVED_TOKENS)} "
-            f"reserved tokens, got {max_size}"
-        )
     counts: Counter[str] = Counter()
     for doc in documents:
         counts.update(doc.tokens)
     for reserved in RESERVED_TOKENS:
         counts.pop(reserved, None)
-    ranked = sorted(
-        (tok for tok, n in counts.items() if n >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
-    if max_size is not None:
-        ranked = ranked[: max_size - len(RESERVED_TOKENS)]
-    token_to_id = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
-    for offset, tok in enumerate(ranked):
-        token_to_id[tok] = len(RESERVED_TOKENS) + offset
-    return TokenVocab(token_to_id=token_to_id)
+    tokens = [*RESERVED_TOKENS, *rank_tokens(counts, min_count)]
+    return TokenVocab(token_to_id={tok: i for i, tok in enumerate(tokens)})
 
 
 def format_input(

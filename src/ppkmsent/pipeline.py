@@ -17,9 +17,11 @@ import io
 import json
 import logging
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from ppkmsent import bow, corpus, evaluation, lexicon, viz
 from ppkmsent.data import (
@@ -32,7 +34,7 @@ from ppkmsent.encoder import checkpoint as enc_checkpoint
 from ppkmsent.encoder import config as enc_config
 from ppkmsent.encoder import train as enc_train
 from ppkmsent.encoder import vocab as enc_vocab
-from ppkmsent.errors import ConfigError, StageOrderError
+from ppkmsent.errors import CheckpointFormatError, ConfigError, StageOrderError
 from ppkmsent.preprocess import (
     Document,
     SentimentLabel,
@@ -58,23 +60,26 @@ METRICS_SUMMARY_FILE = "metrics_summary.csv"
 COMPARISON_CSV_FILE = "comparison.csv"
 COMPARISON_TXT_FILE = "comparison.txt"
 
-MODEL_NAMES = ("bert", "mnb", "svm", "lexicon")
-MODEL_FILES = {
-    "bert": "bert.ckpt",
-    "mnb": "mnb_model.json",
-    "svm": "svm_model.json",
-    "lexicon": "lexicon_model.json",
-}
-
 LEXICON_MODEL_MAGIC = "ppkmsent/lexicon-model"
 LEXICON_MODEL_VERSION = 1
 
 ARTIFACT_VERSION = 1
 
-_PROFILE_DEFAULTS = {
-    "paper": enc_config.PAPER_PROFILE,
-    "desk": enc_config.DESK_PROFILE,
+# profile name -> (training schedule, architecture for a vocabulary size)
+_PROFILES = {
+    "paper": (enc_config.PAPER_PROFILE, enc_config.paper_config),
+    "desk": (enc_config.DESK_PROFILE, enc_config.desk_config),
 }
+
+# optional overrides of the profile's training schedule and architecture
+_TRAIN_PROFILE_KEYS = ("batch_size", "epochs", "learning_rate")
+_ARCHITECTURE_KEYS = (
+    "num_layers",
+    "num_heads",
+    "hidden_size",
+    "feedforward_size",
+    "max_sequence_length",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +138,11 @@ class PipelineConfig:
             raise ConfigError(
                 f"dedupe_key must be normalized_text or id, got {self.dedupe_key!r}"
             )
-        if self.model not in MODEL_NAMES:
+        if self.model not in MODELS:
             raise ConfigError(
-                f"model must be one of {', '.join(MODEL_NAMES)}, got {self.model!r}"
+                f"model must be one of {', '.join(MODELS)}, got {self.model!r}"
             )
-        if self.profile_name not in _PROFILE_DEFAULTS:
+        if self.profile_name not in _PROFILES:
             raise ConfigError(
                 f"profile must be paper or desk, got {self.profile_name!r}"
             )
@@ -179,34 +184,19 @@ class PipelineConfig:
             stratified=self.stratified,
         )
 
+    def _overrides(self, keys: tuple[str, ...]) -> dict:
+        values = {key: getattr(self, key) for key in keys}
+        return {key: value for key, value in values.items() if value is not None}
+
     def train_profile(self) -> enc_config.TrainProfile:
-        base = _PROFILE_DEFAULTS[self.profile_name]
-        overrides: dict = {"seed": self.seed}
-        if self.batch_size is not None:
-            overrides["batch_size"] = self.batch_size
-        if self.epochs is not None:
-            overrides["epochs"] = self.epochs
-        if self.learning_rate is not None:
-            overrides["learning_rate"] = self.learning_rate
-        return replace(base, **overrides)
+        base, _ = _PROFILES[self.profile_name]
+        overrides = self._overrides(_TRAIN_PROFILE_KEYS)
+        return replace(base, seed=self.seed, **overrides)
 
     def encoder_config(self, vocab_size: int) -> enc_config.EncoderConfig:
-        if self.profile_name == "paper":
-            base = enc_config.paper_config(vocab_size, self.dropout_rate)
-        else:
-            base = enc_config.desk_config(vocab_size, self.dropout_rate)
-        overrides: dict = {}
-        for key in (
-            "num_layers",
-            "num_heads",
-            "hidden_size",
-            "feedforward_size",
-            "max_sequence_length",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                overrides[key] = value
-        return replace(base, **overrides) if overrides else base
+        _, architecture = _PROFILES[self.profile_name]
+        base = architecture(vocab_size, self.dropout_rate)
+        return replace(base, **self._overrides(_ARCHITECTURE_KEYS))
 
     def resolved_stopwords_path(self) -> Path:
         return self.stopwords_path or data_path(STOPWORDS_FILE)
@@ -221,88 +211,64 @@ class PipelineConfig:
         """Canonical key=value dump of all non-path settings.
 
         Path contents are captured separately as manifest input hashes, so
-        the dump (and its hash) is independent of filesystem layout.
+        the dump (and its hash) is independent of filesystem layout.  The
+        training-schedule overrides appear resolved, inside ``train_profile``;
+        an architecture override appears only when it is set.
         """
         values = {
-            "corpus_format": self.corpus_format,
-            "keywords": ",".join(self.keywords),
-            "keyword_mode": self.keyword_mode,
-            "dedupe_key": self.dedupe_key,
-            "train_fraction": str(self.train_fraction),
-            "validation_fraction": str(self.validation_fraction),
-            "test_fraction": str(self.test_fraction),
-            "stratified": str(self.stratified).lower(),
-            "model": self.model,
-            "profile": self.profile_name,
             "train_profile": json.dumps(
                 self.train_profile().to_dict(), sort_keys=True
-            ),
-            "dropout_rate": repr(self.dropout_rate),
-            "min_count": str(self.min_count),
-            "mnb_alpha": repr(self.mnb_alpha),
-            "svm_lambda": repr(self.svm_lambda),
-            "svm_epochs": str(self.svm_epochs),
-            "svm_feature_mode": self.svm_feature_mode,
-            "top_k": str(self.top_k),
-            "ngram_n": str(self.ngram_n),
-            "seed": str(self.seed),
+            )
         }
-        for key in (
-            "num_layers",
-            "num_heads",
-            "hidden_size",
-            "feedforward_size",
-            "max_sequence_length",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                values[key] = str(value)
+        for key, (name, kind) in _CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if kind is Path or name in _TRAIN_PROFILE_KEYS or value is None:
+                continue
+            values[key] = _FORMATTERS.get(kind, str)(value)
         return "".join(f"{k}={v}\n" for k, v in sorted(values.items()))
 
 
-_PATH_KEYS = {
-    "corpus_path",
-    "output_dir",
-    "stopwords_path",
-    "lexicon_positive_path",
-    "lexicon_negative_path",
-}
-_STR_KEYS = {
-    "corpus_format",
-    "keyword_mode",
-    "dedupe_key",
-    "model",
-    "svm_feature_mode",
-}
-_INT_KEYS = {
-    "batch_size",
-    "epochs",
-    "num_layers",
-    "num_heads",
-    "hidden_size",
-    "feedforward_size",
-    "max_sequence_length",
-    "min_count",
-    "svm_epochs",
-    "top_k",
-    "ngram_n",
-    "seed",
-}
-_FLOAT_KEYS = {"learning_rate", "dropout_rate", "mnb_alpha", "svm_lambda"}
-_FRACTION_KEYS = {"train_fraction", "validation_fraction", "test_fraction"}
-_BOOL_KEYS = {"stratified"}
+def _value_type(hint: object) -> type:
+    """The type a config value parses to: ``X | None`` gives ``X`` and
+    ``tuple[str, ...]`` gives ``tuple``."""
+    origin = get_origin(hint)
+    if origin is tuple:
+        return tuple
+    if origin is not None:
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    return hint
 
-_KEY_ALIASES = {"profile": "profile_name"}
 
-_ALL_KEYS = (
-    _PATH_KEYS
-    | _STR_KEYS
-    | _INT_KEYS
-    | _FLOAT_KEYS
-    | _FRACTION_KEYS
-    | _BOOL_KEYS
-    | {"keywords", "profile"}
-)
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value.lower() == "true"
+
+
+def _parse_keywords(value: str) -> tuple[str, ...]:
+    return tuple(kw.strip().lower() for kw in value.split(",") if kw.strip())
+
+
+# paths are parsed relative to the config file, so they have no entry here
+_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    Fraction: Fraction,
+    bool: _parse_bool,
+    tuple: _parse_keywords,
+}
+_FORMATTERS = {bool: lambda value: str(value).lower(), tuple: ",".join}
+
+# the profile_name field is spelled "profile" in config files and in the
+# settings dump
+_FIELD_KEYS = {"profile_name": "profile"}
+
+# config key -> (PipelineConfig field, value type)
+_CONFIG_KEYS = {
+    _FIELD_KEYS.get(name, name): (name, _value_type(hint))
+    for name, hint in get_type_hints(PipelineConfig).items()
+}
 
 
 def parse_config_text(text: str, base_dir: Path) -> dict:
@@ -321,31 +287,16 @@ def parse_config_text(text: str, base_dir: Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        field_name = _KEY_ALIASES.get(key, key)
+        field_name, kind = _CONFIG_KEYS[key]
         if field_name in settings:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         try:
-            if key in _PATH_KEYS:
+            if kind is Path:
                 settings[field_name] = (base_dir / value).resolve()
-            elif key == "keywords":
-                keywords = tuple(
-                    kw.strip().lower() for kw in value.split(",") if kw.strip()
-                )
-                settings[field_name] = keywords
-            elif key in _INT_KEYS:
-                settings[field_name] = int(value)
-            elif key in _FLOAT_KEYS:
-                settings[field_name] = float(value)
-            elif key in _FRACTION_KEYS:
-                settings[field_name] = Fraction(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true or false, got {value!r}")
-                settings[field_name] = value.lower() == "true"
             else:
-                settings[field_name] = value
+                settings[field_name] = _PARSERS[kind](value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return settings
@@ -409,11 +360,7 @@ def _write_manifest(
         "inputs": {name: _sha256_file(p) for name, p in sorted(inputs.items())},
         "outputs": {p.name: _sha256_file(p) for p in outputs},
     }
-    path = config.output_dir / f"{stage}.manifest.json"
-    path.write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return _write_json(manifest, config.output_dir / f"{stage}.manifest.json")
 
 
 def _require_artifact(path: Path, producer: str) -> Path:
@@ -439,14 +386,26 @@ def document_to_json(doc: Document, score: int | None = None) -> dict:
 _DOCUMENT_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "tokens": list}
 
 
+def _check_row(payload: object, fields: dict[str, type]) -> dict:
+    """``payload`` when it is an object holding each field with its type;
+    ValueError otherwise."""
+    if not isinstance(payload, dict):
+        raise ValueError("row is not a JSON object")
+    for key, kind in fields.items():
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+    return payload
+
+
+def _corpus_row(payload: object) -> tuple[str, str]:
+    row = _check_row(payload, {"id": str, "text": str})
+    return row["id"], row["text"]
+
+
 def document_from_json(payload: object) -> Document:
     """Inverse of :func:`document_to_json`; raises ValueError on a row of
     the wrong shape."""
-    if not isinstance(payload, dict):
-        raise ValueError("row is not a JSON object")
-    for key, kind in _DOCUMENT_FIELDS.items():
-        if not isinstance(payload.get(key), kind):
-            raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+    payload = _check_row(payload, _DOCUMENT_FIELDS)
     label = payload.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("'label' is not a str")
@@ -459,33 +418,37 @@ def document_from_json(payload: object) -> Document:
     )
 
 
+def _write_json(payload: object, path: Path) -> Path:
+    path.write_text(
+        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return path
+
+
 def _write_jsonl(rows: list[dict], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _load_jsonl(path: Path, parse_row: Callable[[object], object]) -> list:
+    """Parse every non-blank line of a JSONL artifact; a malformed row is a
+    ConfigError naming ``<path>:<line>``."""
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
-
-
-def load_labeled_documents(output_dir: Path) -> list[Document]:
-    path = _require_artifact(output_dir / LABELED_FILE, "label")
-    documents = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                documents.append(document_from_json(json.loads(line)))
+                rows.append(parse_row(json.loads(line)))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return documents
+    return rows
+
+
+def load_labeled_documents(output_dir: Path) -> list[Document]:
+    path = _require_artifact(output_dir / LABELED_FILE, "label")
+    return _load_jsonl(path, document_from_json)
 
 
 def _csv_text(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -605,10 +568,7 @@ def run_ingest(config: PipelineConfig) -> list[Path]:
         "verdicts_applied": len(verdicts),
         "kept": len(relevant),
     }
-    report_out = config.output_dir / INGEST_REPORT_FILE
-    report_out.write_text(
-        json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report_out = _write_json(report, config.output_dir / INGEST_REPORT_FILE)
     outputs = [corpus_out, report_out]
     outputs.append(_write_manifest(config, "ingest", inputs, outputs))
     logger.info(
@@ -635,8 +595,8 @@ def run_label(config: PipelineConfig) -> list[Path]:
     lex = lexicon.load_lexicon(pos_path, neg_path)
 
     documents = [
-        make_document(row["id"], row["text"], stopwords)
-        for row in _read_jsonl(corpus_path)
+        make_document(doc_id, text, stopwords)
+        for doc_id, text in _load_jsonl(corpus_path, _corpus_row)
     ]
     overrides: dict[str, SentimentLabel] = {}
     overrides_path = config.output_dir / OVERRIDES_FILE
@@ -679,76 +639,150 @@ def run_label(config: PipelineConfig) -> list[Path]:
     return outputs
 
 
-def _split_labeled(
-    config: PipelineConfig, documents: list[Document]
-) -> tuple[list[Document], list[Document], list[Document]]:
-    return corpus.split(documents, config.split_spec())
+# ---------------------------------------------------------------------------
+# models: train and predict functions look library functions up on their
+# modules at call time, so that a wrapper installed there is seen
+
+
+def _model_path(config: PipelineConfig) -> Path:
+    return config.output_dir / MODELS[config.model].file
+
+
+def _train_bert(
+    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+) -> dict[str, Path]:
+    token_vocab = enc_vocab.build_token_vocab(train_docs, min_count=config.min_count)
+    encoder_config = config.encoder_config(vocab_size=token_vocab.size)
+    profile = config.train_profile()
+    params, history = enc_train.fine_tune(
+        train_docs, val_docs, token_vocab, encoder_config, profile
+    )
+    enc_checkpoint.save_checkpoint(params, encoder_config, _model_path(config))
+    _write_json(token_vocab.to_dict(), config.output_dir / BERT_VOCAB_FILE)
+    (config.output_dir / HISTORY_FILE).write_text(
+        enc_train.history_to_csv(history, profile), encoding="utf-8"
+    )
+    return {}
+
+
+def _predict_bert(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
+    params, encoder_config = enc_checkpoint.load_checkpoint(
+        output_dir / MODELS["bert"].file
+    )
+    token_vocab = enc_vocab.TokenVocab.from_dict(
+        json.loads((output_dir / BERT_VOCAB_FILE).read_text(encoding="utf-8"))
+    )
+    return enc_train.predict_batch(test_docs, params, token_vocab, encoder_config)
+
+
+def _train_mnb(
+    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+) -> dict[str, Path]:
+    vocab = bow.build_vocab(train_docs, min_count=config.min_count)
+    model = bow.mnb_train(train_docs, vocab, alpha=config.mnb_alpha)
+    bow.save_model(model, vocab, _model_path(config))
+    return {}
+
+
+def _predict_mnb(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
+    model, vocab = bow.load_model(output_dir / MODELS["mnb"].file)
+    return [bow.mnb_predict(doc, model, vocab)[0] for doc in test_docs]
+
+
+def _train_svm(
+    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+) -> dict[str, Path]:
+    vocab = bow.build_vocab(train_docs, min_count=config.min_count)
+    svm_config = bow.SvmConfig(
+        regularization_lambda=config.svm_lambda,
+        epochs=config.svm_epochs,
+        seed=config.seed,
+        feature_mode=config.svm_feature_mode,
+    )
+    model = bow.svm_train(train_docs, vocab, svm_config)
+    bow.save_model(model, vocab, _model_path(config))
+    return {}
+
+
+def _predict_svm(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
+    model, vocab = bow.load_model(output_dir / MODELS["svm"].file)
+    return [bow.svm_predict(doc, model, vocab)[0] for doc in test_docs]
+
+
+def _train_lexicon(
+    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+) -> dict[str, Path]:
+    pos_path, neg_path = config.resolved_lexicon_paths()
+    lex = lexicon.load_lexicon(pos_path, neg_path)
+    payload = {
+        "magic": LEXICON_MODEL_MAGIC,
+        "version": LEXICON_MODEL_VERSION,
+        "positive": sorted(lex.positive),
+        "negative": sorted(lex.negative),
+    }
+    _write_json(payload, _model_path(config))
+    return {"lexicon_positive": pos_path, "lexicon_negative": neg_path}
+
+
+def _predict_lexicon(
+    output_dir: Path, test_docs: list[Document]
+) -> list[SentimentLabel]:
+    path = output_dir / MODELS["lexicon"].file
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or payload.get("magic") != LEXICON_MODEL_MAGIC:
+        raise CheckpointFormatError(f"{path} is not a lexicon model file")
+    lex = lexicon.LexiconDict(
+        positive=frozenset(payload["positive"]),
+        negative=frozenset(payload["negative"]),
+    )
+    return [lexicon.score_document(doc.tokens, lex).label for doc in test_docs]
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """How the train and eval stages handle one model.
+
+    ``train(config, train_docs, val_docs)`` writes ``file`` and
+    ``train_outputs`` into the output directory and returns the further
+    inputs it read, keyed by manifest name.  ``predict(output_dir,
+    test_docs)`` reads ``file`` and ``predict_inputs`` back and labels the
+    documents.
+    """
+
+    file: str
+    train: Callable[
+        [PipelineConfig, list[Document], list[Document]], dict[str, Path]
+    ]
+    predict: Callable[[Path, list[Document]], list[SentimentLabel]]
+    train_outputs: tuple[str, ...] = ()
+    predict_inputs: tuple[str, ...] = ()
+
+
+# in evaluation and comparison order
+MODELS = {
+    "bert": ModelSpec(
+        "bert.ckpt",
+        _train_bert,
+        _predict_bert,
+        train_outputs=(BERT_VOCAB_FILE, HISTORY_FILE),
+        predict_inputs=(BERT_VOCAB_FILE,),
+    ),
+    "mnb": ModelSpec("mnb_model.json", _train_mnb, _predict_mnb),
+    "svm": ModelSpec("svm_model.json", _train_svm, _predict_svm),
+    "lexicon": ModelSpec("lexicon_model.json", _train_lexicon, _predict_lexicon),
+}
 
 
 def run_train(config: PipelineConfig) -> list[Path]:
     """Fit the selected model on the training split and save it."""
     documents = load_labeled_documents(config.output_dir)
-    train_docs, val_docs, _ = _split_labeled(config, documents)
+    train_docs, val_docs, _ = corpus.split(documents, config.split_spec())
     if not train_docs:
         raise ConfigError("training split is empty; check the split fractions")
-    labeled_path = config.output_dir / LABELED_FILE
-    inputs = {LABELED_FILE: labeled_path}
-    model_out = config.output_dir / MODEL_FILES[config.model]
-    outputs: list[Path] = [model_out]
-
-    if config.model == "lexicon":
-        pos_path, neg_path = config.resolved_lexicon_paths()
-        lex = lexicon.load_lexicon(pos_path, neg_path)
-        payload = {
-            "magic": LEXICON_MODEL_MAGIC,
-            "version": LEXICON_MODEL_VERSION,
-            "positive": sorted(lex.positive),
-            "negative": sorted(lex.negative),
-        }
-        model_out.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        inputs["lexicon_positive"] = pos_path
-        inputs["lexicon_negative"] = neg_path
-    elif config.model == "mnb":
-        vocab = bow.build_vocab(train_docs, min_count=config.min_count)
-        model = bow.mnb_train(train_docs, vocab, alpha=config.mnb_alpha)
-        bow.save_model(model, vocab, model_out)
-    elif config.model == "svm":
-        vocab = bow.build_vocab(train_docs, min_count=config.min_count)
-        model = bow.svm_train(
-            train_docs,
-            vocab,
-            bow.SvmConfig(
-                regularization_lambda=config.svm_lambda,
-                epochs=config.svm_epochs,
-                seed=config.seed,
-                feature_mode=config.svm_feature_mode,
-            ),
-        )
-        bow.save_model(model, vocab, model_out)
-    else:  # bert
-        token_vocab = enc_vocab.build_token_vocab(
-            train_docs, min_count=config.min_count
-        )
-        encoder_config = config.encoder_config(vocab_size=token_vocab.size)
-        profile = config.train_profile()
-        params, history = enc_train.fine_tune(
-            train_docs, val_docs, token_vocab, encoder_config, profile
-        )
-        enc_checkpoint.save_checkpoint(params, encoder_config, model_out)
-        vocab_out = config.output_dir / BERT_VOCAB_FILE
-        vocab_out.write_text(
-            json.dumps(token_vocab.to_dict(), indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        history_out = config.output_dir / HISTORY_FILE
-        history_out.write_text(
-            enc_train.history_to_csv(history, profile), encoding="utf-8"
-        )
-        outputs.extend([vocab_out, history_out])
-
+    spec = MODELS[config.model]
+    inputs = {LABELED_FILE: config.output_dir / LABELED_FILE}
+    inputs.update(spec.train(config, train_docs, val_docs))
+    outputs = [config.output_dir / name for name in (spec.file, *spec.train_outputs)]
     outputs.append(_write_manifest(config, "train", inputs, outputs))
     logger.info(
         "train: fitted %s on %d documents (validation %d)",
@@ -759,62 +793,38 @@ def run_train(config: PipelineConfig) -> list[Path]:
     return outputs
 
 
-def _predict_with_model(
-    name: str,
-    output_dir: Path,
-    test_docs: list[Document],
-) -> list[SentimentLabel]:
-    """Load a trained model file and predict the test split."""
-    model_path = output_dir / MODEL_FILES[name]
-    if name == "lexicon":
-        payload = json.loads(model_path.read_text(encoding="utf-8"))
-        if payload.get("magic") != LEXICON_MODEL_MAGIC:
-            raise ConfigError(f"{model_path} is not a lexicon model file")
-        lex = lexicon.LexiconDict(
-            positive=frozenset(payload["positive"]),
-            negative=frozenset(payload["negative"]),
-        )
-        return [
-            lexicon.score_document(doc.tokens, lex).label for doc in test_docs
-        ]
-    if name in ("mnb", "svm"):
-        model, vocab = bow.load_model(model_path)
-        predict = bow.mnb_predict if name == "mnb" else bow.svm_predict
-        return [predict(doc, model, vocab)[0] for doc in test_docs]
-    params, encoder_config = enc_checkpoint.load_checkpoint(model_path)
-    vocab_path = _require_artifact(output_dir / BERT_VOCAB_FILE, "train")
-    token_vocab = enc_vocab.TokenVocab.from_dict(
-        json.loads(vocab_path.read_text(encoding="utf-8"))
-    )
-    return enc_train.predict_batch(test_docs, params, token_vocab, encoder_config)
-
-
 def run_eval(config: PipelineConfig) -> list[Path]:
     """Evaluate every trained model on the test split; compare when >= 2."""
     documents = load_labeled_documents(config.output_dir)
-    _, _, test_docs = _split_labeled(config, documents)
+    _, _, test_docs = corpus.split(documents, config.split_spec())
     if not test_docs:
         raise ConfigError("test split is empty; check the split fractions")
-    available = [
-        name
-        for name in MODEL_NAMES
-        if (config.output_dir / MODEL_FILES[name]).is_file()
-    ]
+    available = {
+        name: spec
+        for name, spec in MODELS.items()
+        if (config.output_dir / spec.file).is_file()
+    }
     if not available:
         raise StageOrderError(
-            MODEL_FILES[config.model], "run the train stage first"
+            MODELS[config.model].file, "run the train stage first"
         )
     true_labels = [doc.label for doc in test_docs]
     inputs = {LABELED_FILE: config.output_dir / LABELED_FILE}
     outputs: list[Path] = []
     named_reports: list[tuple[str, evaluation.MetricsReport]] = []
-    for name in available:
-        inputs[MODEL_FILES[name]] = config.output_dir / MODEL_FILES[name]
-        if name == "bert":
-            inputs[BERT_VOCAB_FILE] = _require_artifact(
-                config.output_dir / BERT_VOCAB_FILE, "train"
-            )
-        predicted = _predict_with_model(name, config.output_dir, test_docs)
+    for name, spec in available.items():
+        model_files = [
+            _require_artifact(config.output_dir / filename, "train")
+            for filename in (spec.file, *spec.predict_inputs)
+        ]
+        inputs.update((path.name, path) for path in model_files)
+        try:
+            predicted = spec.predict(config.output_dir, test_docs)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointFormatError(
+                f"{', '.join(map(str, model_files))}: unreadable {name} model "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         cm = evaluation.confusion(true_labels, predicted)
         report = evaluation.metrics(cm)
         named_reports.append((name, report))
@@ -823,12 +833,7 @@ def run_eval(config: PipelineConfig) -> list[Path]:
             "confusion": [list(row) for row in cm.counts],
             **evaluation.report_as_dict(report),
         }
-        report_out = config.output_dir / f"metrics_{name}.json"
-        report_out.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        outputs.append(report_out)
+        outputs.append(_write_json(payload, config.output_dir / f"metrics_{name}.json"))
         logger.info(
             "eval: %s macro_f=%.4f accuracy=%.4f on %d test documents",
             name,
@@ -878,7 +883,7 @@ def run_compare(config: PipelineConfig) -> list[Path]:
     """Rebuild the comparison table from stored evaluation reports."""
     named_reports: list[tuple[str, evaluation.MetricsReport]] = []
     inputs: dict[str, Path] = {}
-    for name in MODEL_NAMES:
+    for name in MODELS:
         report_path = config.output_dir / f"metrics_{name}.json"
         if report_path.is_file():
             payload = json.loads(report_path.read_text(encoding="utf-8"))
@@ -912,25 +917,17 @@ def run_viz(config: PipelineConfig) -> list[Path]:
     ngram_csv_out.write_text(viz.ngram_csv(grams), encoding="utf-8")
     outputs.append(ngram_csv_out)
 
-    cloud_out = config.output_dir / "cloud_weights.json"
-    cloud_out.write_text(
-        json.dumps(dict(sorted(cloud.entries.items())), indent=1, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
+    outputs.append(
+        _write_json(cloud.entries, config.output_dir / "cloud_weights.json")
     )
-    outputs.append(cloud_out)
-
-    distribution_out = config.output_dir / "sentiment_distribution.json"
-    distribution_out.write_text(
-        json.dumps(
-            {label_name(label): count for label, count in distribution.items()},
-            indent=1,
-            sort_keys=True,
+    distribution_counts = {
+        label_name(label): count for label, count in distribution.items()
+    }
+    outputs.append(
+        _write_json(
+            distribution_counts, config.output_dir / "sentiment_distribution.json"
         )
-        + "\n",
-        encoding="utf-8",
     )
-    outputs.append(distribution_out)
 
     for data, filename in (
         (unigrams, "unigrams.svg"),

@@ -9,6 +9,7 @@ parallel without coordination.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -90,6 +91,13 @@ def cleanse(raw_text: str) -> str:
     text = _LONE_HYPHEN_RE.sub(" ", text)
     text = _LONE_DIGITS_RE.sub(" ", text)
     return _WS_RE.sub(" ", text).strip()
+
+
+def rank_tokens(counts: Counter[str], min_count: int = 1) -> list[str]:
+    """Tokens counted at least ``min_count`` times, by descending count with
+    ties broken lexicographically; the order of every vocabulary."""
+    kept = [token for token, count in counts.items() if count >= min_count]
+    return sorted(kept, key=lambda token: (-counts[token], token))
 
 
 def tokenize(clean_text: str) -> list[str]:

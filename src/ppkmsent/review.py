@@ -153,6 +153,23 @@ def load_review_items(output_dir: Path) -> tuple[str, list[ReviewItem]]:
     return "corpus", items
 
 
+def _import_worksheet(path: Path, state: ReviewState) -> None:
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)  # the header
+        for row in reader:
+            if not row:
+                continue
+            rid = row[0].strip()
+            final = row[4].strip().lower()
+            if final == "drop":
+                state.verdicts[rid] = "drop"
+                continue
+            final_label = parse_label(final)
+            if final_label != parse_label(row[3]):
+                state.overrides[rid] = final_label
+
+
 def import_decisions(path: str | Path, output_dir: Path) -> ReviewState:
     """Merge an externally edited CSV into the persisted review state.
 
@@ -167,37 +184,18 @@ def import_decisions(path: str | Path, output_dir: Path) -> ReviewState:
         raise ConfigError(f"import file not found: {path}")
     state = load_progress(output_dir) or ReviewState()
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in (next(reader, None) or [])]
-        if header[:2] == ["id", "verdict"]:
-            for row in reader:
-                if row:
-                    if row[1].strip() not in ("keep", "drop"):
-                        raise ConfigError(
-                            f"{path}: verdict must be keep or drop, got {row[1]!r}"
-                        )
-                    state.verdicts[row[0].strip()] = row[1].strip()
-        elif header[:2] == ["id", "label"]:
-            for row in reader:
-                if row:
-                    state.overrides[row[0].strip()] = parse_label(row[1])
-        elif header == list(WORKSHEET_HEADER):
-            for row in reader:
-                if not row:
-                    continue
-                rid = row[0].strip()
-                final = row[4].strip().lower()
-                if final == "drop":
-                    state.verdicts[rid] = "drop"
-                    continue
-                final_label = parse_label(final)
-                if final_label != parse_label(row[3]):
-                    state.overrides[rid] = final_label
-        else:
-            raise ConfigError(
-                f"{path}: unrecognized header {','.join(header)!r}; expected "
-                "id,verdict or id,label or the review worksheet columns"
-            )
+        header = [h.strip() for h in (next(csv.reader(handle), None) or [])]
+    if header[:2] == ["id", "verdict"]:
+        state.verdicts.update(pipeline.read_verdicts(path))
+    elif header[:2] == ["id", "label"]:
+        state.overrides.update(pipeline.read_label_overrides(path))
+    elif header == list(WORKSHEET_HEADER):
+        _import_worksheet(path, state)
+    else:
+        raise ConfigError(
+            f"{path}: unrecognized header {','.join(header)!r}; expected "
+            "id,verdict or id,label or the review worksheet columns"
+        )
     _persist(state, output_dir)
     return state
 

@@ -99,6 +99,70 @@ class TestExitCodes:
             assert f"{pipeline.LABELED_FILE}:2: " in err, stage
             assert message in err, stage
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda row: {k: v for k, v in row.items() if k != "text"}, "'text'"),
+            (lambda row: [row], "not a JSON object"),
+        ],
+        ids=["missing-text", "not-an-object"],
+    )
+    def test_corrupt_corpus_row_exits_one(self, tmp_path, capsys, corrupt, message):
+        config_path = write_setup(tmp_path)
+        assert cli.main(["ingest", "-c", str(config_path)]) == cli.EXIT_OK
+        corpus_path = tmp_path / "out" / pipeline.CORPUS_FILE
+        lines = corpus_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps(corrupt(json.loads(lines[1])))
+        corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["label", "-c", str(config_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{pipeline.CORPUS_FILE}:2: " in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "filename, corrupt",
+        [
+            ("mnb_model.json", lambda p: {k: v for k, v in p.items() if k != "vocab"}),
+            ("mnb_model.json", lambda p: {**p, "magic": "other"}),
+            ("mnb_model.json", lambda p: [p]),
+            (
+                "lexicon_model.json",
+                lambda p: {k: v for k, v in p.items() if k != "positive"},
+            ),
+            ("lexicon_model.json", lambda p: {**p, "magic": "other"}),
+            ("lexicon_model.json", lambda p: [p]),
+        ],
+        ids=[
+            "mnb-without-vocab",
+            "bow-wrong-magic",
+            "bow-not-an-object",
+            "lexicon-without-positive",
+            "lexicon-wrong-magic",
+            "lexicon-not-an-object",
+        ],
+    )
+    def test_corrupt_model_file_exits_two(
+        self, tmp_path, capsys, filename, corrupt
+    ):
+        config_path = write_setup(tmp_path)
+        lexicon_config = tmp_path / "lexicon.cfg"
+        lexicon_config.write_text(
+            config_path.read_text().replace("model = mnb", "model = lexicon")
+        )
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        assert cli.main(["train", "-c", str(lexicon_config)]) == cli.EXIT_OK
+        model_path = tmp_path / "out" / filename
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        model_path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert filename in err
+
     def test_missing_stage_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main([])

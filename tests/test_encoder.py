@@ -184,12 +184,6 @@ class TestTokenVocab:
         # counts: b=2, c=2, a=1 -> b, c by tie-break then a
         assert vocab.tokens_in_id_order()[4:] == ["b", "c", "a"]
 
-    def test_max_size_truncates_after_reserved(self):
-        docs = [make_doc(["a", "b", "c"], doc_id="a")]
-        vocab = build_token_vocab(docs, max_size=5)
-        assert vocab.size == 5
-        assert vocab.tokens_in_id_order()[4:] == ["a"]
-
     def test_min_count_threshold(self):
         docs = [make_doc(["a", "a", "b"], doc_id="a")]
         vocab = build_token_vocab(docs, min_count=2)
@@ -218,8 +212,6 @@ class TestTokenVocab:
                     "gap": 9,
                 }
             )
-        with pytest.raises(ConfigError, match="max_size"):
-            build_token_vocab([], max_size=3)
         with pytest.raises(ConfigError, match="min_count"):
             build_token_vocab([], min_count=0)
 

@@ -101,6 +101,9 @@ class TestParseConfigText:
     def test_unknown_key_reports_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2: unknown config key"):
             pipeline.parse_config_text("seed = 1\nwindow = 9\n", tmp_path)
+        # the field behind the "profile" key is not a key itself
+        with pytest.raises(ConfigError, match="unknown config key 'profile_name'"):
+            pipeline.parse_config_text("profile_name = paper\n", tmp_path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate config key"):
@@ -247,6 +250,99 @@ class TestPipelineConfigValidation:
     def test_settings_dump_reflects_effective_profile(self, tmp_path):
         dump = make_config(tmp_path, learning_rate=5e-4).settings_dump()
         assert '"learning_rate": 0.0005' in dump
+
+    # every manifest hashes this text, so its exact bytes are pinned
+    def test_settings_dump_of_the_default_config_is_pinned(self, tmp_path):
+        assert make_config(tmp_path).settings_dump() == (
+            "corpus_format=jsonl\n"
+            "dedupe_key=normalized_text\n"
+            "dropout_rate=0.1\n"
+            "keyword_mode=any\n"
+            "keywords=ppkm,jakarta\n"
+            "min_count=1\n"
+            "mnb_alpha=1.0\n"
+            "model=bert\n"
+            "ngram_n=2\n"
+            "profile=desk\n"
+            "seed=0\n"
+            "stratified=true\n"
+            "svm_epochs=50\n"
+            "svm_feature_mode=tfidf\n"
+            "svm_lambda=0.01\n"
+            "test_fraction=29/1063\n"
+            "top_k=20\n"
+            "train_fraction=4877/5315\n"
+            'train_profile={"adam_beta1": 0.9, "adam_beta2": 0.999, '
+            '"adam_epsilon": 1e-08, "batch_size": 32, "epochs": 10, '
+            '"learning_rate": 0.001, "seed": 0}\n'
+            "validation_fraction=293/5315\n"
+        )
+
+    def test_settings_dump_with_every_key_set_is_pinned(self, tmp_path):
+        text = """
+        output_dir = out
+        corpus_path = raw.csv
+        corpus_format = csv
+        stopwords_path = stop.txt
+        lexicon_positive_path = pos.txt
+        lexicon_negative_path = neg.txt
+        keywords = PPKM, Darurat
+        keyword_mode = all
+        dedupe_key = id
+        train_fraction = 7/10
+        validation_fraction = 0.2
+        test_fraction = 1/10
+        stratified = false
+        model = bert
+        profile = paper
+        batch_size = 8
+        epochs = 3
+        learning_rate = 0.0005
+        num_layers = 1
+        num_heads = 2
+        hidden_size = 8
+        feedforward_size = 16
+        max_sequence_length = 12
+        dropout_rate = 0.25
+        min_count = 2
+        mnb_alpha = 0.5
+        svm_lambda = 0.02
+        svm_epochs = 7
+        svm_feature_mode = tf
+        top_k = 9
+        ngram_n = 3
+        seed = 11
+        """
+        settings = pipeline.parse_config_text(text, tmp_path)
+        assert pipeline.PipelineConfig(**settings).settings_dump() == (
+            "corpus_format=csv\n"
+            "dedupe_key=id\n"
+            "dropout_rate=0.25\n"
+            "feedforward_size=16\n"
+            "hidden_size=8\n"
+            "keyword_mode=all\n"
+            "keywords=ppkm,darurat\n"
+            "max_sequence_length=12\n"
+            "min_count=2\n"
+            "mnb_alpha=0.5\n"
+            "model=bert\n"
+            "ngram_n=3\n"
+            "num_heads=2\n"
+            "num_layers=1\n"
+            "profile=paper\n"
+            "seed=11\n"
+            "stratified=false\n"
+            "svm_epochs=7\n"
+            "svm_feature_mode=tf\n"
+            "svm_lambda=0.02\n"
+            "test_fraction=1/10\n"
+            "top_k=9\n"
+            "train_fraction=7/10\n"
+            'train_profile={"adam_beta1": 0.9, "adam_beta2": 0.999, '
+            '"adam_epsilon": 1e-08, "batch_size": 8, "epochs": 3, '
+            '"learning_rate": 0.0005, "seed": 11}\n'
+            "validation_fraction=1/5\n"
+        )
 
 
 class TestStageOrder:

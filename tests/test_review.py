@@ -274,6 +274,22 @@ class TestImport:
         with pytest.raises(ConfigError, match="keep or drop"):
             review.import_decisions(bad, config.output_dir)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id,verdict\nsome-id\n", "keep or drop"),
+            ("id,label\nsome-id\n", "bad.csv:2"),
+            ("id,label\nsome-id,great\n", "unknown sentiment label"),
+        ],
+        ids=["verdict-one-column", "label-one-column", "bad-label"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, text, message):
+        config = make_ingested(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            review.import_decisions(bad, config.output_dir)
+
     def test_unrecognized_header_rejected(self, tmp_path):
         config = make_ingested(tmp_path)
         bad = tmp_path / "bad.csv"
