@@ -3,8 +3,10 @@
 Features are unigram counts over a training-split vocabulary.  MNB uses raw
 counts with Laplace smoothing; the SVM trains three one-vs-rest hinge-loss
 separators by Pegasos-style stochastic subgradient descent on tf-idf
-features.  Ties at prediction time break toward the lowest label code
-(Negative < Neutral < Positive) so argmax is total.
+features, in closed form: after step t the weights are w = S/(lambda*t),
+S the sum of y*x over the margin violations so far, so a step costs only
+the row's nonzeros.  Ties at prediction time break toward the lowest label
+code (Negative < Neutral < Positive) so argmax is total.
 """
 
 from __future__ import annotations
@@ -193,15 +195,22 @@ def hinge_objective(
     w: np.ndarray, b: float, rows: list[dict[int, float]], ys: np.ndarray, lam: float
 ) -> float:
     """lam/2 * ||w||^2 + mean hinge loss over the given rows."""
+    weights = w.tolist()
     total = 0.0
-    for row, y in zip(rows, ys):
-        margin = y * (sum(w[i] * v for i, v in row.items()) + b)
+    for row, y in zip(rows, ys.tolist()):
+        margin = y * (sum(weights[i] * v for i, v in row.items()) + b)
         total += max(0.0, 1.0 - margin)
     return 0.5 * lam * float(w @ w) + total / len(rows)
 
 
 def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmModel:
     """Train three one-vs-rest hinge separators with step size 1/(lambda*t).
+
+    Pegasos starts from w = 0 and at step t shrinks w by (1 - 1/t) before
+    adding y*x/(lambda*t) on a margin violation.  The shrink factors
+    telescope, so after step t exactly w = S/(lambda*t), where S is the sum
+    of y*x over the violations so far.  The loop keeps S as a plain list
+    and touches only each row's nonzeros; w is formed once per class.
 
     The bias is updated on margin violations but never shrunk by the
     regularizer.  Because every update step scales as 1/lambda, very large
@@ -224,22 +233,28 @@ def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmM
     for c in range(NUM_CLASSES):
         rng = np.random.default_rng(class_seeds[c])
         ys = np.where(labels == c, 1.0, -1.0)
-        w = np.zeros(v)
+        signs = ys.tolist()
+        s = [0.0] * v  # sum of y*x over violations; w = s / (lam * t)
         b = 0.0
-        initial_obj.append(hinge_objective(w, b, rows, ys, lam))
+        initial_obj.append(hinge_objective(np.zeros(v), b, rows, ys, lam))
         t = 0
         for _ in range(config.epochs):
-            for idx in rng.permutation(len(rows)):
+            for idx in rng.permutation(len(rows)).tolist():
                 t += 1
-                eta = 1.0 / (lam * t)
                 row = rows[idx]
-                y = ys[idx]
-                margin = y * (sum(w[i] * value for i, value in row.items()) + b)
-                w *= 1.0 - eta * lam
+                y = signs[idx]
+                if t == 1:
+                    margin = y * b  # w = 0 before the first step
+                else:
+                    dot = 0.0
+                    for i, value in row.items():
+                        dot += s[i] * value
+                    margin = y * (dot / (lam * (t - 1)) + b)
                 if margin < 1.0:
                     for i, value in row.items():
-                        w[i] += eta * y * value
-                    b += eta * y
+                        s[i] += y * value
+                    b += y / (lam * t)
+        w = np.array(s) / (lam * t)
         weights[c] = w
         biases[c] = b
         final_obj.append(hinge_objective(w, b, rows, ys, lam))
@@ -316,8 +331,12 @@ def save_model(model, vocab: BowVocab, path: str | Path) -> None:
         handle.write("\n")
 
 
-def load_model(path: str | Path):
-    """Load (model, vocab) from a container written by save_model."""
+def load_model(path: str | Path, kind: str | None = None):
+    """Load (model, vocab) from a container written by save_model.
+
+    When ``kind`` ("mnb" or "svm") is given, a file holding another kind of
+    model is a CheckpointFormatError.
+    """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
@@ -325,6 +344,10 @@ def load_model(path: str | Path):
     if payload.get("version") != MODEL_VERSION:
         raise CheckpointFormatError(
             f"{path}: unsupported model version {payload.get('version')!r}"
+        )
+    if kind is not None and payload.get("kind") != kind:
+        raise CheckpointFormatError(
+            f"{path}: holds a {payload.get('kind')!r} model, expected {kind!r}"
         )
     vocab = _vocab_from_payload(payload["vocab"])
     if payload["kind"] == "mnb":

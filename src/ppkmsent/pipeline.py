@@ -685,7 +685,7 @@ def _train_mnb(
 
 
 def _predict_mnb(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
-    model, vocab = bow.load_model(output_dir / MODELS["mnb"].file)
+    model, vocab = bow.load_model(output_dir / MODELS["mnb"].file, "mnb")
     return [bow.mnb_predict(doc, model, vocab)[0] for doc in test_docs]
 
 
@@ -705,7 +705,7 @@ def _train_svm(
 
 
 def _predict_svm(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
-    model, vocab = bow.load_model(output_dir / MODELS["svm"].file)
+    model, vocab = bow.load_model(output_dir / MODELS["svm"].file, "svm")
     return [bow.svm_predict(doc, model, vocab)[0] for doc in test_docs]
 
 

@@ -144,29 +144,33 @@ def load_review_items(output_dir: Path) -> tuple[str, list[ReviewItem]]:
         raise StageOrderError(
             pipeline.CORPUS_FILE, "run the ingest stage first"
         )
-    items = []
-    with open(corpus_file, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                row = json.loads(line)
-                items.append(ReviewItem(id=row["id"], text=row["text"]))
-    return "corpus", items
+    rows = pipeline._load_jsonl(corpus_file, pipeline._corpus_row)
+    return "corpus", [ReviewItem(id=rid, text=text) for rid, text in rows]
 
 
 def _import_worksheet(path: Path, state: ReviewState) -> None:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         next(reader)  # the header
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < len(WORKSHEET_HEADER):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {len(WORKSHEET_HEADER)} columns, "
+                    f"got {len(row)}"
+                )
             rid = row[0].strip()
             final = row[4].strip().lower()
             if final == "drop":
                 state.verdicts[rid] = "drop"
                 continue
-            final_label = parse_label(final)
-            if final_label != parse_label(row[3]):
+            try:
+                final_label = parse_label(final)
+                proposed_label = parse_label(row[3])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if final_label != proposed_label:
                 state.overrides[rid] = final_label
 
 

@@ -13,6 +13,7 @@ from conftest import make_doc, separable_fixture
 from ppkmsent.bow import (
     MODEL_MAGIC,
     BowVocab,
+    MnbModel,
     SvmConfig,
     SvmModel,
     build_vocab,
@@ -404,6 +405,110 @@ class TestSvm:
         assert hinge_objective(np.zeros(2), 0.0, rows, ys, 0.5) == pytest.approx(1.0)
 
 
+def reference_hinge_objective(w, b, rows, ys, lam):
+    """hinge_objective's formula, indexing numpy scalars."""
+    total = 0.0
+    for row, y in zip(rows, ys):
+        margin = y * (sum(w[i] * v for i, v in row.items()) + b)
+        total += max(0.0, 1.0 - margin)
+    return 0.5 * lam * float(w @ w) + total / len(rows)
+
+
+def reference_svm_train(train, vocab, config):
+    """Pegasos in its per-step form: every step shrinks all of w by
+    (1 - 1/t), then a violation adds y*x/(lambda*t)."""
+    rows = [vectorize(doc, vocab, mode=config.feature_mode) for doc in train]
+    labels = np.array([int(doc.label) for doc in train])
+    lam = config.regularization_lambda
+    weights, biases = np.zeros((3, vocab.size)), np.zeros(3)
+    initial_obj, final_obj = [], []
+    class_seeds = np.random.SeedSequence(config.seed).spawn(3)
+    for c in range(3):
+        rng = np.random.default_rng(class_seeds[c])
+        ys = np.where(labels == c, 1.0, -1.0)
+        w, b, t = np.zeros(vocab.size), 0.0, 0
+        initial_obj.append(reference_hinge_objective(w, b, rows, ys, lam))
+        for _ in range(config.epochs):
+            for idx in rng.permutation(len(rows)):
+                t += 1
+                eta = 1.0 / (lam * t)
+                row, y = rows[idx], ys[idx]
+                margin = y * (sum(w[i] * value for i, value in row.items()) + b)
+                w *= 1.0 - eta * lam
+                if margin < 1.0:
+                    for i, value in row.items():
+                        w[i] += eta * y * value
+                    b += eta * y
+        weights[c], biases[c] = w, b
+        final_obj.append(reference_hinge_objective(w, b, rows, ys, lam))
+    return SvmModel(
+        weights=weights,
+        biases=biases,
+        regularization_lambda=lam,
+        feature_mode=config.feature_mode,
+        initial_objective=tuple(initial_obj),
+        final_objective=tuple(final_obj),
+    )
+
+
+def random_corpus(n=60, vocab_words=30, seed=11):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(vocab_words)]
+    return [
+        make_doc(rng.choices(words, k=rng.randint(1, 8)), SentimentLabel(i % 3), f"r{i}")
+        for i in range(n)
+    ]
+
+
+class TestClosedFormPegasos:
+    @pytest.mark.parametrize("corpus", [separable_fixture, random_corpus])
+    @pytest.mark.parametrize("feature_mode", ["tf", "tfidf"])
+    @pytest.mark.parametrize("epochs", [1, 50])
+    def test_matches_the_per_step_loop(self, corpus, feature_mode, epochs):
+        docs = corpus()
+        vocab = build_vocab(docs)
+        config = SvmConfig(
+            regularization_lambda=0.01, epochs=epochs, seed=3, feature_mode=feature_mode
+        )
+        model = svm_train(docs, vocab, config)
+        reference = reference_svm_train(docs, vocab, config)
+        assert np.allclose(model.weights, reference.weights, rtol=0, atol=1e-12)
+        assert np.array_equal(model.biases, reference.biases)
+        assert model.initial_objective == reference.initial_objective
+        assert np.allclose(
+            model.final_objective, reference.final_objective, rtol=0, atol=1e-12
+        )
+        for doc in docs:
+            assert svm_predict(doc, model, vocab)[0] is svm_predict(doc, reference, vocab)[0]
+
+    def test_hinge_objective_pinned_to_the_reference_formula(self):
+        # dyadic values sum exactly in any order
+        w = np.array([0.5, -1.25, 2.0])
+        rows = [{0: 1.0, 2: 0.5}, {1: 2.0}, {0: 0.25, 1: 1.0, 2: 1.0}]
+        ys = np.array([1.0, 1.0, -1.0])
+        value = hinge_objective(w, 0.125, rows, ys, 0.5)
+        assert value == reference_hinge_objective(w, 0.125, rows, ys, 0.5)
+        assert value == 0.5 * 0.5 * 5.8125 + (3.375 + 2.0) / 3
+
+    def test_hinge_objective_matches_the_reference_on_tfidf_rows(self):
+        docs = random_corpus()
+        vocab = build_vocab(docs)
+        rows = [vectorize(d, vocab, mode="tfidf") for d in docs]
+        ys = np.where(np.arange(len(docs)) % 3 == 0, 1.0, -1.0)
+        w = np.random.default_rng(5).normal(size=vocab.size)
+        assert hinge_objective(w, -0.3, rows, ys, 0.01) == pytest.approx(
+            reference_hinge_objective(w, -0.3, rows, ys, 0.01), rel=1e-12
+        )
+
+    def test_rerun_saves_identical_bytes(self, tmp_path):
+        docs = random_corpus()
+        vocab = build_vocab(docs)
+        config = SvmConfig(regularization_lambda=0.01, epochs=5, seed=0)
+        for name in ("a.json", "b.json"):
+            save_model(svm_train(docs, vocab, config), vocab, tmp_path / name)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 class TestModelPersistence:
     def test_mnb_round_trip(self, tmp_path):
         docs = three_class_docs()
@@ -455,6 +560,15 @@ class TestModelPersistence:
             path.write_text(json.dumps(broken), encoding="utf-8")
             with pytest.raises(CheckpointFormatError):
                 load_model(path)
+
+    def test_expected_kind_guard(self, tmp_path):
+        docs = three_class_docs()
+        vocab = build_vocab(docs)
+        path = tmp_path / "model.json"
+        save_model(mnb_train(docs, vocab), vocab, path)
+        assert isinstance(load_model(path, "mnb")[0], MnbModel)
+        with pytest.raises(CheckpointFormatError, match="expected 'svm'"):
+            load_model(path, "svm")
 
     def test_unsupported_model_type_rejected(self, tmp_path):
         vocab = build_vocab([make_doc(["x"], doc_id="a")])

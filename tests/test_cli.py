@@ -163,6 +163,28 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert filename in err
 
+    @pytest.mark.parametrize(
+        "expected, other", [("mnb", "svm"), ("svm", "mnb")], ids=["svm-as-mnb", "mnb-as-svm"]
+    )
+    def test_model_of_another_kind_exits_two(self, tmp_path, capsys, expected, other):
+        config_path = write_setup(tmp_path)
+        other_config = tmp_path / "other.cfg"
+        other_config.write_text(
+            config_path.read_text().replace("model = mnb", f"model = {other}")
+        )
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        assert cli.main(["train", "-c", str(other_config)]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        filename = f"{expected}_model.json"
+        (out / filename).write_bytes((out / f"{other}_model.json").read_bytes())
+        capsys.readouterr()
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert filename in err
+        assert f"expected '{expected}'" in err
+
     def test_missing_stage_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main([])

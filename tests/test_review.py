@@ -14,6 +14,8 @@ from ppkmsent.errors import ConfigError, CorruptProgressError, StageOrderError
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
 from ppkmsent.preprocess import SentimentLabel
 
+WORKSHEET_COLUMNS = "id,clean_text,score,proposed_label,final_label"
+
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
     SentimentLabel.NEUTRAL,
@@ -134,6 +136,17 @@ class TestInteractiveSession:
     def test_review_before_ingest_is_a_stage_order_error(self, tmp_path):
         config = pipeline.PipelineConfig(output_dir=tmp_path / "empty")
         with pytest.raises(StageOrderError, match="ingest"):
+            interact(config, "q\n")
+
+    def test_corpus_row_without_text_names_its_line(self, tmp_path):
+        config = make_ingested(tmp_path)
+        corpus_path = config.output_dir / pipeline.CORPUS_FILE
+        lines = corpus_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        del row["text"]
+        lines[1] = json.dumps(row)
+        corpus_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"{pipeline.CORPUS_FILE}:2: 'text'"):
             interact(config, "q\n")
 
 
@@ -280,8 +293,19 @@ class TestImport:
             ("id,verdict\nsome-id\n", "keep or drop"),
             ("id,label\nsome-id\n", "bad.csv:2"),
             ("id,label\nsome-id,great\n", "unknown sentiment label"),
+            (f"{WORKSHEET_COLUMNS}\nsome-id,teks,0\n", "bad.csv:2: expected 5 columns"),
+            (
+                f"{WORKSHEET_COLUMNS}\nsome-id,teks,0,neutral,great\n",
+                "bad.csv:2: unknown sentiment label",
+            ),
         ],
-        ids=["verdict-one-column", "label-one-column", "bad-label"],
+        ids=[
+            "verdict-one-column",
+            "label-one-column",
+            "bad-label",
+            "worksheet-short-row",
+            "worksheet-bad-final-label",
+        ],
     )
     def test_malformed_row_rejected(self, tmp_path, text, message):
         config = make_ingested(tmp_path)
