@@ -5,8 +5,15 @@ counts with Laplace smoothing; the SVM trains three one-vs-rest hinge-loss
 separators by Pegasos-style stochastic subgradient descent on tf-idf
 features, in closed form: after step t the weights are w = S/(lambda*t),
 S the sum of y*x over the margin violations so far, so a step costs only
-the row's nonzeros.  Ties at prediction time break toward the lowest label
-code (Negative < Neutral < Positive) so argmax is total.
+the row's nonzeros.
+
+Both models score the same way: offsets (3,) + W (3, V) . x, with the MNB
+prior and log-likelihoods on tf counts or the SVM biases and weights on its
+feature mode.  :func:`predict_batch` stacks the documents' ``vectorize``
+rows into one CSR matrix whose rows each start with a unit entry for the
+offset, and sums every row in stored order, offset first, then the
+nonzeros in ``vectorize`` order.  Ties at prediction time break toward the
+lowest label code (Negative < Neutral < Positive) so argmax is total.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +99,34 @@ def vectorize(document: Document, vocab: BowVocab, mode: str = "tf") -> dict[int
     return {idx: v / norm for idx, v in weighted.items()}
 
 
+def feature_matrix(
+    rows: list[dict[int, float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR triple (indptr, indices, values) of ``vectorize`` rows.
+
+    Row r holds entries indptr[r]:indptr[r+1], in the row's own order.
+    """
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=nnz)
+    values = np.fromiter(
+        chain.from_iterable(row.values() for row in rows), dtype=float, count=nnz
+    )
+    return indptr, indices, values
+
+
+def _row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row's terms, added in stored order from 0.0.
+
+    np.bincount accumulates its weights in input order, so a row sums
+    exactly as a Python loop over its entries would.
+    """
+    n = len(indptr) - 1
+    row_ids = np.repeat(np.arange(n), np.diff(indptr))
+    return np.bincount(row_ids, weights=terms, minlength=n)
+
+
 def _require_all_classes(train: list[Document], need_all: bool = True) -> set[SentimentLabel]:
     present = set()
     for doc in train:
@@ -154,10 +190,8 @@ def mnb_predict(
     document: Document, model: MnbModel, vocab: BowVocab
 ) -> tuple[SentimentLabel, np.ndarray]:
     """Argmax of prior + sum of count-weighted log likelihoods."""
-    scores = model.class_log_prior.copy()
-    for idx, count in vectorize(document, vocab, mode="tf").items():
-        scores += count * model.token_log_likelihood[:, idx]
-    return SentimentLabel(int(np.argmax(scores))), scores
+    labels, scores = predict_batch([document], model, vocab)
+    return labels[0], scores[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +226,18 @@ class SvmModel:
 
 
 def hinge_objective(
-    w: np.ndarray, b: float, rows: list[dict[int, float]], ys: np.ndarray, lam: float
+    w: np.ndarray,
+    b: float,
+    matrix: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ys: np.ndarray,
+    lam: float,
 ) -> float:
-    """lam/2 * ||w||^2 + mean hinge loss over the given rows."""
-    weights = w.tolist()
-    total = 0.0
-    for row, y in zip(rows, ys.tolist()):
-        margin = y * (sum(weights[i] * v for i, v in row.items()) + b)
-        total += max(0.0, 1.0 - margin)
-    return 0.5 * lam * float(w @ w) + total / len(rows)
+    """lam/2 * ||w||^2 + mean hinge loss over the rows of a feature_matrix."""
+    indptr, indices, values = matrix
+    dots = _row_sums(indptr, values * w[indices])
+    hinge = np.maximum(0.0, 1.0 - ys * (dots + b))
+    # a running total in row order, not np.sum's pairwise order
+    return 0.5 * lam * float(w @ w) + float(np.cumsum(hinge)[-1]) / len(hinge)
 
 
 def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmModel:
@@ -221,13 +258,13 @@ def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmM
     if len(present) < 2:
         raise MissingClassError("SVM training needs at least 2 classes present")
     rows = [vectorize(doc, vocab, mode=config.feature_mode) for doc in train]
+    matrix = feature_matrix(rows)
     labels = np.array([int(doc.label) for doc in train])
     lam = config.regularization_lambda
     v = vocab.size
 
     weights = np.zeros((NUM_CLASSES, v))
     biases = np.zeros(NUM_CLASSES)
-    initial_obj = []
     final_obj = []
     class_seeds = np.random.SeedSequence(config.seed).spawn(NUM_CLASSES)
     for c in range(NUM_CLASSES):
@@ -236,7 +273,6 @@ def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmM
         signs = ys.tolist()
         s = [0.0] * v  # sum of y*x over violations; w = s / (lam * t)
         b = 0.0
-        initial_obj.append(hinge_objective(np.zeros(v), b, rows, ys, lam))
         t = 0
         for _ in range(config.epochs):
             for idx in rng.permutation(len(rows)).tolist():
@@ -257,14 +293,15 @@ def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmM
         w = np.array(s) / (lam * t)
         weights[c] = w
         biases[c] = b
-        final_obj.append(hinge_objective(w, b, rows, ys, lam))
+        final_obj.append(hinge_objective(w, b, matrix, ys, lam))
 
     return SvmModel(
         weights=weights,
         biases=biases,
         regularization_lambda=lam,
         feature_mode=config.feature_mode,
-        initial_objective=tuple(initial_obj),
+        # at w = 0, b = 0 every hinge term is exactly 1
+        initial_objective=(1.0,) * NUM_CLASSES,
         final_objective=tuple(final_obj),
     )
 
@@ -273,11 +310,45 @@ def svm_predict(
     document: Document, model: SvmModel, vocab: BowVocab
 ) -> tuple[SentimentLabel, np.ndarray]:
     """Argmax of per-class margins w_c . x + b_c."""
-    row = vectorize(document, vocab, mode=model.feature_mode)
-    margins = model.biases.copy()
-    for idx, value in row.items():
-        margins += value * model.weights[:, idx]
-    return SentimentLabel(int(np.argmax(margins))), margins
+    labels, margins = predict_batch([document], model, vocab)
+    return labels[0], margins[0]
+
+
+# ---------------------------------------------------------------------------
+# Batch scoring
+# ---------------------------------------------------------------------------
+
+
+def predict_batch(
+    documents: list[Document], model: MnbModel | SvmModel, vocab: BowVocab
+) -> tuple[list[SentimentLabel], np.ndarray]:
+    """Labels and (n, 3) scores offsets + W . x for every document.
+
+    Each row sums its offset first and then its nonzeros in ``vectorize``
+    order, the order of a per-document loop, so the scores do not depend
+    on how many documents share a call.
+    """
+    if isinstance(model, MnbModel):
+        offsets, weights, mode = model.class_log_prior, model.token_log_likelihood, "tf"
+    elif isinstance(model, SvmModel):
+        offsets, weights, mode = model.biases, model.weights, model.feature_mode
+    else:
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    indptr, indices, values = feature_matrix(
+        [vectorize(doc, vocab, mode=mode) for doc in documents]
+    )
+    # a unit entry in an extra column V leads every row, so the offset is
+    # the first term of its sum
+    starts = indptr[:-1]
+    indices = np.insert(indices, starts, vocab.size)
+    values = np.insert(values, starts, 1.0)
+    indptr = indptr + np.arange(len(indptr))
+    table = np.hstack([weights, offsets[:, None]])
+    scores = np.column_stack(
+        [_row_sums(indptr, values * table[c, indices]) for c in range(NUM_CLASSES)]
+    )
+    labels = [SentimentLabel(int(code)) for code in np.argmax(scores, axis=1)]
+    return labels, scores
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +402,20 @@ def save_model(model, vocab: BowVocab, path: str | Path) -> None:
         handle.write("\n")
 
 
+def _shaped_array(payload: dict, key: str, shape: tuple[int, ...], path) -> np.ndarray:
+    value = np.array(payload[key], dtype=float)
+    if value.shape != shape:
+        raise CheckpointFormatError(f"{path}: {key} has shape {value.shape}, expected {shape}")
+    return value
+
+
 def load_model(path: str | Path, kind: str | None = None):
     """Load (model, vocab) from a container written by save_model.
 
     When ``kind`` ("mnb" or "svm") is given, a file holding another kind of
-    model is a CheckpointFormatError.
+    model is a CheckpointFormatError, and so is a weight, offset or
+    document-frequency array whose shape does not match the file's
+    vocabulary.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -350,16 +430,24 @@ def load_model(path: str | Path, kind: str | None = None):
             f"{path}: holds a {payload.get('kind')!r} model, expected {kind!r}"
         )
     vocab = _vocab_from_payload(payload["vocab"])
+    if len(vocab.document_frequency) != vocab.size:
+        raise CheckpointFormatError(
+            f"{path}: {len(vocab.document_frequency)} document frequencies "
+            f"for {vocab.size} vocabulary tokens"
+        )
+    weight_shape = (NUM_CLASSES, vocab.size)
     if payload["kind"] == "mnb":
         model = MnbModel(
-            class_log_prior=np.array(payload["class_log_prior"]),
-            token_log_likelihood=np.array(payload["token_log_likelihood"]),
+            class_log_prior=_shaped_array(payload, "class_log_prior", (NUM_CLASSES,), path),
+            token_log_likelihood=_shaped_array(
+                payload, "token_log_likelihood", weight_shape, path
+            ),
             smoothing_alpha=payload["smoothing_alpha"],
         )
     elif payload["kind"] == "svm":
         model = SvmModel(
-            weights=np.array(payload["weights"]),
-            biases=np.array(payload["biases"]),
+            weights=_shaped_array(payload, "weights", weight_shape, path),
+            biases=_shaped_array(payload, "biases", (NUM_CLASSES,), path),
             regularization_lambda=payload["regularization_lambda"],
             feature_mode=payload["feature_mode"],
             initial_objective=tuple(payload.get("initial_objective", ())),

@@ -686,7 +686,7 @@ def _train_mnb(
 
 def _predict_mnb(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
     model, vocab = bow.load_model(output_dir / MODELS["mnb"].file, "mnb")
-    return [bow.mnb_predict(doc, model, vocab)[0] for doc in test_docs]
+    return bow.predict_batch(test_docs, model, vocab)[0]
 
 
 def _train_svm(
@@ -706,7 +706,7 @@ def _train_svm(
 
 def _predict_svm(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
     model, vocab = bow.load_model(output_dir / MODELS["svm"].file, "svm")
-    return [bow.svm_predict(doc, model, vocab)[0] for doc in test_docs]
+    return bow.predict_batch(test_docs, model, vocab)[0]
 
 
 def _train_lexicon(

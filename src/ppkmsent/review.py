@@ -127,17 +127,10 @@ def load_review_items(output_dir: Path) -> tuple[str, list[ReviewItem]]:
     """Worksheet rows when the label stage has run, else corpus records."""
     worksheet = output_dir / pipeline.WORKSHEET_FILE
     if worksheet.is_file():
-        items = []
-        with open(worksheet, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                items.append(
-                    ReviewItem(
-                        id=row["id"],
-                        text=row["clean_text"],
-                        proposed_label=parse_label(row["proposed_label"]),
-                    )
-                )
+        items = [
+            ReviewItem(id=row[0], text=row[1], proposed_label=proposed)
+            for _, row, proposed in _read_worksheet(worksheet)
+        ]
         return "worksheet", items
     corpus_file = output_dir / pipeline.CORPUS_FILE
     if not corpus_file.is_file():
@@ -148,10 +141,21 @@ def load_review_items(output_dir: Path) -> tuple[str, list[ReviewItem]]:
     return "corpus", [ReviewItem(id=rid, text=text) for rid, text in rows]
 
 
-def _import_worksheet(path: Path, state: ReviewState) -> None:
+def _read_worksheet(path: Path) -> list[tuple[int, list[str], SentimentLabel]]:
+    """(line number, columns, proposed label) for each row of a worksheet.
+
+    Columns are read by position, so a header other than WORKSHEET_HEADER,
+    a row with fewer than its five columns, or an unknown
+    ``proposed_label`` is a ConfigError naming ``<path>:<line>``.
+    """
+    rows = []
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        next(reader)  # the header
+        header = [name.strip() for name in next(reader, [])]
+        if header != list(WORKSHEET_HEADER):
+            raise ConfigError(
+                f"{path}:1: expected the header {','.join(WORKSHEET_HEADER)}"
+            )
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -160,18 +164,27 @@ def _import_worksheet(path: Path, state: ReviewState) -> None:
                     f"{path}:{lineno}: expected {len(WORKSHEET_HEADER)} columns, "
                     f"got {len(row)}"
                 )
-            rid = row[0].strip()
-            final = row[4].strip().lower()
-            if final == "drop":
-                state.verdicts[rid] = "drop"
-                continue
             try:
-                final_label = parse_label(final)
                 proposed_label = parse_label(row[3])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if final_label != proposed_label:
-                state.overrides[rid] = final_label
+            rows.append((lineno, row, proposed_label))
+    return rows
+
+
+def _import_worksheet(path: Path, state: ReviewState) -> None:
+    for lineno, row, proposed_label in _read_worksheet(path):
+        rid = row[0].strip()
+        final = row[4].strip().lower()
+        if final == "drop":
+            state.verdicts[rid] = "drop"
+            continue
+        try:
+            final_label = parse_label(final)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if final_label != proposed_label:
+            state.overrides[rid] = final_label
 
 
 def import_decisions(path: str | Path, output_dir: Path) -> ReviewState:

@@ -17,10 +17,12 @@ from ppkmsent.bow import (
     SvmConfig,
     SvmModel,
     build_vocab,
+    feature_matrix,
     hinge_objective,
     load_model,
     mnb_predict,
     mnb_train,
+    predict_batch,
     save_model,
     svm_predict,
     svm_train,
@@ -402,7 +404,9 @@ class TestSvm:
     def test_hinge_objective_at_zero_weights_is_mean_hinge(self):
         rows = [{0: 1.0}, {1: 2.0}]
         ys = np.array([1.0, -1.0])
-        assert hinge_objective(np.zeros(2), 0.0, rows, ys, 0.5) == pytest.approx(1.0)
+        assert hinge_objective(
+            np.zeros(2), 0.0, feature_matrix(rows), ys, 0.5
+        ) == pytest.approx(1.0)
 
 
 def reference_hinge_objective(w, b, rows, ys, lam):
@@ -486,7 +490,7 @@ class TestClosedFormPegasos:
         w = np.array([0.5, -1.25, 2.0])
         rows = [{0: 1.0, 2: 0.5}, {1: 2.0}, {0: 0.25, 1: 1.0, 2: 1.0}]
         ys = np.array([1.0, 1.0, -1.0])
-        value = hinge_objective(w, 0.125, rows, ys, 0.5)
+        value = hinge_objective(w, 0.125, feature_matrix(rows), ys, 0.5)
         assert value == reference_hinge_objective(w, 0.125, rows, ys, 0.5)
         assert value == 0.5 * 0.5 * 5.8125 + (3.375 + 2.0) / 3
 
@@ -496,8 +500,22 @@ class TestClosedFormPegasos:
         rows = [vectorize(d, vocab, mode="tfidf") for d in docs]
         ys = np.where(np.arange(len(docs)) % 3 == 0, 1.0, -1.0)
         w = np.random.default_rng(5).normal(size=vocab.size)
-        assert hinge_objective(w, -0.3, rows, ys, 0.01) == pytest.approx(
+        assert hinge_objective(w, -0.3, feature_matrix(rows), ys, 0.01) == pytest.approx(
             reference_hinge_objective(w, -0.3, rows, ys, 0.01), rel=1e-12
+        )
+
+    def test_hinge_objective_sums_the_rows_in_order(self):
+        # svm_model.json stores final_objective, so its summation order is
+        # part of the file's bytes; at 100 rows np.sum's pairwise order
+        # already gives another result
+        docs = random_corpus(n=100)
+        vocab = build_vocab(docs)
+        rows = [vectorize(d, vocab, mode="tfidf") for d in docs]
+        ys = np.where(np.arange(len(docs)) % 3 == 0, 1.0, -1.0)
+        w = np.random.default_rng(5).normal(size=vocab.size)
+        matrix = feature_matrix(rows)
+        assert hinge_objective(w, -0.3, matrix, ys, 0.01) == reference_hinge_objective(
+            w, -0.3, rows, ys, 0.01
         )
 
     def test_rerun_saves_identical_bytes(self, tmp_path):
@@ -507,6 +525,83 @@ class TestClosedFormPegasos:
         for name in ("a.json", "b.json"):
             save_model(svm_train(docs, vocab, config), vocab, tmp_path / name)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def reference_scores(document, model, vocab):
+    """The per-document loop predict_batch replaced: offsets first, then
+    each nonzero's weight column in vectorize order."""
+    if isinstance(model, MnbModel):
+        offsets, weights, mode = model.class_log_prior, model.token_log_likelihood, "tf"
+    else:
+        offsets, weights, mode = model.biases, model.weights, model.feature_mode
+    scores = offsets.copy()
+    for idx, value in vectorize(document, vocab, mode=mode).items():
+        scores += value * weights[:, idx]
+    return SentimentLabel(int(np.argmax(scores))), scores
+
+
+def trained_models(docs, vocab):
+    yield mnb_train(docs, vocab)
+    for mode in ("tf", "tfidf"):
+        config = SvmConfig(regularization_lambda=0.01, epochs=5, seed=1, feature_mode=mode)
+        yield svm_train(docs, vocab, config)
+
+
+class TestPredictBatch:
+    def test_feature_matrix_keeps_row_order(self):
+        indptr, indices, values = feature_matrix([{4: 2.0, 1: 1.0}, {}, {0: 0.5}])
+        assert indptr.tolist() == [0, 2, 2, 3]
+        assert indices.tolist() == [4, 1, 0]
+        assert values.tolist() == [2.0, 1.0, 0.5]
+
+    @pytest.mark.parametrize("corpus", [separable_fixture, random_corpus])
+    def test_scores_equal_the_per_document_loop(self, corpus):
+        docs = corpus()
+        vocab = build_vocab(docs)
+        probes = docs + [make_doc([], None, "empty"), make_doc(["asing", "lain"], None, "oov")]
+        for model in trained_models(docs, vocab):
+            labels, scores = predict_batch(probes, model, vocab)
+            assert scores.shape == (len(probes), 3)
+            for doc, label, row in zip(probes, labels, scores):
+                expected_label, expected = reference_scores(doc, model, vocab)
+                assert label is expected_label
+                assert np.array_equal(row, expected)
+
+    def test_empty_and_out_of_vocabulary_documents_score_the_offsets(self):
+        docs = random_corpus()
+        vocab = build_vocab(docs)
+        probes = [make_doc([], None, "empty"), make_doc(["asing"], None, "oov")]
+        for model in trained_models(docs, vocab):
+            offsets = model.class_log_prior if isinstance(model, MnbModel) else model.biases
+            _, scores = predict_batch(probes, model, vocab)
+            assert np.array_equal(scores, [offsets, offsets])
+
+    @pytest.mark.parametrize(
+        "offsets, expected", [([0.0, 0.0, 0.0], NEG), ([-1.0, 0.5, 0.5], NEU)]
+    )
+    def test_ties_go_to_the_lowest_label_code(self, offsets, expected):
+        vocab = build_vocab([make_doc(["fa"], doc_id="basis")])
+        model = SvmModel(
+            weights=np.zeros((3, 1)),
+            biases=np.array(offsets),
+            regularization_lambda=0.01,
+            feature_mode="tf",
+        )
+        probes = [make_doc([], None, "e"), make_doc(["fa"], None, "q")]
+        labels, _ = predict_batch(probes, model, vocab)
+        assert labels == [expected, expected]
+
+    def test_no_documents_give_no_labels(self):
+        docs = three_class_docs()
+        vocab = build_vocab(docs)
+        labels, scores = predict_batch([], mnb_train(docs, vocab), vocab)
+        assert labels == []
+        assert scores.shape == (0, 3)
+
+    def test_unsupported_model_type_rejected(self):
+        vocab = build_vocab([make_doc(["x"], doc_id="a")])
+        with pytest.raises(TypeError, match="unsupported model"):
+            predict_batch([make_doc(["x"], doc_id="q")], object(), vocab)
 
 
 class TestModelPersistence:

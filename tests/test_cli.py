@@ -185,6 +185,61 @@ class TestExitCodes:
         assert filename in err
         assert f"expected '{expected}'" in err
 
+    @pytest.mark.parametrize(
+        "filename, corrupt, message",
+        [
+            (
+                "svm_model.json",
+                lambda p: {**p, "weights": [row[:-1] for row in p["weights"]]},
+                "weights has shape",
+            ),
+            (
+                "mnb_model.json",
+                lambda p: {
+                    **p,
+                    "token_log_likelihood": [row[:-1] for row in p["token_log_likelihood"]],
+                },
+                "token_log_likelihood has shape",
+            ),
+            ("svm_model.json", lambda p: {**p, "biases": p["biases"][:2]}, "biases has shape"),
+            (
+                "svm_model.json",
+                lambda p: {
+                    **p,
+                    "vocab": {
+                        **p["vocab"],
+                        "document_frequency": p["vocab"]["document_frequency"][:-1],
+                    },
+                },
+                "document frequencies",
+            ),
+        ],
+        ids=[
+            "svm-weights-too-narrow",
+            "mnb-likelihood-too-narrow",
+            "svm-bias-length-two",
+            "svm-document-frequency-too-short",
+        ],
+    )
+    def test_model_array_of_wrong_shape_exits_two(
+        self, tmp_path, capsys, filename, corrupt, message
+    ):
+        config_path = write_setup(tmp_path)
+        svm_config = tmp_path / "svm.cfg"
+        svm_config.write_text(config_path.read_text().replace("model = mnb", "model = svm"))
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        assert cli.main(["train", "-c", str(svm_config)]) == cli.EXIT_OK
+        model_path = tmp_path / "out" / filename
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        model_path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert filename in err
+        assert message in err
+
     def test_missing_stage_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main([])

@@ -675,6 +675,25 @@ class TestEvalStage:
         macro_fs = [float(line.split(",")[3]) for line in comparison[1:]]
         assert macro_fs == sorted(macro_fs, reverse=True)
 
+    def test_bow_models_score_the_test_split_in_one_batch(self, tmp_path, monkeypatch):
+        config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
+        write_labeled_corpus(config.output_dir)
+        pipeline.run_train(config)
+        pipeline.run_train(make_config(tmp_path, model="svm", **EVEN_SPLIT))
+        calls = []
+        predict_batch = bow.predict_batch
+
+        def spy(documents, model, vocab):
+            calls.append((type(model), [doc.id for doc in documents]))
+            return predict_batch(documents, model, vocab)
+
+        monkeypatch.setattr(bow, "predict_batch", spy)
+        pipeline.run_eval(config)
+        documents = pipeline.load_labeled_documents(config.output_dir)
+        _, _, test_docs = corpus.split(documents, config.split_spec())
+        test_ids = [doc.id for doc in test_docs]
+        assert calls == [(bow.MnbModel, test_ids), (bow.SvmModel, test_ids)]
+
     def test_compare_stage_rebuilds_identical_tables(self, tmp_path):
         config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
         write_labeled_corpus(config.output_dir)

@@ -133,6 +133,27 @@ class TestInteractiveSession:
         _, output = interact(config, "q\n")
         assert "[proposed:" in output
 
+    @pytest.mark.parametrize(
+        "line, edit, message",
+        [
+            (3, lambda row: row[:2], "expected 5 columns, got 2"),
+            (3, lambda row: [*row[:3], "great", row[4]], "unknown sentiment label"),
+            (1, lambda row: [*row[:3], "proposed", row[4]], "expected the header"),
+        ],
+        ids=["short-row", "unknown-proposed-label", "renamed-column"],
+    )
+    def test_malformed_worksheet_row_names_its_line(self, tmp_path, line, edit, message):
+        config = make_ingested(tmp_path)
+        pipeline.run_label(config)
+        worksheet = config.output_dir / pipeline.WORKSHEET_FILE
+        with open(worksheet, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        rows[line - 1] = edit(rows[line - 1])
+        with open(worksheet, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(ConfigError, match=rf"{pipeline.WORKSHEET_FILE}:{line}: {message}"):
+            interact(config, "q\n")
+
     def test_review_before_ingest_is_a_stage_order_error(self, tmp_path):
         config = pipeline.PipelineConfig(output_dir=tmp_path / "empty")
         with pytest.raises(StageOrderError, match="ingest"):
