@@ -1,0 +1,142 @@
+"""Artifact format and write policy; every file the package writes goes
+through this module.
+
+Format: UTF-8 text with ``\\n`` line endings and a final newline; JSON with
+one-space indent and sorted keys; JSON Lines with one compact sorted-key
+object per line; CSV quoted by the ``csv`` module under a header row.
+Floats render as ``repr`` and no artifact records when it was written, so
+reruns with unchanged inputs and seed are byte-identical.
+
+Each write goes to ``.<name>.<pid>.tmp`` beside the target, which
+``os.replace`` then swaps in, so an interrupted write leaves the previous
+file or none, never a partial one.  Plain ``open`` keeps the umask's mode
+(0644 under umask 022).  There is no fsync: durability against power loss
+is out of scope.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import os
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
+from pathlib import Path
+from typing import BinaryIO
+
+from ppkmsent.errors import ConfigError, StageOrderError
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_bytes(data: bytes, path: str | Path) -> Path:
+    """Atomically replace ``path`` with ``data``."""
+    path = Path(path)
+    with _replacing(path) as handle:
+        handle.write(data)
+    return path
+
+
+def write_text(text: str, path: str | Path) -> Path:
+    return write_bytes(text.encode("utf-8"), path)
+
+
+def write_json(payload: object, path: str | Path) -> Path:
+    return write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", path)
+
+
+def write_jsonl(rows: Iterable[dict], path: str | Path) -> Path:
+    """Write dict rows as JSON Lines, one row at a time."""
+    path = Path(path)
+    with _replacing(path) as handle:
+        for row in rows:
+            handle.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+    return path
+
+
+def write_csv(header: tuple[str, ...], rows: Iterable[tuple], path: str | Path) -> Path:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return write_text(buffer.getvalue(), path)
+
+
+def read_id_csv(path: Path, column: str, parse: Callable[[str], object]) -> dict:
+    """Read an ``id,<column>`` CSV into ``{id: parse(value)}``; a wrong
+    header, or a value (missing: "") that ``parse`` rejects with ValueError,
+    is a ConfigError naming ``<path>:<line>``."""
+    values = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["id", column]:
+            raise ConfigError(f"{path}: expected header id,{column}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            rid, value = (row + [""])[:2]
+            try:
+                values[rid.strip()] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return values
+
+
+def check_row(payload: object, fields: dict[str, type]) -> dict:
+    """``payload`` when it is an object holding each field with its type;
+    ValueError otherwise."""
+    if not isinstance(payload, dict):
+        raise ValueError("row is not a JSON object")
+    for key, kind in fields.items():
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+    return payload
+
+
+def corpus_row(payload: object) -> tuple[str, str]:
+    """(id, text) of a ``corpus.jsonl`` row."""
+    row = check_row(payload, {"id": str, "text": str})
+    return row["id"], row["text"]
+
+
+def load_jsonl(path: Path, parse_row: Callable[[object], object]) -> list:
+    """Parse every non-blank line of a JSONL artifact; a malformed row is a
+    ConfigError naming ``<path>:<line>``."""
+    rows = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(parse_row(json.loads(line)))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def require_artifact(path: Path, producer: str) -> Path:
+    """``path`` when it exists, else a StageOrderError naming ``producer``."""
+    if not path.is_file():
+        raise StageOrderError(path.name, f"run the {producer} stage first")
+    return path
+
+
+def sha256_file(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

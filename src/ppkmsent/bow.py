@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ppkmsent import artifacts
 from ppkmsent.errors import CheckpointFormatError, MissingClassError
 from ppkmsent.preprocess import Document, SentimentLabel, rank_tokens
 
@@ -397,9 +398,7 @@ def save_model(model, vocab: BowVocab, path: str | Path) -> None:
     payload["magic"] = MODEL_MAGIC
     payload["version"] = MODEL_VERSION
     payload["vocab"] = _vocab_to_payload(vocab)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    artifacts.write_json(payload, path)
 
 
 def _shaped_array(payload: dict, key: str, shape: tuple[int, ...], path) -> np.ndarray:

@@ -14,7 +14,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path

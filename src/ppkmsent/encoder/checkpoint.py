@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ppkmsent import artifacts
 from ppkmsent.encoder.config import EncoderConfig
 from ppkmsent.encoder.model import EncoderParams, LayerParams
 from ppkmsent.errors import CheckpointFormatError, ConfigError
@@ -49,7 +50,7 @@ def save_checkpoint(
         chunks.append(struct.pack("<I", tensor.ndim))
         chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
         chunks.append(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    artifacts.write_bytes(b"".join(chunks), path)
 
 
 class _Reader:

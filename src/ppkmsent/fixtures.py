@@ -18,13 +18,12 @@ Both are deterministic functions of their seed.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from datetime import datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 
+from ppkmsent.artifacts import write_jsonl  # noqa: F401  (re-exported)
 from ppkmsent.errors import ConfigError
 from ppkmsent.preprocess import Document, SentimentLabel, make_document
 
@@ -194,13 +193,6 @@ def synthetic_tweets(
             row["created_at"] = stamp.strftime("%Y-%m-%dT%H:%M:00Z")
         rows.append(row)
     return rows
-
-
-def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
-    """Write dict rows as JSON Lines."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def example_document(doc_id: str = "example-1") -> Document:

@@ -4,16 +4,14 @@ The pipeline is a fixed stage sequence — ingest → review → label → train
 eval → viz — driven by one key=value config file.  Every stage reads its
 predecessor's artifacts from the output directory, writes its own, and drops
 a ``<stage>.manifest.json`` recording SHA-256 hashes of the exact inputs and
-outputs plus a hash of the effective settings.  All artifacts are rendered
-deterministically (sorted keys, repr floats, no timestamps), so reruns with
-unchanged inputs and seed are byte-identical.
+outputs plus a hash of the effective settings.  Artifacts are rendered and
+written by :mod:`ppkmsent.artifacts`, so reruns with unchanged inputs and
+seed are byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -23,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from ppkmsent import bow, corpus, evaluation, lexicon, viz
+from ppkmsent import artifacts, bow, corpus, evaluation, lexicon, viz
 from ppkmsent.data import (
     LEXICON_NEGATIVE_FILE,
     LEXICON_POSITIVE_FILE,
@@ -332,19 +330,7 @@ def load_config(path: str | Path, env: dict | None = None) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# artifact helpers
-
-
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+# artifacts
 
 
 def _write_manifest(
@@ -353,20 +339,15 @@ def _write_manifest(
     inputs: dict[str, Path],
     outputs: list[Path],
 ) -> Path:
+    settings = config.settings_dump().encode("utf-8")
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "stage": stage,
-        "settings_sha256": _sha256_bytes(config.settings_dump().encode("utf-8")),
-        "inputs": {name: _sha256_file(p) for name, p in sorted(inputs.items())},
-        "outputs": {p.name: _sha256_file(p) for p in outputs},
+        "settings_sha256": hashlib.sha256(settings).hexdigest(),
+        "inputs": {n: artifacts.sha256_file(p) for n, p in sorted(inputs.items())},
+        "outputs": {p.name: artifacts.sha256_file(p) for p in outputs},
     }
-    return _write_json(manifest, config.output_dir / f"{stage}.manifest.json")
-
-
-def _require_artifact(path: Path, producer: str) -> Path:
-    if not path.is_file():
-        raise StageOrderError(path.name, f"run the {producer} stage first")
-    return path
+    return artifacts.write_json(manifest, config.output_dir / f"{stage}.manifest.json")
 
 
 def document_to_json(doc: Document, score: int | None = None) -> dict:
@@ -386,26 +367,10 @@ def document_to_json(doc: Document, score: int | None = None) -> dict:
 _DOCUMENT_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "tokens": list}
 
 
-def _check_row(payload: object, fields: dict[str, type]) -> dict:
-    """``payload`` when it is an object holding each field with its type;
-    ValueError otherwise."""
-    if not isinstance(payload, dict):
-        raise ValueError("row is not a JSON object")
-    for key, kind in fields.items():
-        if not isinstance(payload.get(key), kind):
-            raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
-    return payload
-
-
-def _corpus_row(payload: object) -> tuple[str, str]:
-    row = _check_row(payload, {"id": str, "text": str})
-    return row["id"], row["text"]
-
-
 def document_from_json(payload: object) -> Document:
     """Inverse of :func:`document_to_json`; raises ValueError on a row of
     the wrong shape."""
-    payload = _check_row(payload, _DOCUMENT_FIELDS)
+    payload = artifacts.check_row(payload, _DOCUMENT_FIELDS)
     label = payload.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("'label' is not a str")
@@ -418,94 +383,36 @@ def document_from_json(payload: object) -> Document:
     )
 
 
-def _write_json(payload: object, path: Path) -> Path:
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
-
-
-def _write_jsonl(rows: list[dict], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _load_jsonl(path: Path, parse_row: Callable[[object], object]) -> list:
-    """Parse every non-blank line of a JSONL artifact; a malformed row is a
-    ConfigError naming ``<path>:<line>``."""
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(parse_row(json.loads(line)))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return rows
-
-
 def load_labeled_documents(output_dir: Path) -> list[Document]:
-    path = _require_artifact(output_dir / LABELED_FILE, "label")
-    return _load_jsonl(path, document_from_json)
+    path = artifacts.require_artifact(output_dir / LABELED_FILE, "label")
+    return artifacts.load_jsonl(path, document_from_json)
 
 
-def _csv_text(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _parse_verdict(value: str) -> str:
+    if value.strip() not in ("keep", "drop"):
+        raise ValueError("verdict must be keep or drop")
+    return value.strip()
 
 
 def read_verdicts(path: Path) -> dict[str, str]:
     """Read a review verdicts CSV (columns id, verdict in {keep, drop})."""
-    verdicts: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "verdict"]:
-            raise ConfigError(f"{path}: expected header id,verdict")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2 or row[1].strip() not in ("keep", "drop"):
-                raise ConfigError(
-                    f"{path}:{lineno}: verdict must be keep or drop"
-                )
-            verdicts[row[0].strip()] = row[1].strip()
-    return verdicts
+    return artifacts.read_id_csv(path, "verdict", _parse_verdict)
 
 
 def write_verdicts(verdicts: dict[str, str], path: Path) -> None:
-    rows = [(rid, verdicts[rid]) for rid in sorted(verdicts)]
-    path.write_text(_csv_text(("id", "verdict"), rows), encoding="utf-8")
+    artifacts.write_csv(("id", "verdict"), sorted(verdicts.items()), path)
 
 
 def read_label_overrides(path: Path) -> dict[str, SentimentLabel]:
     """Read a label override CSV (columns id, label)."""
-    overrides: dict[str, SentimentLabel] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "label"]:
-            raise ConfigError(f"{path}: expected header id,label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                overrides[row[0].strip()] = parse_label(row[1])
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return overrides
+    return artifacts.read_id_csv(path, "label", parse_label)
 
 
 def write_label_overrides(
     overrides: dict[str, SentimentLabel], path: Path
 ) -> None:
-    rows = [(rid, label_name(overrides[rid])) for rid in sorted(overrides)]
-    path.write_text(_csv_text(("id", "label"), rows), encoding="utf-8")
+    rows = sorted((rid, label_name(label)) for rid, label in overrides.items())
+    artifacts.write_csv(("id", "label"), rows, path)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +459,7 @@ def run_ingest(config: PipelineConfig) -> list[Path]:
         if record.created_at is not None:
             row["created_at"] = record.created_at.isoformat()
         corpus_rows.append(row)
-    corpus_out = config.output_dir / CORPUS_FILE
-    _write_jsonl(corpus_rows, corpus_out)
+    corpus_out = artifacts.write_jsonl(corpus_rows, config.output_dir / CORPUS_FILE)
 
     report = {
         "raw_rows": len(result.records) + len(result.errors),
@@ -568,7 +474,7 @@ def run_ingest(config: PipelineConfig) -> list[Path]:
         "verdicts_applied": len(verdicts),
         "kept": len(relevant),
     }
-    report_out = _write_json(report, config.output_dir / INGEST_REPORT_FILE)
+    report_out = artifacts.write_json(report, config.output_dir / INGEST_REPORT_FILE)
     outputs = [corpus_out, report_out]
     outputs.append(_write_manifest(config, "ingest", inputs, outputs))
     logger.info(
@@ -585,7 +491,7 @@ def run_ingest(config: PipelineConfig) -> list[Path]:
 
 def run_label(config: PipelineConfig) -> list[Path]:
     """Preprocess the corpus and bootstrap-label it with the lexicon."""
-    corpus_path = _require_artifact(config.output_dir / CORPUS_FILE, "ingest")
+    corpus_path = artifacts.require_artifact(config.output_dir / CORPUS_FILE, "ingest")
     stopwords_path = config.resolved_stopwords_path()
     pos_path, neg_path = config.resolved_lexicon_paths()
     try:
@@ -596,7 +502,7 @@ def run_label(config: PipelineConfig) -> list[Path]:
 
     documents = [
         make_document(doc_id, text, stopwords)
-        for doc_id, text in _load_jsonl(corpus_path, _corpus_row)
+        for doc_id, text in artifacts.load_jsonl(corpus_path, artifacts.corpus_row)
     ]
     overrides: dict[str, SentimentLabel] = {}
     overrides_path = config.output_dir / OVERRIDES_FILE
@@ -612,15 +518,14 @@ def run_label(config: PipelineConfig) -> list[Path]:
 
     labeled, worksheet = lexicon.label_corpus(documents, lex, overrides or None)
     score_by_id = {row.id: row.score for row in worksheet}
-    labeled_out = config.output_dir / LABELED_FILE
-    _write_jsonl(
-        [document_to_json(doc, score=score_by_id[doc.id]) for doc in labeled],
-        labeled_out,
+    labeled_out = artifacts.write_jsonl(
+        (document_to_json(doc, score=score_by_id[doc.id]) for doc in labeled),
+        config.output_dir / LABELED_FILE,
     )
-    worksheet_out = config.output_dir / WORKSHEET_FILE
-    worksheet_out.write_text(
-        _csv_text(lexicon.WORKSHEET_HEADER, lexicon.worksheet_csv_rows(worksheet)),
-        encoding="utf-8",
+    worksheet_out = artifacts.write_csv(
+        lexicon.WORKSHEET_HEADER,
+        lexicon.worksheet_csv_rows(worksheet),
+        config.output_dir / WORKSHEET_FILE,
     )
     outputs = [labeled_out, worksheet_out]
     outputs.append(_write_manifest(config, "label", inputs, outputs))
@@ -658,9 +563,9 @@ def _train_bert(
         train_docs, val_docs, token_vocab, encoder_config, profile
     )
     enc_checkpoint.save_checkpoint(params, encoder_config, _model_path(config))
-    _write_json(token_vocab.to_dict(), config.output_dir / BERT_VOCAB_FILE)
-    (config.output_dir / HISTORY_FILE).write_text(
-        enc_train.history_to_csv(history, profile), encoding="utf-8"
+    artifacts.write_json(token_vocab.to_dict(), config.output_dir / BERT_VOCAB_FILE)
+    artifacts.write_text(
+        enc_train.history_to_csv(history, profile), config.output_dir / HISTORY_FILE
     )
     return {}
 
@@ -720,7 +625,7 @@ def _train_lexicon(
         "positive": sorted(lex.positive),
         "negative": sorted(lex.negative),
     }
-    _write_json(payload, _model_path(config))
+    artifacts.write_json(payload, _model_path(config))
     return {"lexicon_positive": pos_path, "lexicon_negative": neg_path}
 
 
@@ -814,7 +719,7 @@ def run_eval(config: PipelineConfig) -> list[Path]:
     named_reports: list[tuple[str, evaluation.MetricsReport]] = []
     for name, spec in available.items():
         model_files = [
-            _require_artifact(config.output_dir / filename, "train")
+            artifacts.require_artifact(config.output_dir / filename, "train")
             for filename in (spec.file, *spec.predict_inputs)
         ]
         inputs.update((path.name, path) for path in model_files)
@@ -833,7 +738,9 @@ def run_eval(config: PipelineConfig) -> list[Path]:
             "confusion": [list(row) for row in cm.counts],
             **evaluation.report_as_dict(report),
         }
-        outputs.append(_write_json(payload, config.output_dir / f"metrics_{name}.json"))
+        outputs.append(
+            artifacts.write_json(payload, config.output_dir / f"metrics_{name}.json")
+        )
         logger.info(
             "eval: %s macro_f=%.4f accuracy=%.4f on %d test documents",
             name,
@@ -852,15 +759,13 @@ def run_eval(config: PipelineConfig) -> list[Path]:
         )
         for name, report in named_reports
     ]
-    summary_out = config.output_dir / METRICS_SUMMARY_FILE
-    summary_out.write_text(
-        _csv_text(
+    outputs.append(
+        artifacts.write_csv(
             ("model", "macro_precision", "macro_recall", "macro_f", "accuracy"),
             summary_rows,
-        ),
-        encoding="utf-8",
+            config.output_dir / METRICS_SUMMARY_FILE,
+        )
     )
-    outputs.append(summary_out)
     if len(named_reports) >= 2:
         outputs.extend(_write_comparison(config, named_reports))
     outputs.append(_write_manifest(config, "eval", inputs, outputs))
@@ -872,11 +777,10 @@ def _write_comparison(
     named_reports: list[tuple[str, evaluation.MetricsReport]],
 ) -> list[Path]:
     table = evaluation.compare(named_reports)
-    csv_out = config.output_dir / COMPARISON_CSV_FILE
-    csv_out.write_text(table.to_csv(), encoding="utf-8")
-    txt_out = config.output_dir / COMPARISON_TXT_FILE
-    txt_out.write_text(table.to_text(), encoding="utf-8")
-    return [csv_out, txt_out]
+    return [
+        artifacts.write_text(table.to_csv(), config.output_dir / COMPARISON_CSV_FILE),
+        artifacts.write_text(table.to_text(), config.output_dir / COMPARISON_TXT_FILE),
+    ]
 
 
 def run_compare(config: PipelineConfig) -> list[Path]:
@@ -901,37 +805,26 @@ def run_compare(config: PipelineConfig) -> list[Path]:
 
 def run_viz(config: PipelineConfig) -> list[Path]:
     """Frequency tables, cloud weights, distribution counts, and SVGs."""
-    documents = load_labeled_documents(config.output_dir)
-    inputs = {LABELED_FILE: config.output_dir / LABELED_FILE}
-    outputs: list[Path] = []
-
+    out = config.output_dir
+    grams_stem = f"ngrams_{config.ngram_n}"
+    documents = load_labeled_documents(out)
+    inputs = {LABELED_FILE: out / LABELED_FILE}
     unigrams = viz.ngrams(documents, 1, config.top_k)
     grams = viz.ngrams(documents, config.ngram_n, config.top_k)
     cloud = viz.cloud_weights(documents, config.top_k)
     distribution = viz.sentiment_distribution(documents)
 
-    unigram_csv_out = config.output_dir / "unigrams.csv"
-    unigram_csv_out.write_text(viz.ngram_csv(unigrams), encoding="utf-8")
-    outputs.append(unigram_csv_out)
-    ngram_csv_out = config.output_dir / f"ngrams_{config.ngram_n}.csv"
-    ngram_csv_out.write_text(viz.ngram_csv(grams), encoding="utf-8")
-    outputs.append(ngram_csv_out)
-
-    outputs.append(
-        _write_json(cloud.entries, config.output_dir / "cloud_weights.json")
-    )
-    distribution_counts = {
-        label_name(label): count for label, count in distribution.items()
-    }
-    outputs.append(
-        _write_json(
-            distribution_counts, config.output_dir / "sentiment_distribution.json"
-        )
-    )
+    counts = {label_name(label): count for label, count in distribution.items()}
+    outputs = [
+        artifacts.write_text(viz.ngram_csv(unigrams), out / "unigrams.csv"),
+        artifacts.write_text(viz.ngram_csv(grams), out / f"{grams_stem}.csv"),
+        artifacts.write_json(cloud.entries, out / "cloud_weights.json"),
+        artifacts.write_json(counts, out / "sentiment_distribution.json"),
+    ]
 
     for data, filename in (
         (unigrams, "unigrams.svg"),
-        (grams, f"ngrams_{config.ngram_n}.svg"),
+        (grams, f"{grams_stem}.svg"),
         (cloud, "cloud.svg"),
         (distribution, "distribution.svg"),
     ):
@@ -939,7 +832,7 @@ def run_viz(config: PipelineConfig) -> list[Path]:
         if not entries:
             logger.info("viz: skipping %s (no counts to draw)", filename)
             continue
-        outputs.append(viz.render_svg(data, config.output_dir / filename))
+        outputs.append(viz.render_svg(data, out / filename))
 
     outputs.append(_write_manifest(config, "viz", inputs, outputs))
     logger.info("viz: wrote %d artifacts", len(outputs))

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
-from ppkmsent import pipeline
-from ppkmsent.errors import ConfigError, CorruptProgressError, StageOrderError
+from ppkmsent import artifacts, pipeline
+from ppkmsent.errors import ConfigError, CorruptProgressError
 from ppkmsent.lexicon import WORKSHEET_HEADER
 from ppkmsent.preprocess import SentimentLabel, label_name, parse_label
 
@@ -78,11 +78,7 @@ def _payload_checksum(payload: dict) -> str:
 def save_progress(state: ReviewState, output_dir: Path) -> Path:
     payload = _state_payload(state)
     document = {"payload": payload, "checksum": _payload_checksum(payload)}
-    path = output_dir / PROGRESS_FILE
-    path.write_text(
-        json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return artifacts.write_json(document, output_dir / PROGRESS_FILE)
 
 
 def load_progress(output_dir: Path) -> ReviewState | None:
@@ -132,12 +128,8 @@ def load_review_items(output_dir: Path) -> tuple[str, list[ReviewItem]]:
             for _, row, proposed in _read_worksheet(worksheet)
         ]
         return "worksheet", items
-    corpus_file = output_dir / pipeline.CORPUS_FILE
-    if not corpus_file.is_file():
-        raise StageOrderError(
-            pipeline.CORPUS_FILE, "run the ingest stage first"
-        )
-    rows = pipeline._load_jsonl(corpus_file, pipeline._corpus_row)
+    corpus = artifacts.require_artifact(output_dir / pipeline.CORPUS_FILE, "ingest")
+    rows = artifacts.load_jsonl(corpus, artifacts.corpus_row)
     return "corpus", [ReviewItem(id=rid, text=text) for rid, text in rows]
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from ppkmsent import artifacts
 from ppkmsent.preprocess import Document, SentimentLabel, label_name
 
 
@@ -159,6 +160,4 @@ def render_svg(data, path: str | Path) -> Path:
         content = _bar_chart(rows)
     else:
         raise TypeError(f"cannot render {type(data).__name__}")
-    path = Path(path)
-    path.write_bytes(content.encode("utf-8"))
-    return path
+    return artifacts.write_text(content, path)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -267,6 +269,44 @@ class TestFullRun:
     def test_verbose_flag_logs_stage_progress(self, tmp_path, capsys):
         config_path = write_setup(tmp_path)
         assert cli.main(["-v", "ingest", "-c", str(config_path)]) == cli.EXIT_OK
+
+
+class TestAtomicWrites:
+    def test_interrupted_write_keeps_the_previous_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config_path = write_setup(tmp_path)
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        out_dir = tmp_path / "out"
+        before = (out_dir / "mnb_model.json").read_bytes()
+        with open(config_path, "a", encoding="utf-8") as handle:
+            handle.write("mnb_alpha = 0.5\n")
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        capsys.readouterr()
+        assert cli.main(["train", "-c", str(config_path)]) == cli.EXIT_RUNTIME
+        assert "simulated crash" in capsys.readouterr().err
+        assert (out_dir / "mnb_model.json").read_bytes() == before
+        assert [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_artifacts_take_the_mode_the_umask_gives(self, tmp_path):
+        config_path = write_setup(tmp_path)
+        previous = os.umask(0o022)
+        try:
+            for stage in ("ingest", "label", "train", "eval", "viz"):
+                assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        finally:
+            os.umask(previous)
+        modes = {
+            path.name: stat.S_IMODE(path.stat().st_mode)
+            for path in (tmp_path / "out").iterdir()
+        }
+        assert len(modes) > 10
+        assert {name: mode for name, mode in modes.items() if mode != 0o644} == {}
 
 
 class TestReviewStage:
