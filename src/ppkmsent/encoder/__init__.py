@@ -17,7 +17,7 @@ from ppkmsent.encoder.model import (
     init_params,
     softmax,
 )
-from ppkmsent.encoder.train import EpochStats, fine_tune, history_to_csv, predict
+from ppkmsent.encoder.train import EpochStats, fine_tune, history_to_csv
 from ppkmsent.encoder.vocab import (
     CLS_ID,
     PAD_ID,
@@ -51,7 +51,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "paper_config",
-    "predict",
     "save_checkpoint",
     "softmax",
 ]

@@ -85,14 +85,6 @@ class EncoderParams:
         named.append(("head_b", self.head_b))
         return named
 
-    def replace_tensor(self, name: str, value: np.ndarray) -> None:
-        """Overwrite one named tensor in place (used by the optimiser)."""
-        if name in ("token_embedding", "position_embedding", "head_w", "head_b"):
-            setattr(self, name, value)
-            return
-        _, index, attr = name.split(".")
-        setattr(self.layers[int(index)], attr, value)
-
 
 def _truncated_normal(
     rng: np.random.Generator, shape: tuple[int, ...], std: float
@@ -146,23 +138,41 @@ def init_params(
     return params
 
 
+# softmax, GELU and layer norm work in place on the arrays they create, in
+# the order of the plain expression, so the values match it bit for bit
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``: ``exp(x - max) / sum(...)``."""
+    out = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 # the powers below are written as products: numpy's general ``**`` is an
 # order of magnitude slower than a multiply, and GELU runs on every
 # feed-forward unit in both passes
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(C * (x + A * (x * x * x)))``, the tanh-approximation term."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def _gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-approximation GELU."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
+    """tanh-approximation GELU: ``0.5 * x * (1.0 + t)``."""
+    out = _gelu_tanh(x)
+    out += 1.0
+    out *= 0.5 * x
+    return out
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    t = _gelu_tanh(x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (
         1.0 + 3.0 * _GELU_A * (x * x)
     )
@@ -172,11 +182,12 @@ def _layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 ) -> tuple[np.ndarray, dict]:
     mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    variance = np.mean(centered**2, axis=-1, keepdims=True)
+    normalized = x - mean
+    variance = np.mean(np.square(normalized), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(variance + eps)
-    normalized = centered * inv
-    out = normalized * gain + bias
+    normalized *= inv
+    out = normalized * gain
+    out += bias
     return out, {"normalized": normalized, "inv": inv, "gain": gain}
 
 
@@ -230,8 +241,6 @@ class ForwardResult:
     """Outputs of one forward pass."""
 
     logits: np.ndarray
-    cls_vector: np.ndarray
-    attentions: tuple[np.ndarray, ...]
     cache: dict | None = None
 
 
@@ -275,37 +284,35 @@ def forward(
     eps = config.layer_norm_eps
     heads = config.num_heads
     scale = 1.0 / math.sqrt(config.head_size)
-    # boolean key mask shared by every layer and head
-    key_mask = mask.astype(bool)[:, None, None, :]
+    # padded keys, shared by every layer and head
+    pad_keys = ~mask.astype(bool)[:, None, None, :]
 
-    embedded = params.token_embedding[ids] + params.position_embedding[:seq]
+    embedded = params.token_embedding[ids]
+    embedded += params.position_embedding[:seq]
     x, emb_keep = _dropout(embedded, rate, rng)
 
     cache: dict = {"ids": ids, "emb_keep": emb_keep, "layers": []}
-    attentions: list[np.ndarray] = []
     for index, layer in enumerate(params.layers):
         x_in = x
         q = _split_heads(x_in @ layer.wq, heads)
         k = _split_heads(x_in @ layer.wk, heads)
         v = _split_heads(x_in @ layer.wv, heads)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        scores = np.where(key_mask, scores, -np.inf)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
+        np.copyto(scores, -np.inf, where=pad_keys)
         probs = softmax(scores, axis=-1)
         context = _merge_heads(probs @ v)
         attn_out = context @ layer.wo
         attn_dropped, attn_keep = _dropout(attn_out, rate, rng)
-        x1, ln1_cache = _layer_norm(
-            x_in + attn_dropped, layer.ln1_gain, layer.ln1_bias, eps
-        )
+        attn_dropped += x_in
+        x1, ln1_cache = _layer_norm(attn_dropped, layer.ln1_gain, layer.ln1_bias, eps)
         hidden = x1 @ layer.w1
         activated = _gelu(hidden)
         ffn_out = activated @ layer.w2
         ffn_dropped, ffn_keep = _dropout(ffn_out, rate, rng)
-        x, ln2_cache = _layer_norm(
-            x1 + ffn_dropped, layer.ln2_gain, layer.ln2_bias, eps
-        )
+        ffn_dropped += x1
+        x, ln2_cache = _layer_norm(ffn_dropped, layer.ln2_gain, layer.ln2_bias, eps)
         _check_finite(x, f"output of encoder layer {index}")
-        attentions.append(probs)
         if want_cache:
             cache["layers"].append(
                 {
@@ -331,12 +338,7 @@ def forward(
     if want_cache:
         cache["cls_vector"] = cls_vector
         cache["seq"] = seq
-    return ForwardResult(
-        logits=logits,
-        cls_vector=cls_vector,
-        attentions=tuple(attentions),
-        cache=cache if want_cache else None,
-    )
+    return ForwardResult(logits=logits, cache=cache if want_cache else None)
 
 
 def cross_entropy(
@@ -377,8 +379,10 @@ def backward(
     hidden_size = config.hidden_size
     ffn_size = config.feedforward_size
     seq = cache["seq"]
+    # the embeddings are scattered into; every other gradient is assigned whole
     grads: dict[str, np.ndarray] = {
-        name: np.zeros_like(tensor) for name, tensor in params.named_tensors()
+        "token_embedding": np.zeros_like(params.token_embedding),
+        "position_embedding": np.zeros_like(params.position_embedding),
     }
 
     dlogits = np.atleast_2d(dlogits)

@@ -16,7 +16,6 @@ from ppkmsent.encoder.model import (
     cross_entropy,
     forward,
     init_params,
-    softmax,
 )
 from ppkmsent.encoder.vocab import TokenVocab, format_input
 from ppkmsent.errors import (
@@ -28,12 +27,14 @@ from ppkmsent.preprocess import Document, SentimentLabel
 
 logger = logging.getLogger(__name__)
 
+# train_* is the running mean over the epoch's training batches (dropout on),
+# val_* an eval-mode pass over the validation split after the epoch
 HISTORY_HEADER = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
 
 
 @dataclass(frozen=True)
 class EpochStats:
-    """Loss and accuracy recorded after one training epoch."""
+    """Loss and accuracy of one training epoch (see ``HISTORY_HEADER``)."""
 
     epoch: int
     train_loss: float
@@ -57,22 +58,30 @@ def _adam_step(
     state: _AdamState,
     profile: TrainProfile,
 ) -> None:
+    """Adam update of every tensor in place, bit-equal to the textbook formula
+    operation for operation; each gradient is overwritten as scratch space."""
     state.step += 1
-    t = state.step
     beta1, beta2 = profile.adam_beta1, profile.adam_beta2
-    correction1 = 1.0 - beta1**t
-    correction2 = 1.0 - beta2**t
+    correction1 = 1.0 - beta1**state.step
+    correction2 = 1.0 - beta2**state.step
     for name, tensor in params.named_tensors():
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g**2
-        m_hat = state.m[name] / correction1
-        v_hat = state.v[name] / correction2
-        params.replace_tensor(
-            name,
-            tensor
-            - profile.learning_rate * m_hat / (np.sqrt(v_hat) + profile.adam_epsilon),
-        )
+        m, v = state.m[name], state.v[name]
+        scratch = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += scratch
+        np.square(g, out=g)
+        g *= 1.0 - beta2
+        v *= beta2
+        v += g
+        # g becomes lr * m_hat and scratch sqrt(v_hat) + eps
+        np.divide(m, correction1, out=g)
+        g *= profile.learning_rate
+        np.divide(v, correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += profile.adam_epsilon
+        g /= scratch
+        tensor -= g
 
 
 def encode_documents(
@@ -188,6 +197,8 @@ def fine_tune(
     for epoch in range(1, profile.epochs + 1):
         order = rng.permutation(train_ids.shape[0])
         batches = _batches(train_ids, train_mask, profile.batch_size, order)
+        loss_sum = 0.0
+        correct = 0
         for step, (rows, batch_ids, batch_mask) in enumerate(batches):
             try:
                 result = forward(
@@ -209,20 +220,21 @@ def fine_tune(
                 # non-finite activations are a divergence of this training
                 # run, so surface them with epoch/step context
                 raise TrainingDivergedError(epoch, step, str(exc)) from exc
+            loss_sum += loss * rows.shape[0]
+            predicted = np.argmax(result.logits, axis=-1)
+            correct += int(np.sum(predicted == train_labels[rows]))
             _adam_step(params, grads, state, profile)
-        try:
-            train_loss, train_acc = _evaluate(
-                train_ids, train_mask, train_labels, params, config, profile.batch_size
-            )
-            if val_documents:
+        train_loss = loss_sum / train_ids.shape[0]
+        train_acc = correct / train_ids.shape[0]
+        val_loss = val_acc = float("nan")
+        if val_documents:
+            try:
                 val_loss, val_acc = _evaluate(
                     val_ids, val_mask, val_labels, params, config, profile.batch_size
                 )
-            else:
-                val_loss, val_acc = float("nan"), float("nan")
-        except EncoderNumericsError as exc:
-            # the last parameter update of the epoch left non-finite weights
-            raise TrainingDivergedError(epoch, step, str(exc)) from exc
+            except EncoderNumericsError as exc:
+                # the last parameter update of the epoch left non-finite weights
+                raise TrainingDivergedError(epoch, step, str(exc)) from exc
         history.append(
             EpochStats(epoch, train_loss, train_acc, val_loss, val_acc)
         )
@@ -236,21 +248,6 @@ def fine_tune(
             val_acc,
         )
     return params, history
-
-
-def predict(
-    document: Document,
-    params: EncoderParams,
-    vocab: TokenVocab,
-    config: EncoderConfig,
-) -> tuple[SentimentLabel, np.ndarray]:
-    """Predicted label and class-probability vector for one document."""
-    ids, mask = _trim(
-        *format_input(document.tokens, vocab, config.max_sequence_length)
-    )
-    result = forward(ids, mask, params, config, "eval")
-    probs = softmax(result.logits, axis=-1)[0]
-    return SentimentLabel(int(np.argmax(probs))), probs
 
 
 def predict_batch(

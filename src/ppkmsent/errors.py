@@ -67,7 +67,8 @@ class EncoderNumericsError(PipelineError):
 
 
 class CheckpointFormatError(PipelineError):
-    """A model or checkpoint file has the wrong magic, version, or shape."""
+    """A model, checkpoint or report file has the wrong magic, version,
+    shape or fields."""
 
 
 class CorruptProgressError(PipelineError):

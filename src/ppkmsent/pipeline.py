@@ -783,6 +783,19 @@ def _write_comparison(
     ]
 
 
+def _load_report(path: Path) -> evaluation.MetricsReport:
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return evaluation.report_from_dict(payload)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(
+            f"{path}: not an evaluation report ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def run_compare(config: PipelineConfig) -> list[Path]:
     """Rebuild the comparison table from stored evaluation reports."""
     named_reports: list[tuple[str, evaluation.MetricsReport]] = []
@@ -790,8 +803,7 @@ def run_compare(config: PipelineConfig) -> list[Path]:
     for name in MODELS:
         report_path = config.output_dir / f"metrics_{name}.json"
         if report_path.is_file():
-            payload = json.loads(report_path.read_text(encoding="utf-8"))
-            named_reports.append((name, evaluation.report_from_dict(payload)))
+            named_reports.append((name, _load_report(report_path)))
             inputs[report_path.name] = report_path
     if len(named_reports) < 2:
         raise StageOrderError(

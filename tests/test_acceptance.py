@@ -260,8 +260,9 @@ def test_07_attention_invariants(capsys):
         mask = np.array(
             [[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 0.0]]
         )
-        result = enc_model.forward(ids, mask, params, config)
-        for probs in result.attentions:
+        result = enc_model.forward(ids, mask, params, config, want_cache=True)
+        for layer in result.cache["layers"]:
+            probs = layer["probs"]
             assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-6
             # padded keys receive no attention mass
             assert float(np.max(probs[1, :, :, 4])) <= 1e-6

@@ -242,6 +242,29 @@ class TestExitCodes:
         assert filename in err
         assert message in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{}", "not an evaluation report"), ('{"model": "mnb"', "not valid JSON")],
+        ids=["empty-object", "truncated"],
+    )
+    def test_corrupt_metrics_report_exits_two(self, tmp_path, capsys, text, message):
+        config_path = write_setup(tmp_path)
+        lexicon_config = tmp_path / "lexicon.cfg"
+        lexicon_config.write_text(
+            config_path.read_text().replace("model = mnb", "model = lexicon")
+        )
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        assert cli.main(["train", "-c", str(lexicon_config)]) == cli.EXIT_OK
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_OK
+        (tmp_path / "out" / "metrics_mnb.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["compare", "-c", str(config_path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "metrics_mnb.json" in err
+        assert message in err
+
     def test_missing_stage_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main([])

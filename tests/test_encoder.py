@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -39,7 +40,6 @@ from ppkmsent.encoder.train import (
     encode_documents,
     fine_tune,
     history_to_csv,
-    predict,
     predict_batch,
 )
 from ppkmsent.encoder.vocab import (
@@ -85,6 +85,15 @@ def three_class_docs():
         make_doc(["rugi", "parah"], NEG, "d0"),
         make_doc(["ppkm", "berlaku"], NEU, "d1"),
         make_doc(["bagus", "sekali"], POS, "d2"),
+    ]
+
+
+def varied_docs():
+    """Twelve labelled documents of one to six tokens."""
+    words = ["rugi", "parah", "ppkm", "bagus", "sekali", "berlaku"]
+    return [
+        make_doc(words[: 1 + i % 6], SentimentLabel(i % 3), f"d{i}")
+        for i in range(12)
     ]
 
 
@@ -333,7 +342,11 @@ class TestAttention:
     def run_tiny(self, ids, mask, **config_overrides):
         config = tiny_config(**config_overrides)
         params = init_params(config, seed=0)
-        return config, params, forward(np.array(ids), np.array(mask), params, config)
+        return (
+            config,
+            params,
+            forward(np.array(ids), np.array(mask), params, config, want_cache=True),
+        )
 
     def test_rows_sum_to_one_and_padding_gets_no_weight(self):
         _, _, result = self.run_tiny(
@@ -341,7 +354,8 @@ class TestAttention:
             [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]],
             max_sequence_length=4,
         )
-        (probs,) = result.attentions
+        (layer,) = result.cache["layers"]
+        probs = layer["probs"]
         assert probs.shape == (2, 1, 4, 4)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         # sequence 1 has its last key masked
@@ -356,8 +370,9 @@ class TestAttention:
             np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]]),
             params,
             config,
+            want_cache=True,
         )
-        (probs,) = result.attentions
+        probs = result.cache["layers"][0]["probs"]
         assert np.allclose(probs[0], 0.25, atol=1e-12)
         assert np.allclose(probs[1, :, :, :3], 1.0 / 3.0, atol=1e-12)
 
@@ -368,7 +383,8 @@ class TestAttention:
             num_heads=2,
             max_sequence_length=4,
         )
-        (probs,) = result.attentions
+        (layer,) = result.cache["layers"]
+        probs = layer["probs"]
         assert probs.shape == (1, 2, 4, 4)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -679,9 +695,7 @@ class TestFineTune:
         assert len(history) == profile.epochs
         assert history[-1].train_acc == 1.0
         assert history[-1].train_loss < history[0].train_loss
-        assert [predict(d, params, vocab, config)[0] for d in docs] == [
-            d.label for d in docs
-        ]
+        assert predict_batch(docs, params, vocab, config) == [d.label for d in docs]
 
     def test_zero_learning_rate_keeps_initial_weights(self):
         docs, vocab, config, profile = self.setup_training(
@@ -728,6 +742,94 @@ class TestFineTune:
             fine_tune([], [], vocab, config, profile)
 
 
+class TestTrainingStep:
+    """Each training batch gets one forward and one backward pass, and Adam
+    updates in place with the arithmetic of the out-of-place formula."""
+
+    def setup_training(self):
+        docs = varied_docs()
+        vocab = build_token_vocab(docs)
+        config = tiny_config(
+            vocab_size=vocab.size,
+            num_layers=2,
+            num_heads=2,
+            hidden_size=8,
+            feedforward_size=16,
+            max_sequence_length=12,
+            dropout_rate=0.1,
+        )
+        profile = TrainProfile(batch_size=5, epochs=3, learning_rate=1e-2, seed=0)
+        return docs, vocab, config, profile
+
+    def test_weights_match_the_pinned_digest(self):
+        # the digest of the weights that a train step of forward, backward and
+        # the out-of-place Adam formula gave; float64 under numpy 2.4 and
+        # OpenBLAS 0.3 on x86-64, where other SIMD kernels for exp/tanh or
+        # matmul may round differently
+        docs, vocab, config, profile = self.setup_training()
+        params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
+        digest = hashlib.sha256()
+        for name, tensor in params.named_tensors():
+            assert tensor.dtype == np.float64, name
+            digest.update(name.encode())
+            digest.update(tensor.tobytes())
+        assert digest.hexdigest() == (
+            "937796518b6aefd7ca3012551d54aa55a5b451a6ef180a9410e616fb9a683111"
+        )
+
+    def test_one_forward_per_batch_and_one_backward_per_train_batch(
+        self, monkeypatch
+    ):
+        docs, vocab, config, profile = self.setup_training()
+        calls = {"forward": 0, "backward": 0}
+        for name in calls:
+            real = getattr(encoder_train, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(encoder_train, name, counting)
+        fine_tune(docs, docs[:4], vocab, config, profile)
+        # 12 training documents in batches of 5, and one validation batch
+        train_batches, val_batches = 3, 1
+        assert calls == {
+            "forward": profile.epochs * (train_batches + val_batches),
+            "backward": profile.epochs * train_batches,
+        }
+
+    def test_in_place_adam_equals_the_out_of_place_formula(self):
+        config = tiny_config(num_layers=2, num_heads=2, hidden_size=8)
+        params = init_params(config, seed=0)
+        profile = TrainProfile(learning_rate=3e-3)
+        state = encoder_train._AdamState(params)
+        tensors = {name: t.copy() for name, t in params.named_tensors()}
+        m = {name: np.zeros_like(t) for name, t in tensors.items()}
+        v = {name: np.zeros_like(t) for name, t in tensors.items()}
+        beta1, beta2 = profile.adam_beta1, profile.adam_beta2
+        rng = np.random.default_rng(0)
+        for t in range(1, 4):
+            grads = {
+                name: rng.standard_normal(x.shape) * 10.0 ** rng.uniform(-6, 2, x.shape)
+                for name, x in tensors.items()
+            }
+            for name, g in grads.items():
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * g**2
+                m_hat = m[name] / (1.0 - beta1**t)
+                v_hat = v[name] / (1.0 - beta2**t)
+                tensors[name] = tensors[name] - profile.learning_rate * m_hat / (
+                    np.sqrt(v_hat) + profile.adam_epsilon
+                )
+            encoder_train._adam_step(
+                params, {k: g.copy() for k, g in grads.items()}, state, profile
+            )
+            for name, tensor in params.named_tensors():
+                assert np.array_equal(tensor, tensors[name]), (t, name)
+                assert np.array_equal(state.m[name], m[name]), (t, name)
+                assert np.array_equal(state.v[name], v[name]), (t, name)
+
+
 class TestEncodeAndPredict:
     def test_encode_documents_shapes(self):
         docs = three_class_docs()
@@ -754,7 +856,11 @@ class TestEncodeAndPredict:
         vocab = build_token_vocab(docs)
         config = tiny_config(vocab_size=vocab.size)
         params = init_params(config, seed=0)
-        label, probs = predict(docs[0], params, vocab, config)
+        ids, mask = _trim(
+            *format_input(docs[0].tokens, vocab, config.max_sequence_length)
+        )
+        probs = softmax(forward(ids, mask, params, config).logits)[0]
+        (label,) = predict_batch(docs[:1], params, vocab, config)
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert label is SentimentLabel(int(np.argmax(probs)))
@@ -765,20 +871,13 @@ class TestEncodeAndPredict:
         config = tiny_config(vocab_size=vocab.size)
         params = init_params(config, seed=0)
         batched = predict_batch(docs, params, vocab, config, batch_size=2)
-        single = [predict(d, params, vocab, config)[0] for d in docs]
+        single = [predict_batch([d], params, vocab, config)[0] for d in docs]
         assert batched == single
 
 
 class TestBatchTrimming:
-    def varied_docs(self):
-        words = ["rugi", "parah", "ppkm", "bagus", "sekali", "berlaku"]
-        return [
-            make_doc(words[: 1 + i % 6], SentimentLabel(i % 3), f"d{i}")
-            for i in range(12)
-        ]
-
     def test_trimmed_batch_matches_fully_padded_batch(self):
-        docs = self.varied_docs()[:4]
+        docs = varied_docs()[:4]
         vocab = build_token_vocab(docs)
         config = tiny_config(
             vocab_size=vocab.size,
@@ -816,7 +915,7 @@ class TestBatchTrimming:
     def test_forward_sees_each_batch_cut_to_its_longest_sequence(
         self, monkeypatch
     ):
-        docs = self.varied_docs()
+        docs = varied_docs()
         vocab = build_token_vocab(docs)
         config = tiny_config(
             vocab_size=vocab.size, hidden_size=8, num_heads=2, max_sequence_length=12
@@ -832,10 +931,10 @@ class TestBatchTrimming:
         monkeypatch.setattr(encoder_train, "forward", recording_forward)
         params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
         predict_batch(docs, params, vocab, config, batch_size=5)
-        predict(docs[0], params, vocab, config)
-        # per epoch: 3 train + 3 eval batches and 1 validation batch;
-        # then 3 predict_batch batches and one predict call
-        assert len(masks) == 2 * 7 + 3 + 1
+        predict_batch(docs[:1], params, vocab, config)
+        # per epoch: 3 train batches and 1 validation batch; then 3
+        # predict_batch batches and one single-document batch
+        assert len(masks) == 2 * (3 + 1) + 3 + 1
         for mask in masks:
             assert mask.shape[1] == int(mask.sum(axis=1).max())
         assert {mask.shape[1] for mask in masks} == {3, 6, 7, 8}
