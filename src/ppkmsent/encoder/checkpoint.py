@@ -96,6 +96,9 @@ def _expected_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
     """Read a checkpoint and rebuild (params, config).
 
+    The tensors come back float32, the stored values bit for bit, so a
+    float32 model scores with exactly the weights it was saved with.
+
     Raises :class:`CheckpointFormatError` on bad magic, unknown version,
     truncation, or tensor names/shapes that do not match the stored config.
     """
@@ -124,7 +127,7 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = reader.take(count * 4)
         tensors[name] = (
-            np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+            np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
         )
     if reader.offset != len(reader.data):
         raise CheckpointFormatError("checkpoint has trailing bytes")

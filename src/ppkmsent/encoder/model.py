@@ -12,10 +12,16 @@ the logits or the gradients; the training and prediction helpers in
 :mod:`ppkmsent.encoder.train` therefore cut each batch to its longest real
 sequence rather than pass the fixed-length rows of ``format_input``.
 
-Everything runs in float64.  ``backward`` consumes the cache produced by a
-training-mode ``forward`` call and returns a gradient for every parameter
-tensor; gradients are exact, which the test suite checks against central
-finite differences.
+The working precision is the dtype of the params: every activation, the
+gradients and (in :mod:`ppkmsent.encoder.train`) the Adam moments follow
+it, because the scalar constants are Python floats and the masks take the
+params' dtype.  ``init_params`` and ``load_checkpoint`` give float32, the
+precision the checkpoint stores, so training and evaluation see the same
+weights; a caller that passes float64 params gets the same code in
+float64.  ``backward`` consumes the cache produced by a training-mode
+``forward`` call and returns a gradient for every parameter tensor;
+gradients are exact, which the test suite checks in float64 against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from ppkmsent.encoder.config import EncoderConfig
 from ppkmsent.errors import ConfigError, EncoderNumericsError
@@ -99,10 +106,16 @@ def _truncated_normal(
 
 
 def init_params(
-    config: EncoderConfig, seed: int | np.random.SeedSequence = 0
+    config: EncoderConfig,
+    seed: int | np.random.SeedSequence = 0,
+    dtype: DTypeLike = np.float32,
 ) -> EncoderParams:
     """Random initial weights: truncated normal (std 0.02) for projections
-    and embeddings, ones for layer-norm gains, zeros for biases."""
+    and embeddings, ones for layer-norm gains, zeros for biases.
+
+    The draws are float64 in every ``dtype`` and rounded once, so a float32
+    init is the float64 init of the same seed, rounded.
+    """
     if config.vocab_size < 1:
         raise ConfigError(
             f"vocab_size must be >= 1 to initialise weights, got "
@@ -112,29 +125,31 @@ def init_params(
     d = config.hidden_size
     f = config.feedforward_size
     std = 0.02
+
+    def draw(*shape: int) -> np.ndarray:
+        return _truncated_normal(rng, shape, std).astype(dtype, copy=False)
+
     params = EncoderParams(
-        token_embedding=_truncated_normal(rng, (config.vocab_size, d), std),
-        position_embedding=_truncated_normal(
-            rng, (config.max_sequence_length, d), std
-        ),
+        token_embedding=draw(config.vocab_size, d),
+        position_embedding=draw(config.max_sequence_length, d),
     )
     for _ in range(config.num_layers):
         params.layers.append(
             LayerParams(
-                wq=_truncated_normal(rng, (d, d), std),
-                wk=_truncated_normal(rng, (d, d), std),
-                wv=_truncated_normal(rng, (d, d), std),
-                wo=_truncated_normal(rng, (d, d), std),
-                ln1_gain=np.ones(d),
-                ln1_bias=np.zeros(d),
-                w1=_truncated_normal(rng, (d, f), std),
-                w2=_truncated_normal(rng, (f, d), std),
-                ln2_gain=np.ones(d),
-                ln2_bias=np.zeros(d),
+                wq=draw(d, d),
+                wk=draw(d, d),
+                wv=draw(d, d),
+                wo=draw(d, d),
+                ln1_gain=np.ones(d, dtype=dtype),
+                ln1_bias=np.zeros(d, dtype=dtype),
+                w1=draw(d, f),
+                w2=draw(f, d),
+                ln2_gain=np.ones(d, dtype=dtype),
+                ln2_bias=np.zeros(d, dtype=dtype),
             )
         )
-    params.head_w = _truncated_normal(rng, (d, config.num_classes), std)
-    params.head_b = np.zeros(config.num_classes)
+    params.head_w = draw(d, config.num_classes)
+    params.head_b = np.zeros(config.num_classes, dtype=dtype)
     return params
 
 
@@ -227,7 +242,7 @@ def _dropout(
         return x, None
     if rng is None:
         raise ConfigError("training-mode forward with dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
 
 
@@ -264,7 +279,7 @@ def forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
-    mask = np.atleast_2d(np.asarray(mask, dtype=np.float64))
+    mask = np.atleast_2d(np.asarray(mask, dtype=params.token_embedding.dtype))
     if ids.shape != mask.shape:
         raise ConfigError(
             f"ids shape {ids.shape} does not match mask shape {mask.shape}"
@@ -391,7 +406,7 @@ def backward(
     grads["head_b"] = dlogits.sum(axis=0)
 
     # gradient flows into position 0 of the final hidden states only
-    dx = np.zeros((dlogits.shape[0], seq, hidden_size))
+    dx = np.zeros((dlogits.shape[0], seq, hidden_size), dtype=dlogits.dtype)
     dx[:, 0, :] = dlogits @ params.head_w.T
 
     for index in range(len(params.layers) - 1, -1, -1):

@@ -84,6 +84,14 @@ def _adam_step(
         tensor -= g
 
 
+def _check_weights_finite(params: EncoderParams, epoch: int, step: int) -> None:
+    for name, tensor in params.named_tensors():
+        if not np.isfinite(tensor).all():
+            raise TrainingDivergedError(
+                epoch, step, f"non-finite values in {name} after the update"
+            )
+
+
 def encode_documents(
     documents: Sequence[Document],
     vocab: TokenVocab,
@@ -177,8 +185,10 @@ def fine_tune(
 
     Shuffling, dropout and initialisation all derive from ``profile.seed``,
     so repeated calls with identical inputs produce identical weights and
-    history.  Raises :class:`TrainingDivergedError` when a batch loss or any
-    activation stops being finite.
+    history.  Raises :class:`TrainingDivergedError` when a batch loss, any
+    activation or, with no validation set, any weight at the end of an epoch
+    stops being finite.  The working precision is the params' dtype, float32
+    from :func:`init_params`.
     """
     seed_seq = np.random.SeedSequence(profile.seed)
     init_seq, train_seq = seed_seq.spawn(2)
@@ -194,59 +204,75 @@ def fine_tune(
             val_documents, vocab, config
         )
     history: list[EpochStats] = []
-    for epoch in range(1, profile.epochs + 1):
-        order = rng.permutation(train_ids.shape[0])
-        batches = _batches(train_ids, train_mask, profile.batch_size, order)
-        loss_sum = 0.0
-        correct = 0
-        for step, (rows, batch_ids, batch_mask) in enumerate(batches):
-            try:
-                result = forward(
-                    batch_ids,
-                    batch_mask,
-                    params,
-                    config,
-                    "train",
-                    rng=rng,
-                    want_cache=True,
-                )
-                loss, dlogits = cross_entropy(result.logits, train_labels[rows])
-                if not math.isfinite(loss):
-                    raise TrainingDivergedError(
-                        epoch, step, f"batch loss is {loss!r}"
+    # every non-finite value is caught below (batch loss, layer outputs and,
+    # without a validation pass, the weights), so numpy's floating-point
+    # warnings would only repeat the error on stderr
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, profile.epochs + 1):
+            order = rng.permutation(train_ids.shape[0])
+            batches = _batches(train_ids, train_mask, profile.batch_size, order)
+            loss_sum = 0.0
+            correct = 0
+            for step, (rows, batch_ids, batch_mask) in enumerate(batches):
+                try:
+                    result = forward(
+                        batch_ids,
+                        batch_mask,
+                        params,
+                        config,
+                        "train",
+                        rng=rng,
+                        want_cache=True,
                     )
-                grads = backward(dlogits, params, config, result.cache)
-            except EncoderNumericsError as exc:
-                # non-finite activations are a divergence of this training
-                # run, so surface them with epoch/step context
-                raise TrainingDivergedError(epoch, step, str(exc)) from exc
-            loss_sum += loss * rows.shape[0]
-            predicted = np.argmax(result.logits, axis=-1)
-            correct += int(np.sum(predicted == train_labels[rows]))
-            _adam_step(params, grads, state, profile)
-        train_loss = loss_sum / train_ids.shape[0]
-        train_acc = correct / train_ids.shape[0]
-        val_loss = val_acc = float("nan")
-        if val_documents:
-            try:
-                val_loss, val_acc = _evaluate(
-                    val_ids, val_mask, val_labels, params, config, profile.batch_size
-                )
-            except EncoderNumericsError as exc:
-                # the last parameter update of the epoch left non-finite weights
-                raise TrainingDivergedError(epoch, step, str(exc)) from exc
-        history.append(
-            EpochStats(epoch, train_loss, train_acc, val_loss, val_acc)
-        )
-        logger.info(
-            "epoch %d/%d train_loss=%.4f train_acc=%.4f val_loss=%.4f val_acc=%.4f",
-            epoch,
-            profile.epochs,
-            train_loss,
-            train_acc,
-            val_loss,
-            val_acc,
-        )
+                    loss, dlogits = cross_entropy(
+                        result.logits, train_labels[rows]
+                    )
+                    if not math.isfinite(loss):
+                        raise TrainingDivergedError(
+                            epoch, step, f"batch loss is {loss!r}"
+                        )
+                    grads = backward(dlogits, params, config, result.cache)
+                except EncoderNumericsError as exc:
+                    # non-finite activations are a divergence of this training
+                    # run, so surface them with epoch/step context
+                    raise TrainingDivergedError(epoch, step, str(exc)) from exc
+                loss_sum += loss * rows.shape[0]
+                predicted = np.argmax(result.logits, axis=-1)
+                correct += int(np.sum(predicted == train_labels[rows]))
+                _adam_step(params, grads, state, profile)
+            train_loss = loss_sum / train_ids.shape[0]
+            train_acc = correct / train_ids.shape[0]
+            val_loss = val_acc = float("nan")
+            if val_documents:
+                try:
+                    val_loss, val_acc = _evaluate(
+                        val_ids,
+                        val_mask,
+                        val_labels,
+                        params,
+                        config,
+                        profile.batch_size,
+                    )
+                except EncoderNumericsError as exc:
+                    # the epoch's last update left non-finite weights
+                    raise TrainingDivergedError(epoch, step, str(exc)) from exc
+            else:
+                # nothing reads the weights after the epoch's last update, so
+                # check them before they are returned and checkpointed
+                _check_weights_finite(params, epoch, step)
+            history.append(
+                EpochStats(epoch, train_loss, train_acc, val_loss, val_acc)
+            )
+            logger.info(
+                "epoch %d/%d train_loss=%.4f train_acc=%.4f "
+                "val_loss=%.4f val_acc=%.4f",
+                epoch,
+                profile.epochs,
+                train_loss,
+                train_acc,
+                val_loss,
+                val_acc,
+            )
     return params, history
 
 

@@ -54,7 +54,9 @@ def encoder_gradient_check() -> dict[str, float]:
     At the standard init scale (std 0.02) the attention-projection
     gradients sit near 3e-9, below what float64 central differences can
     resolve, so every non-gain, non-bias tensor is scaled by 25 first;
-    that lifts the signal while keeping the network well-conditioned.
+    that lifts the signal while keeping the network well-conditioned.  The
+    params are float64: the same code runs in float32 by default, but float32
+    central differences cannot resolve these gradients.
     """
     from ppkmsent.encoder.config import EncoderConfig
     from ppkmsent.encoder.model import backward, cross_entropy, forward, init_params
@@ -68,7 +70,7 @@ def encoder_gradient_check() -> dict[str, float]:
         vocab_size=8,
         dropout_rate=0.0,
     )
-    params = init_params(config, seed=0)
+    params = init_params(config, seed=0, dtype=np.float64)
     for name, tensor in params.named_tensors():
         if not name.endswith(("_gain", "_bias", "head_b")):
             tensor *= 25.0

@@ -6,11 +6,15 @@ import io
 import json
 import os
 import stat
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ppkmsent import cli, pipeline
+from ppkmsent.encoder import train as enc_train
+from ppkmsent.encoder.checkpoint import load_checkpoint
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
 
 
@@ -383,3 +387,75 @@ class TestOutputDirEnvironment:
         assert cli.main(["ingest", "-c", str(config_path)]) == cli.EXIT_OK
         assert (redirected / pipeline.CORPUS_FILE).is_file()
         assert not (tmp_path / "out").exists()
+
+
+class TestBertTraining:
+    def write_bert_setup(self, tmp_path: Path, settings: str) -> Path:
+        config_path = write_setup(tmp_path)
+        text = config_path.read_text(encoding="utf-8")
+        config_path.write_text(
+            text.split("model = mnb\n")[0] + "model = bert\n" + settings,
+            encoding="utf-8",
+        )
+        return config_path
+
+    def test_checkpoint_holds_the_trained_weights(self, tmp_path, monkeypatch):
+        config_path = self.write_bert_setup(
+            tmp_path,
+            "train_fraction = 6/10\n"
+            "validation_fraction = 2/10\n"
+            "test_fraction = 2/10\n"
+            "num_layers = 1\n"
+            "num_heads = 2\n"
+            "hidden_size = 8\n"
+            "feedforward_size = 16\n"
+            "max_sequence_length = 12\n"
+            "batch_size = 8\n"
+            "epochs = 2\n"
+            "learning_rate = 1e-3\n",
+        )
+        trained: dict[str, np.ndarray] = {}
+        real_fine_tune = enc_train.fine_tune
+
+        def recording_fine_tune(*args, **kwargs):
+            params, history = real_fine_tune(*args, **kwargs)
+            trained.update((n, t.copy()) for n, t in params.named_tensors())
+            return params, history
+
+        monkeypatch.setattr(enc_train, "fine_tune", recording_fine_tune)
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        loaded, _ = load_checkpoint(tmp_path / "out" / "bert.ckpt")
+        assert [name for name, _ in loaded.named_tensors()] == list(trained)
+        for name, tensor in loaded.named_tensors():
+            assert tensor.dtype == trained[name].dtype == np.float32, name
+            assert np.array_equal(tensor, trained[name]), name
+
+    def test_diverging_last_update_exits_two_without_a_checkpoint(
+        self, tmp_path, capsys
+    ):
+        # one batch, one epoch and no validation pass: only the end-of-epoch
+        # weight check sees the update that overflowed float32
+        config_path = self.write_bert_setup(
+            tmp_path,
+            "profile = desk\n"
+            "train_fraction = 8/10\n"
+            "validation_fraction = 0\n"
+            "test_fraction = 2/10\n"
+            "learning_rate = 1e300\n"
+            "epochs = 1\n"
+            "batch_size = 64\n",
+        )
+        for stage in ("ingest", "label"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train", "-c", str(config_path)])
+        assert code == cli.EXIT_RUNTIME
+        assert not (tmp_path / "out" / "bert.ckpt").exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: non-finite loss at epoch 1, step 0: ")
+        assert "after the update" in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -527,7 +528,7 @@ class TestScalarReferenceOracle:
             vocab_size=6,
             dropout_rate=0.0,
         )
-        params = init_params(config, seed=5)
+        params = init_params(config, seed=5, dtype=np.float64)
         cases = [
             ([2, 4, 3], [1.0, 1.0, 1.0]),
             ([2, 4, 3, 0], [1.0, 1.0, 1.0, 0.0]),
@@ -548,7 +549,7 @@ class TestScalarReferenceOracle:
             vocab_size=6,
             dropout_rate=0.0,
         )
-        params = init_params(config, seed=6)
+        params = init_params(config, seed=6, dtype=np.float64)
         ids, mask = [2, 4, 5, 3], [1.0, 1.0, 1.0, 1.0]
         got = forward(np.array(ids), np.array(mask), params, config).logits[0]
         want = python_reference_forward(ids, mask, params, config)
@@ -762,10 +763,28 @@ class TestTrainingStep:
         return docs, vocab, config, profile
 
     def test_weights_match_the_pinned_digest(self):
-        # the digest of the weights that a train step of forward, backward and
-        # the out-of-place Adam formula gave; float64 under numpy 2.4 and
-        # OpenBLAS 0.3 on x86-64, where other SIMD kernels for exp/tanh or
-        # matmul may round differently
+        # the digest of the float32 weights that training in float32 first
+        # gave, under numpy 2.4 and OpenBLAS 0.3 on x86-64, where other SIMD
+        # kernels for exp/tanh or matmul may round differently
+        docs, vocab, config, profile = self.setup_training()
+        params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
+        digest = hashlib.sha256()
+        for name, tensor in params.named_tensors():
+            assert tensor.dtype == np.float32, name
+            digest.update(name.encode())
+            digest.update(tensor.tobytes())
+        assert digest.hexdigest() == (
+            "8d553caa36e1d53da3de699bc209d67568aca22916849d9807808008191adc88"
+        )
+
+    def test_float64_params_keep_the_float64_digest(self, monkeypatch):
+        # the same code on float64 params gives the weights that training in
+        # float64 gave before float32 became the default, bit for bit
+        monkeypatch.setattr(
+            encoder_train,
+            "init_params",
+            functools.partial(init_params, dtype=np.float64),
+        )
         docs, vocab, config, profile = self.setup_training()
         params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
         digest = hashlib.sha256()
@@ -798,36 +817,89 @@ class TestTrainingStep:
             "backward": profile.epochs * train_batches,
         }
 
+    def test_one_step_keeps_the_params_dtype(self):
+        # encode_documents hands forward float64 masks; if any array upcast
+        # float32 params, every later product would run in float64
+        docs, vocab, config, profile = self.setup_training()
+        ids, mask, labels = encode_documents(docs[:5], vocab, config)
+        ids, mask = _trim(ids, mask)
+        assert mask.dtype == np.float64
+
+        def cache_arrays(node):
+            if isinstance(node, np.ndarray):
+                yield node
+            elif isinstance(node, dict):
+                for value in node.values():
+                    yield from cache_arrays(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from cache_arrays(value)
+
+        for dtype in (np.float32, np.float64):
+            params = init_params(config, seed=0, dtype=dtype)
+            result = forward(
+                ids,
+                mask,
+                params,
+                config,
+                "train",
+                rng=np.random.default_rng(0),
+                want_cache=True,
+            )
+            assert result.logits.dtype == dtype
+            ids_array, *arrays = cache_arrays(result.cache)
+            assert ids_array is result.cache["ids"]
+            # the embedding keep mask, cls_vector and 17 per layer, the
+            # attention and feed-forward keep masks among them
+            assert len(arrays) == 2 + 17 * config.num_layers
+            for array in arrays:
+                assert array.dtype == dtype, array.shape
+            _, dlogits = cross_entropy(result.logits, labels)
+            assert dlogits.dtype == dtype
+            grads = backward(dlogits, params, config, result.cache)
+            state = encoder_train._AdamState(params)
+            encoder_train._adam_step(params, grads, state, profile)
+            for name, tensor in params.named_tensors():
+                assert grads[name].dtype == dtype, name
+                assert tensor.dtype == dtype, name
+                assert state.m[name].dtype == state.v[name].dtype == dtype, name
+
     def test_in_place_adam_equals_the_out_of_place_formula(self):
         config = tiny_config(num_layers=2, num_heads=2, hidden_size=8)
-        params = init_params(config, seed=0)
         profile = TrainProfile(learning_rate=3e-3)
-        state = encoder_train._AdamState(params)
-        tensors = {name: t.copy() for name, t in params.named_tensors()}
-        m = {name: np.zeros_like(t) for name, t in tensors.items()}
-        v = {name: np.zeros_like(t) for name, t in tensors.items()}
         beta1, beta2 = profile.adam_beta1, profile.adam_beta2
-        rng = np.random.default_rng(0)
-        for t in range(1, 4):
-            grads = {
-                name: rng.standard_normal(x.shape) * 10.0 ** rng.uniform(-6, 2, x.shape)
-                for name, x in tensors.items()
-            }
-            for name, g in grads.items():
-                m[name] = beta1 * m[name] + (1.0 - beta1) * g
-                v[name] = beta2 * v[name] + (1.0 - beta2) * g**2
-                m_hat = m[name] / (1.0 - beta1**t)
-                v_hat = v[name] / (1.0 - beta2**t)
-                tensors[name] = tensors[name] - profile.learning_rate * m_hat / (
-                    np.sqrt(v_hat) + profile.adam_epsilon
+        for dtype in (np.float32, np.float64):
+            params = init_params(config, seed=0, dtype=dtype)
+            state = encoder_train._AdamState(params)
+            tensors = {name: t.copy() for name, t in params.named_tensors()}
+            m = {name: np.zeros_like(t) for name, t in tensors.items()}
+            v = {name: np.zeros_like(t) for name, t in tensors.items()}
+            rng = np.random.default_rng(0)
+            for t in range(1, 4):
+                grads = {
+                    name: (
+                        rng.standard_normal(x.shape)
+                        * 10.0 ** rng.uniform(-6, 2, x.shape)
+                    ).astype(dtype)
+                    for name, x in tensors.items()
+                }
+                for name, g in grads.items():
+                    m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                    v[name] = beta2 * v[name] + (1.0 - beta2) * g**2
+                    m_hat = m[name] / (1.0 - beta1**t)
+                    v_hat = v[name] / (1.0 - beta2**t)
+                    tensors[name] = tensors[name] - profile.learning_rate * m_hat / (
+                        np.sqrt(v_hat) + profile.adam_epsilon
+                    )
+                encoder_train._adam_step(
+                    params, {k: g.copy() for k, g in grads.items()}, state, profile
                 )
-            encoder_train._adam_step(
-                params, {k: g.copy() for k, g in grads.items()}, state, profile
-            )
-            for name, tensor in params.named_tensors():
-                assert np.array_equal(tensor, tensors[name]), (t, name)
-                assert np.array_equal(state.m[name], m[name]), (t, name)
-                assert np.array_equal(state.v[name], v[name]), (t, name)
+                for name, tensor in params.named_tensors():
+                    key = (dtype.__name__, t, name)
+                    assert tensor.dtype == state.m[name].dtype == dtype, key
+                    assert np.array_equal(tensor, tensors[name]), key
+                    assert np.array_equal(state.m[name], m[name]), key
+                    assert np.array_equal(state.v[name], v[name]), key
 
 
 class TestEncodeAndPredict:
@@ -855,7 +927,7 @@ class TestEncodeAndPredict:
         docs = three_class_docs()
         vocab = build_token_vocab(docs)
         config = tiny_config(vocab_size=vocab.size)
-        params = init_params(config, seed=0)
+        params = init_params(config, seed=0, dtype=np.float64)
         ids, mask = _trim(
             *format_input(docs[0].tokens, vocab, config.max_sequence_length)
         )
@@ -886,7 +958,7 @@ class TestBatchTrimming:
             hidden_size=8,
             max_sequence_length=12,
         )
-        params = init_params(config, seed=3)
+        params = init_params(config, seed=3, dtype=np.float64)
         # lift the gradients well above the tolerance, as the gradient check does
         for name, tensor in params.named_tensors():
             if not name.endswith(("_gain", "_bias", "head_b")):
@@ -968,16 +1040,22 @@ class TestCheckpoint:
         return config, params, path
 
     def test_round_trip_quantizes_to_float32(self, tmp_path):
+        # float32 weights come back bit for bit; float64 ones rounded once
         config, params, path = self.build(tmp_path)
         loaded_params, loaded_config = load_checkpoint(path)
         assert loaded_config == config
-        for (name, original), (_, restored) in zip(
-            params.named_tensors(), loaded_params.named_tensors()
+        wide = init_params(config, seed=0, dtype=np.float64)
+        save_checkpoint(wide, config, tmp_path / "wide.ckpt")
+        assert (tmp_path / "wide.ckpt").read_bytes() == path.read_bytes()
+        for (name, original), (_, restored), (_, wide_tensor) in zip(
+            params.named_tensors(),
+            loaded_params.named_tensors(),
+            wide.named_tensors(),
         ):
-            assert restored.dtype == np.float64
-            assert np.array_equal(
-                restored, original.astype(np.float32).astype(np.float64)
-            ), name
+            assert original.dtype == restored.dtype == np.float32, name
+            assert restored.tobytes() == original.tobytes(), name
+            assert np.array_equal(restored, wide_tensor.astype(np.float32)), name
+            assert restored.flags.writeable, name
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         config, params, path = self.build(tmp_path)
