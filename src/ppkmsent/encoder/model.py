@@ -27,7 +27,8 @@ central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -41,7 +42,7 @@ _GELU_A = 0.044715
 
 @dataclass
 class LayerParams:
-    """Weights for one encoder block."""
+    """Weights for one encoder block; the field order is the checkpoint order."""
 
     wq: np.ndarray
     wk: np.ndarray
@@ -61,36 +62,73 @@ class EncoderParams:
 
     token_embedding: np.ndarray
     position_embedding: np.ndarray
-    layers: list[LayerParams] = field(default_factory=list)
-    head_w: np.ndarray = None  # type: ignore[assignment]
-    head_b: np.ndarray = None  # type: ignore[assignment]
+    layers: list[LayerParams]
+    head_w: np.ndarray
+    head_b: np.ndarray
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Every parameter tensor under a stable name, in a fixed order."""
-        named = [
-            ("token_embedding", self.token_embedding),
-            ("position_embedding", self.position_embedding),
-        ]
-        for i, layer in enumerate(self.layers):
-            prefix = f"layers.{i}."
-            named.extend(
-                (prefix + name, getattr(layer, name))
-                for name in (
-                    "wq",
-                    "wk",
-                    "wv",
-                    "wo",
-                    "ln1_gain",
-                    "ln1_bias",
-                    "w1",
-                    "w2",
-                    "ln2_gain",
-                    "ln2_bias",
+        """Every parameter tensor under a stable name, in ``param_shapes``
+        order: the fields in order, each layer's fields in place of ``layers``."""
+        named = []
+        for f in fields(self):
+            if f.name == "layers":
+                named.extend(
+                    (f"layers.{i}.{g.name}", getattr(layer, g.name))
+                    for i, layer in enumerate(self.layers)
+                    for g in fields(layer)
                 )
-            )
-        named.append(("head_w", self.head_w))
-        named.append(("head_b", self.head_b))
+            else:
+                named.append((f.name, getattr(self, f.name)))
         return named
+
+    @classmethod
+    def from_named(
+        cls, tensors: Mapping[str, np.ndarray], num_layers: int
+    ) -> EncoderParams:
+        """The inverse of ``named_tensors``: params holding the arrays of
+        ``tensors`` (not copies), which must have every name of a
+        ``num_layers``-layer encoder."""
+        layers = [
+            LayerParams(
+                **{g.name: tensors[f"layers.{i}.{g.name}"] for g in fields(LayerParams)}
+            )
+            for i in range(num_layers)
+        ]
+        rest = {f.name: tensors[f.name] for f in fields(cls) if f.name != "layers"}
+        return cls(layers=layers, **rest)
+
+
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor of ``config``'s encoder.
+
+    This table is the encoder's layout, the one place its shapes are
+    written.  Its names and order are those of
+    ``EncoderParams.named_tensors``; ``init_params`` fills it and
+    ``load_checkpoint`` checks a file against it.
+    """
+    d = config.hidden_size
+    f = config.feedforward_size
+    block = {
+        "wq": (d, d),
+        "wk": (d, d),
+        "wv": (d, d),
+        "wo": (d, d),
+        "ln1_gain": (d,),
+        "ln1_bias": (d,),
+        "w1": (d, f),
+        "w2": (f, d),
+        "ln2_gain": (d,),
+        "ln2_bias": (d,),
+    }
+    shapes = {
+        "token_embedding": (config.vocab_size, d),
+        "position_embedding": (config.max_sequence_length, d),
+    }
+    for i in range(config.num_layers):
+        shapes.update((f"layers.{i}.{name}", shape) for name, shape in block.items())
+    shapes["head_w"] = (d, config.num_classes)
+    shapes["head_b"] = (config.num_classes,)
+    return shapes
 
 
 def _truncated_normal(
@@ -110,8 +148,9 @@ def init_params(
     seed: int | np.random.SeedSequence = 0,
     dtype: DTypeLike = np.float32,
 ) -> EncoderParams:
-    """Random initial weights: truncated normal (std 0.02) for projections
-    and embeddings, ones for layer-norm gains, zeros for biases.
+    """Random initial weights: ones for layer-norm gains, zeros for biases
+    and truncated normal (std 0.02) for everything else, drawn in
+    ``param_shapes`` order.
 
     The draws are float64 in every ``dtype`` and rounded once, so a float32
     init is the float64 init of the same seed, rounded.
@@ -122,35 +161,15 @@ def init_params(
             f"{config.vocab_size}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    d = config.hidden_size
-    f = config.feedforward_size
-    std = 0.02
-
-    def draw(*shape: int) -> np.ndarray:
-        return _truncated_normal(rng, shape, std).astype(dtype, copy=False)
-
-    params = EncoderParams(
-        token_embedding=draw(config.vocab_size, d),
-        position_embedding=draw(config.max_sequence_length, d),
-    )
-    for _ in range(config.num_layers):
-        params.layers.append(
-            LayerParams(
-                wq=draw(d, d),
-                wk=draw(d, d),
-                wv=draw(d, d),
-                wo=draw(d, d),
-                ln1_gain=np.ones(d, dtype=dtype),
-                ln1_bias=np.zeros(d, dtype=dtype),
-                w1=draw(d, f),
-                w2=draw(f, d),
-                ln2_gain=np.ones(d, dtype=dtype),
-                ln2_bias=np.zeros(d, dtype=dtype),
-            )
-        )
-    params.head_w = draw(d, config.num_classes)
-    params.head_b = np.zeros(config.num_classes, dtype=dtype)
-    return params
+    tensors = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith("_gain"):
+            tensors[name] = np.ones(shape, dtype=dtype)
+        elif name.endswith(("_bias", "head_b")):
+            tensors[name] = np.zeros(shape, dtype=dtype)
+        else:
+            tensors[name] = _truncated_normal(rng, shape, 0.02).astype(dtype, copy=False)
+    return EncoderParams.from_named(tensors, config.num_layers)
 
 
 # softmax, GELU and layer norm work in place on the arrays they create, in

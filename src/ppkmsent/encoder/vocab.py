@@ -55,8 +55,8 @@ class TokenVocab:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TokenVocab":
-        tokens = data.get("tokens")
-        if not isinstance(tokens, list):
+        tokens = data.get("tokens") if isinstance(data, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ConfigError("token vocabulary payload must hold a token list")
         return cls(token_to_id={tok: i for i, tok in enumerate(tokens)})
 

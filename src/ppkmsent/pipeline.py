@@ -571,12 +571,20 @@ def _train_bert(
 
 
 def _predict_bert(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
-    params, encoder_config = enc_checkpoint.load_checkpoint(
-        output_dir / MODELS["bert"].file
-    )
-    token_vocab = enc_vocab.TokenVocab.from_dict(
-        json.loads((output_dir / BERT_VOCAB_FILE).read_text(encoding="utf-8"))
-    )
+    checkpoint_path = output_dir / MODELS["bert"].file
+    vocab_path = output_dir / BERT_VOCAB_FILE
+    params, encoder_config = enc_checkpoint.load_checkpoint(checkpoint_path)
+    try:
+        token_vocab = enc_vocab.TokenVocab.from_dict(
+            json.loads(vocab_path.read_text(encoding="utf-8"))
+        )
+    except (ValueError, ConfigError) as exc:
+        raise CheckpointFormatError(f"{vocab_path}: {exc}") from exc
+    if token_vocab.size != encoder_config.vocab_size:
+        raise CheckpointFormatError(
+            f"{vocab_path} holds {token_vocab.size} tokens, but {checkpoint_path} "
+            f"was trained on {encoder_config.vocab_size}"
+        )
     return enc_train.predict_batch(test_docs, params, token_vocab, encoder_config)
 
 

@@ -431,6 +431,54 @@ class TestBertTraining:
             assert tensor.dtype == trained[name].dtype == np.float32, name
             assert np.array_equal(tensor, trained[name]), name
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p: {"tokens": p["tokens"][:10]}, "holds 10 tokens, but "),
+            (lambda p: {"tokens": p["tokens"] + ["zzz1", "zzz2"]}, "tokens, but "),
+            (lambda p: {"tokens": 5}, "must hold a token list"),
+            (lambda p: {"tokens": [*p["tokens"], ["x"]]}, "must hold a token list"),
+            (lambda p: [p], "must hold a token list"),
+            (lambda p: {"tokens": ["a", "b"]}, "must map '[PAD]' to id 0"),
+        ],
+        ids=[
+            "shorter",
+            "longer",
+            "tokens-not-a-list",
+            "token-not-a-string",
+            "not-an-object",
+            "no-reserved-tokens",
+        ],
+    )
+    def test_vocabulary_that_does_not_fit_the_checkpoint_exits_two(
+        self, tmp_path, capsys, corrupt, message
+    ):
+        config_path = self.write_bert_setup(
+            tmp_path,
+            "train_fraction = 6/10\n"
+            "validation_fraction = 2/10\n"
+            "test_fraction = 2/10\n"
+            "num_layers = 1\n"
+            "num_heads = 1\n"
+            "hidden_size = 4\n"
+            "feedforward_size = 8\n"
+            "max_sequence_length = 12\n"
+            "epochs = 1\n",
+        )
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        vocab_path = tmp_path / "out" / pipeline.BERT_VOCAB_FILE
+        payload = json.loads(vocab_path.read_text(encoding="utf-8"))
+        vocab_path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vocab_path}")
+        assert message in err
+        if "tokens, but" in message:
+            assert "bert.ckpt" in err
+        assert not (tmp_path / "out" / "metrics_bert.json").exists()
+
     def test_diverging_last_update_exits_two_without_a_checkpoint(
         self, tmp_path, capsys
     ):

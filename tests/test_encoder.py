@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from ppkmsent.encoder.config import (
     paper_config,
 )
 from ppkmsent.encoder.model import (
+    EncoderParams,
     _dropout,
     _gelu,
     _layer_norm,
@@ -34,6 +37,7 @@ from ppkmsent.encoder.model import (
     cross_entropy,
     forward,
     init_params,
+    param_shapes,
     softmax,
 )
 from ppkmsent.encoder.train import (
@@ -297,6 +301,17 @@ class TestInitParams:
                 assert np.all(tensor == 1.0)
             elif name.endswith(("_bias", "head_b")):
                 assert np.all(tensor == 0.0)
+        for num_layers in (1, 3):
+            config = tiny_config(num_layers=num_layers)
+            params = init_params(config, seed=0)
+            named = params.named_tensors()
+            assert [(n, t.shape) for n, t in named] == list(
+                param_shapes(config).items()
+            )
+            rebuilt = EncoderParams.from_named(dict(named), num_layers)
+            assert [n for n, _ in rebuilt.named_tensors()] == [n for n, _ in named]
+            for (_, a), (_, b) in zip(named, rebuilt.named_tensors()):
+                assert a is b
 
     def test_truncated_normal_bounds(self):
         params = init_params(tiny_config(vocab_size=200, hidden_size=16,
@@ -1066,11 +1081,22 @@ class TestCheckpoint:
         b = forward(ids, mask, loaded_params, loaded_config).logits
         assert np.allclose(a, b, atol=1e-5)
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # the on-disk format: magic, version, config header, then each
+        # tensor's name, shape and little-endian float32 data
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(tiny_config(), seed=0), tiny_config(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2e3bd02d9dae1ca8a7e2921e891ceecbcc17a878c9c4a6481e9e12c1164ebf7c"
+        )
+
     def test_magic_guard(self, tmp_path):
         _, _, path = self.build(tmp_path)
         data = path.read_bytes()
         path.write_bytes(b"NOTMAGIC" + data[8:])
-        with pytest.raises(CheckpointFormatError, match="not an encoder"):
+        with pytest.raises(
+            CheckpointFormatError, match=re.escape(f"{path} is not an encoder")
+        ):
             load_checkpoint(path)
 
     def test_version_guard(self, tmp_path):
@@ -1078,20 +1104,26 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[len(CHECKPOINT_MAGIC)] = 99
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointFormatError, match="version"):
+        with pytest.raises(
+            CheckpointFormatError, match=re.escape(f"{path}: unsupported") + ".*version"
+        ):
             load_checkpoint(path)
 
     def test_truncation_guard(self, tmp_path):
         _, _, path = self.build(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(CheckpointFormatError, match="truncated"):
+        with pytest.raises(
+            CheckpointFormatError, match=re.escape(f"{path}: ") + ".*truncated"
+        ):
             load_checkpoint(path)
 
     def test_trailing_bytes_guard(self, tmp_path):
         _, _, path = self.build(tmp_path)
         path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(CheckpointFormatError, match="trailing"):
+        with pytest.raises(
+            CheckpointFormatError, match=re.escape(f"{path}: ") + ".*trailing"
+        ):
             load_checkpoint(path)
 
     def test_config_tensor_shape_mismatch_guard(self, tmp_path):
@@ -1102,7 +1134,36 @@ class TestCheckpoint:
         patched = data.replace(b'"vocab_size": 10', b'"vocab_size": 11')
         assert patched != data
         path.write_bytes(patched)
-        with pytest.raises(CheckpointFormatError, match="shape"):
+        with pytest.raises(
+            CheckpointFormatError, match=re.escape(f"{path}: ") + ".*shape"
+        ):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            lambda h: h.replace(b'"num_layers": 2', b'"num_layers":"2"'),
+            lambda h: b"[" + h + b"]",
+        ],
+        ids=["wrong-typed-value", "not-an-object"],
+    )
+    def test_config_header_guard(self, tmp_path, header):
+        _, _, path = self.build(tmp_path)
+        data = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+        (length,) = struct.unpack("<I", data[start : start + 4])
+        original = data[start + 4 : start + 4 + length]
+        patched = header(original)
+        assert patched != original
+        path.write_bytes(
+            data[:start]
+            + struct.pack("<I", len(patched))
+            + patched
+            + data[start + 4 + length :]
+        )
+        with pytest.raises(
+            CheckpointFormatError, match=re.escape(f"{path}: bad checkpoint config")
+        ):
             load_checkpoint(path)
 
     def test_gelu_matches_reference_values(self):
