@@ -197,27 +197,37 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-approximation GELU: ``0.5 * x * (1.0 + t)``."""
-    out = _gelu_tanh(x)
-    out += 1.0
+def _gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tanh-approximation GELU ``0.5 * x * (1.0 + t)``, where ``t`` is
+    ``_gelu_tanh(x)``."""
+    out = t + 1.0
     out *= 0.5 * x
     return out
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = _gelu_tanh(x)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (
-        1.0 + 3.0 * _GELU_A * (x * x)
-    )
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of ``_gelu`` at ``x``, from the forward's tanh term ``t``:
+    ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * (x * x))``."""
+    poly = x * x
+    poly *= 3.0 * _GELU_A
+    poly += 1.0
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    out *= 0.5 * x
+    out *= _GELU_C
+    out *= poly
+    poly = t + 1.0
+    poly *= 0.5
+    out += poly
+    return out
 
 
 def _layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 ) -> tuple[np.ndarray, dict]:
-    mean = x.mean(axis=-1, keepdims=True)
-    normalized = x - mean
-    variance = np.mean(np.square(normalized), axis=-1, keepdims=True)
+    n = x.shape[-1]
+    normalized = x - x.sum(axis=-1, keepdims=True) / n
+    variance = np.square(normalized).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(variance + eps)
     normalized *= inv
     out = normalized * gain
@@ -233,24 +243,27 @@ def _layer_norm_backward(
     dgain = np.sum(dout * normalized, axis=tuple(range(dout.ndim - 1)))
     dbias = np.sum(dout, axis=tuple(range(dout.ndim - 1)))
     dnorm = dout * cache["gain"]
+    n = dout.shape[-1]
     dx = inv * (
         dnorm
-        - dnorm.mean(axis=-1, keepdims=True)
-        - normalized * np.mean(dnorm * normalized, axis=-1, keepdims=True)
+        - dnorm.sum(axis=-1, keepdims=True) / n
+        - normalized * ((dnorm * normalized).sum(axis=-1, keepdims=True) / n)
     )
     return dx, dgain, dbias
 
 
-def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    batch, seq, hidden = x.shape
-    return x.reshape(batch, seq, num_heads, hidden // num_heads).transpose(
+def _split_heads(x: np.ndarray, batch: int, num_heads: int) -> np.ndarray:
+    """Token rows ``(batch * seq, hidden)`` as ``(batch, heads, seq, head_size)``."""
+    rows, hidden = x.shape
+    return x.reshape(batch, rows // batch, num_heads, hidden // num_heads).transpose(
         0, 2, 1, 3
     )
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """The inverse of ``_split_heads``: token rows ``(batch * seq, hidden)``."""
     batch, heads, seq, head_size = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_size)
+    return x.transpose(0, 2, 1, 3).reshape(batch * seq, heads * head_size)
 
 
 def _dropout(
@@ -323,14 +336,15 @@ def forward(
 
     embedded = params.token_embedding[ids]
     embedded += params.position_embedding[:seq]
-    x, emb_keep = _dropout(embedded, rate, rng)
+    # the blocks run on token rows, so every projection is one GEMM
+    x, emb_keep = _dropout(embedded.reshape(batch * seq, -1), rate, rng)
 
     cache: dict = {"ids": ids, "emb_keep": emb_keep, "layers": []}
     for index, layer in enumerate(params.layers):
         x_in = x
-        q = _split_heads(x_in @ layer.wq, heads)
-        k = _split_heads(x_in @ layer.wk, heads)
-        v = _split_heads(x_in @ layer.wv, heads)
+        q = _split_heads(x_in @ layer.wq, batch, heads)
+        k = _split_heads(x_in @ layer.wk, batch, heads)
+        v = _split_heads(x_in @ layer.wv, batch, heads)
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= scale
         np.copyto(scores, -np.inf, where=pad_keys)
@@ -341,7 +355,8 @@ def forward(
         attn_dropped += x_in
         x1, ln1_cache = _layer_norm(attn_dropped, layer.ln1_gain, layer.ln1_bias, eps)
         hidden = x1 @ layer.w1
-        activated = _gelu(hidden)
+        tanh = _gelu_tanh(hidden)
+        activated = _gelu(hidden, tanh)
         ffn_out = activated @ layer.w2
         ffn_dropped, ffn_keep = _dropout(ffn_out, rate, rng)
         ffn_dropped += x1
@@ -360,13 +375,14 @@ def forward(
                     "ln1": ln1_cache,
                     "x1": x1,
                     "hidden": hidden,
+                    "tanh": tanh,
                     "activated": activated,
                     "ffn_keep": ffn_keep,
                     "ln2": ln2_cache,
                 }
             )
 
-    cls_vector = x[:, 0, :]
+    cls_vector = x.reshape(batch, seq, -1)[:, 0, :]
     logits = cls_vector @ params.head_w + params.head_b
     _check_finite(logits, "classifier logits")
     if want_cache:
@@ -425,8 +441,12 @@ def backward(
     grads["head_b"] = dlogits.sum(axis=0)
 
     # gradient flows into position 0 of the final hidden states only
-    dx = np.zeros((dlogits.shape[0], seq, hidden_size), dtype=dlogits.dtype)
-    dx[:, 0, :] = dlogits @ params.head_w.T
+    batch = dlogits.shape[0]
+    dx = np.zeros((batch * seq, hidden_size), dtype=dlogits.dtype)
+    dx[::seq] = dlogits @ params.head_w.T
+
+    def rows_times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return (a.reshape(batch, seq, -1) @ w.T).reshape(batch * seq, -1)
 
     for index in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[index]
@@ -439,13 +459,11 @@ def backward(
         dffn = dy2 if c["ffn_keep"] is None else dy2 * c["ffn_keep"]
         dx1 = dy2.copy()
 
-        activated_2d = c["activated"].reshape(-1, ffn_size)
-        grads[prefix + "w2"] = activated_2d.T @ dffn.reshape(-1, hidden_size)
-        dactivated = dffn @ layer.w2.T
-        dhidden = dactivated * _gelu_grad(c["hidden"])
-        x1_2d = c["x1"].reshape(-1, hidden_size)
-        grads[prefix + "w1"] = x1_2d.T @ dhidden.reshape(-1, ffn_size)
-        dx1 += dhidden @ layer.w1.T
+        grads[prefix + "w2"] = c["activated"].T @ dffn
+        dactivated = rows_times(dffn, layer.w2)
+        dhidden = dactivated * _gelu_grad(c["hidden"], c["tanh"])
+        grads[prefix + "w1"] = c["x1"].T @ dhidden
+        dx1 += rows_times(dhidden, layer.w1)
 
         dy1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
         grads[prefix + "ln1_gain"] = dg1
@@ -453,9 +471,8 @@ def backward(
         dattn = dy1 if c["attn_keep"] is None else dy1 * c["attn_keep"]
         dx_in = dy1.copy()
 
-        context_2d = c["context"].reshape(-1, hidden_size)
-        grads[prefix + "wo"] = context_2d.T @ dattn.reshape(-1, hidden_size)
-        dcontext = _split_heads(dattn @ layer.wo.T, heads)
+        grads[prefix + "wo"] = c["context"].T @ dattn
+        dcontext = _split_heads(rows_times(dattn, layer.wo), batch, heads)
         dprobs = dcontext @ c["v"].transpose(0, 1, 3, 2)
         dv = c["probs"].transpose(0, 1, 3, 2) @ dcontext
         # softmax backward; padded positions have prob 0 and get no gradient
@@ -464,21 +481,22 @@ def backward(
         dq = (dscores @ c["k"]) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
 
-        dq_m = _merge_heads(dq).reshape(-1, hidden_size)
-        dk_m = _merge_heads(dk).reshape(-1, hidden_size)
-        dv_m = _merge_heads(dv).reshape(-1, hidden_size)
-        x_in_2d = c["x_in"].reshape(-1, hidden_size)
-        grads[prefix + "wq"] = x_in_2d.T @ dq_m
-        grads[prefix + "wk"] = x_in_2d.T @ dk_m
-        grads[prefix + "wv"] = x_in_2d.T @ dv_m
+        dq_m = _merge_heads(dq)
+        dk_m = _merge_heads(dk)
+        dv_m = _merge_heads(dv)
+        x_in = c["x_in"]
+        grads[prefix + "wq"] = x_in.T @ dq_m
+        grads[prefix + "wk"] = x_in.T @ dk_m
+        grads[prefix + "wv"] = x_in.T @ dv_m
         dx_in += (
-            dq_m.reshape(dx.shape) @ layer.wq.T
-            + dk_m.reshape(dx.shape) @ layer.wk.T
-            + dv_m.reshape(dx.shape) @ layer.wv.T
+            rows_times(dq_m, layer.wq)
+            + rows_times(dk_m, layer.wk)
+            + rows_times(dv_m, layer.wv)
         )
         dx = dx_in
 
     dembed = dx if cache["emb_keep"] is None else dx * cache["emb_keep"]
+    dembed = dembed.reshape(batch, seq, hidden_size)
     grads["position_embedding"][:seq] = dembed.sum(axis=0)
     np.add.at(grads["token_embedding"], cache["ids"], dembed)
     return grads

@@ -32,6 +32,7 @@ from ppkmsent.encoder.model import (
     EncoderParams,
     _dropout,
     _gelu,
+    _gelu_tanh,
     _layer_norm,
     backward,
     cross_entropy,
@@ -864,9 +865,9 @@ class TestTrainingStep:
             assert result.logits.dtype == dtype
             ids_array, *arrays = cache_arrays(result.cache)
             assert ids_array is result.cache["ids"]
-            # the embedding keep mask, cls_vector and 17 per layer, the
-            # attention and feed-forward keep masks among them
-            assert len(arrays) == 2 + 17 * config.num_layers
+            # the embedding keep mask, cls_vector and 18 per layer, the
+            # attention and feed-forward keep masks and GELU's tanh among them
+            assert len(arrays) == 2 + 18 * config.num_layers
             for array in arrays:
                 assert array.dtype == dtype, array.shape
             _, dlogits = cross_entropy(result.logits, labels)
@@ -1168,8 +1169,10 @@ class TestCheckpoint:
 
     def test_gelu_matches_reference_values(self):
         # spot values for the tanh approximation
-        assert _gelu(np.array([0.0]))[0] == 0.0
+        zero = np.array([0.0])
+        assert _gelu(zero, _gelu_tanh(zero))[0] == 0.0
         x = 0.5
         c = math.sqrt(2.0 / math.pi)
         want = 0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x**3)))
-        assert _gelu(np.array([x]))[0] == pytest.approx(want, abs=1e-15)
+        half = np.array([x])
+        assert _gelu(half, _gelu_tanh(half))[0] == pytest.approx(want, abs=1e-15)
