@@ -6,6 +6,15 @@ attention and a GELU feed-forward sublayer (each followed by residual add and
 layer norm), then an affine classification head over the position-0 hidden
 state.  The attention/feed-forward projections carry no bias terms.
 
+The blocks run on 2-D token rows ``(batch * seq, hidden)``, so every
+projection and weight gradient is one GEMM; only the attention products use
+the ``(batch, heads, seq, head_size)`` layout.  The head reads position 0
+(``[CLS]``) alone, so the last layer computes that row only: its keys and
+values come from every position, but its query, attention output, residual,
+layer norms, feed-forward and both dropouts act on one row per sequence, and
+dropout draws randoms for that row only.  Each layer's query rows are thus a
+prefix of each sequence: every position for inner layers, one for the last.
+
 Inputs may have any width up to ``max_sequence_length``.  Padded key
 positions are masked out of attention, so trailing padding never changes
 the logits or the gradients; the training and prediction helpers in
@@ -238,17 +247,18 @@ def _layer_norm(
 def _layer_norm_backward(
     dout: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients at the input, gain and bias of ``_layer_norm`` over rows:
+    ``inv * (dnorm - mean(dnorm) - normalized * mean(dnorm * normalized))``
+    with ``dnorm = dout * gain``."""
     normalized = cache["normalized"]
-    inv = cache["inv"]
-    dgain = np.sum(dout * normalized, axis=tuple(range(dout.ndim - 1)))
-    dbias = np.sum(dout, axis=tuple(range(dout.ndim - 1)))
-    dnorm = dout * cache["gain"]
     n = dout.shape[-1]
-    dx = inv * (
-        dnorm
-        - dnorm.sum(axis=-1, keepdims=True) / n
-        - normalized * ((dnorm * normalized).sum(axis=-1, keepdims=True) / n)
-    )
+    dgain = np.sum(dout * normalized, axis=0)
+    dbias = np.sum(dout, axis=0)
+    dx = dout * cache["gain"]
+    mean_proj = (dx * normalized).sum(axis=-1, keepdims=True) / n
+    dx -= dx.sum(axis=-1, keepdims=True) / n
+    dx -= normalized * mean_proj
+    dx *= cache["inv"]
     return dx, dgain, dbias
 
 
@@ -336,13 +346,17 @@ def forward(
 
     embedded = params.token_embedding[ids]
     embedded += params.position_embedding[:seq]
-    # the blocks run on token rows, so every projection is one GEMM
     x, emb_keep = _dropout(embedded.reshape(batch * seq, -1), rate, rng)
 
     cache: dict = {"ids": ids, "emb_keep": emb_keep, "layers": []}
+    last = len(params.layers) - 1
     for index, layer in enumerate(params.layers):
+        # the head reads position 0 alone, so the last layer's query rows are
+        # that prefix of each sequence; keys and values span every position
+        rows = 1 if index == last else seq
         x_in = x
-        q = _split_heads(x_in @ layer.wq, batch, heads)
+        x_q = x_in.reshape(batch, seq, -1)[:, :rows].reshape(batch * rows, -1)
+        q = _split_heads(x_q @ layer.wq, batch, heads)
         k = _split_heads(x_in @ layer.wk, batch, heads)
         v = _split_heads(x_in @ layer.wv, batch, heads)
         scores = q @ k.transpose(0, 1, 3, 2)
@@ -352,7 +366,7 @@ def forward(
         context = _merge_heads(probs @ v)
         attn_out = context @ layer.wo
         attn_dropped, attn_keep = _dropout(attn_out, rate, rng)
-        attn_dropped += x_in
+        attn_dropped += x_q
         x1, ln1_cache = _layer_norm(attn_dropped, layer.ln1_gain, layer.ln1_bias, eps)
         hidden = x1 @ layer.w1
         tanh = _gelu_tanh(hidden)
@@ -366,6 +380,7 @@ def forward(
             cache["layers"].append(
                 {
                     "x_in": x_in,
+                    "x_q": x_q,
                     "q": q,
                     "k": k,
                     "v": v,
@@ -382,7 +397,8 @@ def forward(
                 }
             )
 
-    cls_vector = x.reshape(batch, seq, -1)[:, 0, :]
+    # one row per sequence: the [CLS] hidden state
+    cls_vector = x
     logits = cls_vector @ params.head_w + params.head_b
     _check_finite(logits, "classifier logits")
     if want_cache:
@@ -426,8 +442,6 @@ def backward(
         raise ConfigError("backward needs the cache from forward(want_cache=True)")
     heads = config.num_heads
     scale = 1.0 / math.sqrt(config.head_size)
-    hidden_size = config.hidden_size
-    ffn_size = config.feedforward_size
     seq = cache["seq"]
     # the embeddings are scattered into; every other gradient is assigned whole
     grads: dict[str, np.ndarray] = {
@@ -440,13 +454,9 @@ def backward(
     grads["head_w"] = cls_vector.T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
 
-    # gradient flows into position 0 of the final hidden states only
+    # the head's gradient reaches the last layer's one query row per sequence
     batch = dlogits.shape[0]
-    dx = np.zeros((batch * seq, hidden_size), dtype=dlogits.dtype)
-    dx[::seq] = dlogits @ params.head_w.T
-
-    def rows_times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return (a.reshape(batch, seq, -1) @ w.T).reshape(batch * seq, -1)
+    dx = dlogits @ params.head_w.T
 
     for index in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[index]
@@ -457,46 +467,46 @@ def backward(
         grads[prefix + "ln2_gain"] = dg2
         grads[prefix + "ln2_bias"] = db2
         dffn = dy2 if c["ffn_keep"] is None else dy2 * c["ffn_keep"]
-        dx1 = dy2.copy()
 
         grads[prefix + "w2"] = c["activated"].T @ dffn
-        dactivated = rows_times(dffn, layer.w2)
-        dhidden = dactivated * _gelu_grad(c["hidden"], c["tanh"])
+        dhidden = dffn @ layer.w2.T
+        dhidden *= _gelu_grad(c["hidden"], c["tanh"])
         grads[prefix + "w1"] = c["x1"].T @ dhidden
-        dx1 += rows_times(dhidden, layer.w1)
+        dx1 = dhidden @ layer.w1.T
+        dx1 += dy2
 
         dy1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
         grads[prefix + "ln1_gain"] = dg1
         grads[prefix + "ln1_bias"] = db1
         dattn = dy1 if c["attn_keep"] is None else dy1 * c["attn_keep"]
-        dx_in = dy1.copy()
 
         grads[prefix + "wo"] = c["context"].T @ dattn
-        dcontext = _split_heads(rows_times(dattn, layer.wo), batch, heads)
+        dcontext = _split_heads(dattn @ layer.wo.T, batch, heads)
         dprobs = dcontext @ c["v"].transpose(0, 1, 3, 2)
         dv = c["probs"].transpose(0, 1, 3, 2) @ dcontext
         # softmax backward; padded positions have prob 0 and get no gradient
         probs = c["probs"]
-        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-        dq = (dscores @ c["k"]) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
-
-        dq_m = _merge_heads(dq)
-        dk_m = _merge_heads(dk)
+        dscores = dprobs
+        dscores -= np.sum(dprobs * probs, axis=-1, keepdims=True)
+        dscores *= probs
+        dscores *= scale
+        dq_m = _merge_heads(dscores @ c["k"])
+        dk_m = _merge_heads(dscores.transpose(0, 1, 3, 2) @ c["q"])
         dv_m = _merge_heads(dv)
-        x_in = c["x_in"]
-        grads[prefix + "wq"] = x_in.T @ dq_m
-        grads[prefix + "wk"] = x_in.T @ dk_m
-        grads[prefix + "wv"] = x_in.T @ dv_m
-        dx_in += (
-            rows_times(dq_m, layer.wq)
-            + rows_times(dk_m, layer.wk)
-            + rows_times(dv_m, layer.wv)
-        )
-        dx = dx_in
+
+        grads[prefix + "wq"] = c["x_q"].T @ dq_m
+        grads[prefix + "wk"] = c["x_in"].T @ dk_m
+        grads[prefix + "wv"] = c["x_in"].T @ dv_m
+        dx = dk_m @ layer.wk.T
+        dx += dv_m @ layer.wv.T
+        # the query rows and the residual are each sequence's first rows
+        dx_q = dq_m @ layer.wq.T
+        dx_q += dy1
+        rows = dx_q.shape[0] // batch
+        dx.reshape(batch, seq, -1)[:, :rows] += dx_q.reshape(batch, rows, -1)
 
     dembed = dx if cache["emb_keep"] is None else dx * cache["emb_keep"]
-    dembed = dembed.reshape(batch, seq, hidden_size)
+    dembed = dembed.reshape(batch, seq, -1)
     grads["position_embedding"][:seq] = dembed.sum(axis=0)
     np.add.at(grads["token_embedding"], cache["ids"], dembed)
     return grads

@@ -3,8 +3,9 @@
 The pipeline is a fixed stage sequence — ingest → review → label → train →
 eval → viz — driven by one key=value config file.  Every stage reads its
 predecessor's artifacts from the output directory, writes its own, and drops
-a ``<stage>.manifest.json`` recording SHA-256 hashes of the exact inputs and
-outputs plus a hash of the effective settings.  Artifacts are rendered and
+a ``<stage>.manifest.json`` (``train_<model>.manifest.json`` for ``train``)
+recording SHA-256 hashes of the exact inputs and outputs plus a hash of the
+effective settings.  Artifacts are rendered and
 written by :mod:`ppkmsent.artifacts`, so reruns with unchanged inputs and
 seed are byte-identical.
 """
@@ -338,7 +339,9 @@ def _write_manifest(
     stage: str,
     inputs: dict[str, Path],
     outputs: list[Path],
+    name: str | None = None,
 ) -> Path:
+    """Write ``<name>.manifest.json``, ``name`` defaulting to the stage."""
     settings = config.settings_dump().encode("utf-8")
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
@@ -347,7 +350,8 @@ def _write_manifest(
         "inputs": {n: artifacts.sha256_file(p) for n, p in sorted(inputs.items())},
         "outputs": {p.name: artifacts.sha256_file(p) for p in outputs},
     }
-    return artifacts.write_json(manifest, config.output_dir / f"{stage}.manifest.json")
+    path = config.output_dir / f"{name or stage}.manifest.json"
+    return artifacts.write_json(manifest, path)
 
 
 def document_to_json(doc: Document, score: int | None = None) -> dict:
@@ -696,7 +700,10 @@ def run_train(config: PipelineConfig) -> list[Path]:
     inputs = {LABELED_FILE: config.output_dir / LABELED_FILE}
     inputs.update(spec.train(config, train_docs, val_docs))
     outputs = [config.output_dir / name for name in (spec.file, *spec.train_outputs)]
-    outputs.append(_write_manifest(config, "train", inputs, outputs))
+    # one manifest per model, so models trained into one directory keep theirs
+    outputs.append(
+        _write_manifest(config, "train", inputs, outputs, f"train_{config.model}")
+    )
     logger.info(
         "train: fitted %s on %d documents (validation %d)",
         config.model,

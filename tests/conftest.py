@@ -44,12 +44,16 @@ def separable_fixture() -> list[Document]:
     return neg + neu + pos
 
 
-def encoder_gradient_check() -> dict[str, float]:
+def encoder_gradient_check(
+    num_layers: int = 1, num_heads: int = 1
+) -> dict[str, float]:
     """Compare analytic encoder gradients against central finite differences.
 
-    Runs a one-layer, one-head, 4-wide encoder on a fixed two-sequence
-    batch and returns the relative error per parameter tensor, where the
-    relative error is ||g_a - g_n|| / max(||g_a|| + ||g_n||, 1e-12).
+    Runs a 4-wide encoder (one layer and one head by default) on a fixed
+    two-sequence batch whose second row ends in padding, and returns the
+    relative error per parameter tensor, where the relative error is
+    ||g_a - g_n|| / max(||g_a|| + ||g_n||, 1e-12).  With two or more layers
+    the inner layers run on every position and the last on [CLS] alone.
 
     At the standard init scale (std 0.02) the attention-projection
     gradients sit near 3e-9, below what float64 central differences can
@@ -62,8 +66,8 @@ def encoder_gradient_check() -> dict[str, float]:
     from ppkmsent.encoder.model import backward, cross_entropy, forward, init_params
 
     config = EncoderConfig(
-        num_layers=1,
-        num_heads=1,
+        num_layers=num_layers,
+        num_heads=num_heads,
         hidden_size=4,
         feedforward_size=8,
         max_sequence_length=4,

@@ -461,7 +461,10 @@ def test_12_end_to_end_determinism(capsys, tmp_path):
         names_b = sorted(p.name for p in out_b.iterdir())
         assert names_a == names_b
         manifests = [n for n in names_a if n.endswith(".manifest.json")]
-        assert len(manifests) == 5  # ingest, label, train, eval, viz
+        assert manifests == [
+            f"{stage}.manifest.json"
+            for stage in ("eval", "ingest", "label", "train_mnb", "train_svm", "viz")
+        ]
         assert "mnb_model.json" in names_a
         assert "svm_model.json" in names_a
         assert "metrics_mnb.json" in names_a

@@ -373,7 +373,8 @@ class TestAttention:
         )
         (layer,) = result.cache["layers"]
         probs = layer["probs"]
-        assert probs.shape == (2, 1, 4, 4)
+        # the only layer is the last: the [CLS] query attends to every key
+        assert probs.shape == (2, 1, 1, 4)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         # sequence 1 has its last key masked
         assert float(np.max(probs[1, :, :, 3])) < 1e-9
@@ -402,7 +403,7 @@ class TestAttention:
         )
         (layer,) = result.cache["layers"]
         probs = layer["probs"]
-        assert probs.shape == (1, 2, 4, 4)
+        assert probs.shape == (1, 2, 1, 4)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_appending_padding_leaves_logits_unchanged(self):
@@ -458,6 +459,80 @@ class TestAttention:
         flat = forward(np.array([2, 4, 5, 3]), np.ones(4), params, config)
         batched = forward(np.array([[2, 4, 5, 3]]), np.ones((1, 4)), params, config)
         assert np.array_equal(flat.logits, batched.logits)
+
+
+class TestClsOnlyLastLayer:
+    """The head reads position 0 alone, so the last layer computes the
+    [CLS] query row only; inner layers run on every position."""
+
+    def mixed_batch(self):
+        config = tiny_config(
+            num_layers=3, num_heads=2, hidden_size=8, max_sequence_length=6
+        )
+        ids = np.array([[2, 4, 5, 6, 7, 3], [2, 8, 3, 0, 0, 0], [2, 3, 0, 0, 0, 0]])
+        return config, ids, (ids != PAD_ID).astype(np.float64)
+
+    def test_last_layer_caches_one_query_row(self):
+        config, ids, mask = self.mixed_batch()
+        params = init_params(config, seed=0)
+        result = forward(ids, mask, params, config, want_cache=True)
+        *inner, last = result.cache["layers"]
+        for layer in inner:
+            assert layer["probs"].shape == (3, 2, 6, 6)
+            assert layer["x_in"].shape == layer["x1"].shape == (18, 8)
+        assert last["probs"].shape == (3, 2, 1, 6)
+        assert last["x_in"].shape == (18, 8)
+        assert last["x_q"].shape == last["x1"].shape == (3, 8)
+        assert last["hidden"].shape == (3, config.feedforward_size)
+        assert result.cache["cls_vector"].shape == (3, 8)
+        # padded keys get no weight in the last layer either
+        assert float(np.max(last["probs"][1, :, :, 3:])) == 0.0
+        assert float(np.max(last["probs"][2, :, :, 2:])) == 0.0
+
+    def test_logits_equal_a_full_rows_reference(self):
+        config, ids, mask = self.mixed_batch()
+        params = init_params(config, seed=4, dtype=np.float64)
+        for name, tensor in params.named_tensors():
+            if not name.endswith(("_gain", "_bias", "head_b")):
+                tensor *= 25.0
+        got = forward(ids, mask, params, config).logits
+        want = full_rows_reference_logits(ids, mask, params, config)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the reference is not degenerate: the rows' logits differ
+        assert np.ptp(want, axis=0).min() > 1e-3
+
+
+def full_rows_reference_logits(ids, mask, params, config):
+    """Eval-mode logits with every layer computed at every position, in
+    the (batch, seq, hidden) layout, as a plain reading of the model."""
+    batch, seq = ids.shape
+    heads, size = config.num_heads, config.head_size
+    eps = config.layer_norm_eps
+
+    def split(t):
+        return t.reshape(batch, seq, heads, size).transpose(0, 2, 1, 3)
+
+    def layer_norm(t, gain, bias):
+        centred = t - t.mean(axis=-1, keepdims=True)
+        variance = (centred**2).mean(axis=-1, keepdims=True)
+        return centred / np.sqrt(variance + eps) * gain + bias
+
+    def gelu(t):
+        c = math.sqrt(2.0 / math.pi)
+        return 0.5 * t * (1.0 + np.tanh(c * (t + 0.044715 * t**3)))
+
+    x = params.token_embedding[ids] + params.position_embedding[:seq]
+    for layer in params.layers:
+        scores = split(x @ layer.wq) @ split(x @ layer.wk).transpose(0, 1, 3, 2)
+        scores = np.where(
+            mask[:, None, None, :] > 0, scores / math.sqrt(size), -np.inf
+        )
+        context = softmax(scores) @ split(x @ layer.wv)
+        attn = context.transpose(0, 2, 1, 3).reshape(batch, seq, -1) @ layer.wo
+        x1 = layer_norm(x + attn, layer.ln1_gain, layer.ln1_bias)
+        ffn = gelu(x1 @ layer.w1) @ layer.w2
+        x = layer_norm(x1 + ffn, layer.ln2_gain, layer.ln2_bias)
+    return x[:, 0] @ params.head_w + params.head_b
 
 
 def python_reference_forward(ids, mask, params, config):
@@ -681,6 +756,15 @@ class TestGradientCheck:
         worst = max(errors.values())
         assert worst < 1e-4, errors
 
+    def test_two_layers_two_heads_match_finite_differences(self):
+        # layer 0 runs on every position and layer 1 on [CLS] alone
+        errors = encoder_gradient_check(num_layers=2, num_heads=2)
+        # the four embedding and head tensors and ten per layer
+        assert len(errors) == 4 + 2 * 10
+        assert {"layers.0.wq", "layers.1.wq", "layers.1.ln2_bias"} <= set(errors)
+        worst = max(errors.values())
+        assert worst < 1e-4, errors
+
 
 class TestFineTune:
     def setup_training(self, **profile_overrides):
@@ -779,9 +863,9 @@ class TestTrainingStep:
         return docs, vocab, config, profile
 
     def test_weights_match_the_pinned_digest(self):
-        # the digest of the float32 weights that training in float32 first
-        # gave, under numpy 2.4 and OpenBLAS 0.3 on x86-64, where other SIMD
-        # kernels for exp/tanh or matmul may round differently
+        # the digest of the float32 weights that training with the [CLS]-only
+        # last layer first gave, under numpy 2.4 and OpenBLAS 0.3 on x86-64,
+        # where other SIMD kernels for exp/tanh or matmul may round differently
         docs, vocab, config, profile = self.setup_training()
         params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
         digest = hashlib.sha256()
@@ -790,12 +874,12 @@ class TestTrainingStep:
             digest.update(name.encode())
             digest.update(tensor.tobytes())
         assert digest.hexdigest() == (
-            "8d553caa36e1d53da3de699bc209d67568aca22916849d9807808008191adc88"
+            "426f03988225e4b195169e68724c604b956431dd933b79ff88a7dfe7a9a66f81"
         )
 
     def test_float64_params_keep_the_float64_digest(self, monkeypatch):
-        # the same code on float64 params gives the weights that training in
-        # float64 gave before float32 became the default, bit for bit
+        # the same code on float64 params gives the float64 weights that
+        # training with the [CLS]-only last layer first gave, bit for bit
         monkeypatch.setattr(
             encoder_train,
             "init_params",
@@ -809,7 +893,7 @@ class TestTrainingStep:
             digest.update(name.encode())
             digest.update(tensor.tobytes())
         assert digest.hexdigest() == (
-            "937796518b6aefd7ca3012551d54aa55a5b451a6ef180a9410e616fb9a683111"
+            "7067b9500571e4dae46e11e1e892e3b1159bde4a6b7e82e153849fc265ba9116"
         )
 
     def test_one_forward_per_batch_and_one_backward_per_train_batch(
@@ -865,9 +949,10 @@ class TestTrainingStep:
             assert result.logits.dtype == dtype
             ids_array, *arrays = cache_arrays(result.cache)
             assert ids_array is result.cache["ids"]
-            # the embedding keep mask, cls_vector and 18 per layer, the
-            # attention and feed-forward keep masks and GELU's tanh among them
-            assert len(arrays) == 2 + 18 * config.num_layers
+            # the embedding keep mask, cls_vector and 19 per layer, the
+            # attention and feed-forward keep masks, the query rows and
+            # GELU's tanh among them
+            assert len(arrays) == 2 + 19 * config.num_layers
             for array in arrays:
                 assert array.dtype == dtype, array.shape
             _, dlogits = cross_entropy(result.logits, labels)

@@ -602,11 +602,28 @@ class TestTrainStage:
             "bert.ckpt",
             pipeline.BERT_VOCAB_FILE,
             pipeline.HISTORY_FILE,
-            "train.manifest.json",
+            "train_bert.manifest.json",
         } <= names
         history = (config.output_dir / pipeline.HISTORY_FILE).read_text()
         assert history.startswith("# batch_size=16 epochs=2 learning_rate=0.001\n")
         assert history.count("\n") == 2 + 2  # comment + header + one row per epoch
+
+    def test_each_model_keeps_its_own_train_manifest(self, tmp_path):
+        write_labeled_corpus(tmp_path / "out")
+        for model in pipeline.MODELS:
+            overrides = TINY_BERT if model == "bert" else {"model": model}
+            pipeline.run_train(make_config(tmp_path, **overrides, **EVEN_SPLIT))
+        out = tmp_path / "out"
+        assert not (out / "train.manifest.json").exists()
+        assert sorted(p.name for p in out.glob("train*.manifest.json")) == sorted(
+            f"train_{model}.manifest.json" for model in pipeline.MODELS
+        )
+        for model, spec in pipeline.MODELS.items():
+            manifest = json.loads((out / f"train_{model}.manifest.json").read_text())
+            assert manifest["stage"] == "train"
+            assert manifest["outputs"][spec.file] == sha256_file(out / spec.file)
+            other_files = {s.file for m, s in pipeline.MODELS.items() if m != model}
+            assert not other_files & set(manifest["outputs"])
 
     def test_empty_training_split_rejected(self, tmp_path):
         config = make_config(
