@@ -5,9 +5,9 @@ eval → viz — driven by one key=value config file.  Every stage reads its
 predecessor's artifacts from the output directory, writes its own, and drops
 a ``<stage>.manifest.json`` (``train_<model>.manifest.json`` for ``train``)
 recording SHA-256 hashes of the exact inputs and outputs plus a hash of the
-effective settings.  Artifacts are rendered and
-written by :mod:`ppkmsent.artifacts`, so reruns with unchanged inputs and
-seed are byte-identical.
+effective settings.  Artifacts are rendered and written by
+:mod:`ppkmsent.artifacts`, so reruns with unchanged inputs and seed are
+byte-identical.
 """
 
 from __future__ import annotations
