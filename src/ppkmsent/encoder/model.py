@@ -6,14 +6,23 @@ attention and a GELU feed-forward sublayer (each followed by residual add and
 layer norm), then an affine classification head over the position-0 hidden
 state.  The attention/feed-forward projections carry no bias terms.
 
-The blocks run on 2-D token rows ``(batch * seq, hidden)``, so every
-projection and weight gradient is one GEMM; only the attention products use
-the ``(batch, heads, seq, head_size)`` layout.  The head reads position 0
-(``[CLS]``) alone, so the last layer computes that row only: its keys and
-values come from every position, but its query, attention output, residual,
-layer norms, feed-forward and both dropouts act on one row per sequence, and
-dropout draws randoms for that row only.  Each layer's query rows are thus a
-prefix of each sequence: every position for inner layers, one for the last.
+Per-token work runs on the batch's real tokens only.  Between layers the
+residual stream holds the real-token rows ``(n_real, hidden)``, packed in
+(sequence, position) order, so the embeddings, every projection and weight
+gradient (one GEMM each), the layer norms, the GELU feed-forward, the
+residual adds and the dropout multiplies skip padding.  Attention runs at
+the batch width: keys and values are scattered into the ``(batch, heads,
+seq, head_size)`` layout with zero rows at padded positions, which stay
+masked keys, and an inner layer's contexts are gathered back to the real
+rows.  The head reads position 0 (``[CLS]``) alone, so the last layer
+queries that row only: its query, attention output, residual, layer norms,
+feed-forward and both dropouts act on one row per sequence.
+
+Dropout draws exactly the randoms it would draw on padded rows: a
+``(batch * seq, hidden)`` array at the embedding and at each inner-layer
+site, of which the real rows are kept, and ``(batch, hidden)`` at the last
+layer.  The random stream, and with it every later shuffle, therefore does
+not depend on the packing.
 
 Inputs may have any width up to ``max_sequence_length``.  Padded key
 positions are masked out of attention, so trailing padding never changes
@@ -106,6 +115,30 @@ class EncoderParams:
         rest = {f.name: tensors[f.name] for f in fields(cls) if f.name != "layers"}
         return cls(layers=layers, **rest)
 
+    def rebind(self, tensors: Mapping[str, np.ndarray]) -> None:
+        """Make every tensor the same-named array of ``tensors`` (not a
+        copy), as ``from_named`` would."""
+        rebuilt = self.from_named(tensors, len(self.layers))
+        for f in fields(self):
+            setattr(self, f.name, getattr(rebuilt, f.name))
+
+
+class FlatTensors(dict):
+    """Named tensors that are consecutive views of one zeroed buffer, ``flat``.
+
+    The names, shapes and order come from a ``param_shapes`` table, so one
+    elementwise pass over ``flat`` acts on every tensor.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], dtype: DTypeLike):
+        super().__init__()
+        self.flat = np.zeros(sum(math.prod(s) for s in shapes.values()), dtype)
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self[name] = self.flat[start:stop].reshape(shape)
+            start = stop
+
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter tensor of ``config``'s encoder.
@@ -187,7 +220,11 @@ def init_params(
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``: ``exp(x - max) / sum(...)``."""
-    out = x - np.max(x, axis=axis, keepdims=True)
+    # the max is exact, so it is taken as an elementwise maximum over a
+    # contiguous copy with ``axis`` first: numpy reduces a short last axis
+    # several times slower
+    top = np.ascontiguousarray(np.moveaxis(x, axis, 0)).max(axis=0)
+    out = x - np.expand_dims(top, axis)
     np.exp(out, out=out)
     out /= np.sum(out, axis=axis, keepdims=True)
     return out
@@ -245,21 +282,22 @@ def _layer_norm(
 
 
 def _layer_norm_backward(
-    dout: np.ndarray, cache: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients at the input, gain and bias of ``_layer_norm`` over rows:
+    dout: np.ndarray, cache: dict, dgain: np.ndarray, dbias: np.ndarray
+) -> np.ndarray:
+    """Gradient at the input of ``_layer_norm`` over rows,
     ``inv * (dnorm - mean(dnorm) - normalized * mean(dnorm * normalized))``
-    with ``dnorm = dout * gain``."""
+    with ``dnorm = dout * gain``; the gain and bias gradients are written
+    into ``dgain`` and ``dbias``."""
     normalized = cache["normalized"]
     n = dout.shape[-1]
-    dgain = np.sum(dout * normalized, axis=0)
-    dbias = np.sum(dout, axis=0)
+    np.sum(dout * normalized, axis=0, out=dgain)
+    np.sum(dout, axis=0, out=dbias)
     dx = dout * cache["gain"]
     mean_proj = (dx * normalized).sum(axis=-1, keepdims=True) / n
     dx -= dx.sum(axis=-1, keepdims=True) / n
     dx -= normalized * mean_proj
     dx *= cache["inv"]
-    return dx, dgain, dbias
+    return dx
 
 
 def _split_heads(x: np.ndarray, batch: int, num_heads: int) -> np.ndarray:
@@ -276,15 +314,34 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(batch * seq, heads * head_size)
 
 
+def _scatter(x: np.ndarray, rows: np.ndarray, total: int) -> np.ndarray:
+    """``x`` as the rows ``rows`` of a ``total``-row array of zeros."""
+    out = np.zeros((total, x.shape[1]), x.dtype)
+    out[rows] = x
+    return out
+
+
 def _dropout(
-    x: np.ndarray, rate: float, rng: np.random.Generator | None
+    x: np.ndarray,
+    rate: float,
+    rng: np.random.Generator | None,
+    real: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout; returns the rescaled keep mask for the backward pass."""
+    """Inverted dropout; returns the rescaled keep mask for the backward pass.
+
+    When ``x`` holds the rows of a padded array that the boolean row mask
+    ``real`` marks, the randoms are drawn for the whole padded array and
+    those rows kept, so the stream does not depend on the padding.
+    """
     if rate <= 0.0:
         return x, None
     if rng is None:
         raise ConfigError("training-mode forward with dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    if real is None:
+        draws = rng.random(x.shape)
+    else:
+        draws = rng.random((real.shape[0], x.shape[1]))[real]
+    keep = (draws >= rate).astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
 
 
@@ -341,38 +398,59 @@ def forward(
     eps = config.layer_norm_eps
     heads = config.num_heads
     scale = 1.0 / math.sqrt(config.head_size)
+    padded = batch * seq
+    # the real tokens as rows of the padded (batch * seq) layout; position 0
+    # is real in every sequence, so cls indexes each one's [CLS] packed row
+    real = mask.astype(bool).ravel()
+    rows = np.flatnonzero(real)
+    cls = np.flatnonzero(rows % seq == 0)
     # padded keys, shared by every layer and head
-    pad_keys = ~mask.astype(bool)[:, None, None, :]
+    pad_keys = ~real.reshape(batch, 1, 1, seq)
 
-    embedded = params.token_embedding[ids]
-    embedded += params.position_embedding[:seq]
-    x, emb_keep = _dropout(embedded.reshape(batch * seq, -1), rate, rng)
+    token_ids = ids.ravel()[rows]
+    embedded = params.token_embedding[token_ids]
+    embedded += params.position_embedding[rows % seq]
+    x, emb_keep = _dropout(embedded, rate, rng, real)
 
-    cache: dict = {"ids": ids, "emb_keep": emb_keep, "layers": []}
+    cache: dict = {
+        "ids": token_ids,
+        "rows": rows,
+        "cls": cls,
+        "emb_keep": emb_keep,
+        "layers": [],
+    }
     last = len(params.layers) - 1
     for index, layer in enumerate(params.layers):
-        # the head reads position 0 alone, so the last layer's query rows are
-        # that prefix of each sequence; keys and values span every position
-        rows = 1 if index == last else seq
+        # the head reads [CLS] alone, so the last layer queries that row of
+        # each sequence; inner layers query every real row
         x_in = x
-        x_q = x_in.reshape(batch, seq, -1)[:, :rows].reshape(batch * rows, -1)
-        q = _split_heads(x_q @ layer.wq, batch, heads)
-        k = _split_heads(x_in @ layer.wk, batch, heads)
-        v = _split_heads(x_in @ layer.wv, batch, heads)
+        x_q = x_in[cls] if index == last else x_in
+        q = x_q @ layer.wq
+        if index != last:
+            q = _scatter(q, rows, padded)
+        q = _split_heads(q, batch, heads)
+        k = _split_heads(_scatter(x_in @ layer.wk, rows, padded), batch, heads)
+        v = _split_heads(_scatter(x_in @ layer.wv, rows, padded), batch, heads)
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= scale
         np.copyto(scores, -np.inf, where=pad_keys)
         probs = softmax(scores, axis=-1)
         context = _merge_heads(probs @ v)
+        if index != last:
+            context = context[rows]
         attn_out = context @ layer.wo
-        attn_dropped, attn_keep = _dropout(attn_out, rate, rng)
+        attn_dropped, attn_keep = _dropout(
+            attn_out, rate, rng, None if index == last else real
+        )
         attn_dropped += x_q
         x1, ln1_cache = _layer_norm(attn_dropped, layer.ln1_gain, layer.ln1_bias, eps)
         hidden = x1 @ layer.w1
         tanh = _gelu_tanh(hidden)
         activated = _gelu(hidden, tanh)
         ffn_out = activated @ layer.w2
-        ffn_dropped, ffn_keep = _dropout(ffn_out, rate, rng)
+        ffn_dropped, ffn_keep = _dropout(
+            ffn_out, rate, rng, None if index == last else real
+        )
         ffn_dropped += x1
         x, ln2_cache = _layer_norm(ffn_dropped, layer.ln2_gain, layer.ln2_bias, eps)
         _check_finite(x, f"output of encoder layer {index}")
@@ -432,8 +510,9 @@ def backward(
     params: EncoderParams,
     config: EncoderConfig,
     cache: dict,
-) -> dict[str, np.ndarray]:
-    """Gradients of the loss for every parameter tensor.
+) -> FlatTensors:
+    """Gradients of the loss for every parameter tensor, as views of one
+    buffer in ``param_shapes`` order.
 
     ``cache`` must come from a ``forward`` call with ``want_cache=True`` on
     the same batch; ``dlogits`` is the loss gradient at the logits.
@@ -442,46 +521,47 @@ def backward(
         raise ConfigError("backward needs the cache from forward(want_cache=True)")
     heads = config.num_heads
     scale = 1.0 / math.sqrt(config.head_size)
-    seq = cache["seq"]
-    # the embeddings are scattered into; every other gradient is assigned whole
-    grads: dict[str, np.ndarray] = {
-        "token_embedding": np.zeros_like(params.token_embedding),
-        "position_embedding": np.zeros_like(params.position_embedding),
-    }
+    seq, rows, cls = cache["seq"], cache["rows"], cache["cls"]
+    # every gradient is written into its view; the embeddings are added into
+    grads = FlatTensors(param_shapes(config), params.token_embedding.dtype)
 
     dlogits = np.atleast_2d(dlogits)
-    cls_vector = cache["cls_vector"]
-    grads["head_w"] = cls_vector.T @ dlogits
-    grads["head_b"] = dlogits.sum(axis=0)
+    np.matmul(cache["cls_vector"].T, dlogits, out=grads["head_w"])
+    np.sum(dlogits, axis=0, out=grads["head_b"])
 
     # the head's gradient reaches the last layer's one query row per sequence
     batch = dlogits.shape[0]
+    padded = batch * seq
     dx = dlogits @ params.head_w.T
 
-    for index in range(len(params.layers) - 1, -1, -1):
+    last = len(params.layers) - 1
+    for index in range(last, -1, -1):
         layer = params.layers[index]
         c = cache["layers"][index]
         prefix = f"layers.{index}."
 
-        dy2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
-        grads[prefix + "ln2_gain"] = dg2
-        grads[prefix + "ln2_bias"] = db2
+        dy2 = _layer_norm_backward(
+            dx, c["ln2"], grads[prefix + "ln2_gain"], grads[prefix + "ln2_bias"]
+        )
         dffn = dy2 if c["ffn_keep"] is None else dy2 * c["ffn_keep"]
 
-        grads[prefix + "w2"] = c["activated"].T @ dffn
+        np.matmul(c["activated"].T, dffn, out=grads[prefix + "w2"])
         dhidden = dffn @ layer.w2.T
         dhidden *= _gelu_grad(c["hidden"], c["tanh"])
-        grads[prefix + "w1"] = c["x1"].T @ dhidden
+        np.matmul(c["x1"].T, dhidden, out=grads[prefix + "w1"])
         dx1 = dhidden @ layer.w1.T
         dx1 += dy2
 
-        dy1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
-        grads[prefix + "ln1_gain"] = dg1
-        grads[prefix + "ln1_bias"] = db1
+        dy1 = _layer_norm_backward(
+            dx1, c["ln1"], grads[prefix + "ln1_gain"], grads[prefix + "ln1_bias"]
+        )
         dattn = dy1 if c["attn_keep"] is None else dy1 * c["attn_keep"]
 
-        grads[prefix + "wo"] = c["context"].T @ dattn
-        dcontext = _split_heads(dattn @ layer.wo.T, batch, heads)
+        np.matmul(c["context"].T, dattn, out=grads[prefix + "wo"])
+        dcontext = dattn @ layer.wo.T
+        if index != last:
+            dcontext = _scatter(dcontext, rows, padded)
+        dcontext = _split_heads(dcontext, batch, heads)
         dprobs = dcontext @ c["v"].transpose(0, 1, 3, 2)
         dv = c["probs"].transpose(0, 1, 3, 2) @ dcontext
         # softmax backward; padded positions have prob 0 and get no gradient
@@ -490,23 +570,30 @@ def backward(
         dscores -= np.sum(dprobs * probs, axis=-1, keepdims=True)
         dscores *= probs
         dscores *= scale
+        # back to the real rows: every key and value row, and the query rows
         dq_m = _merge_heads(dscores @ c["k"])
-        dk_m = _merge_heads(dscores.transpose(0, 1, 3, 2) @ c["q"])
-        dv_m = _merge_heads(dv)
+        if index != last:
+            dq_m = dq_m[rows]
+        dk_m = _merge_heads(dscores.transpose(0, 1, 3, 2) @ c["q"])[rows]
+        dv_m = _merge_heads(dv)[rows]
 
-        grads[prefix + "wq"] = c["x_q"].T @ dq_m
-        grads[prefix + "wk"] = c["x_in"].T @ dk_m
-        grads[prefix + "wv"] = c["x_in"].T @ dv_m
+        np.matmul(c["x_q"].T, dq_m, out=grads[prefix + "wq"])
+        np.matmul(c["x_in"].T, dk_m, out=grads[prefix + "wk"])
+        np.matmul(c["x_in"].T, dv_m, out=grads[prefix + "wv"])
         dx = dk_m @ layer.wk.T
         dx += dv_m @ layer.wv.T
-        # the query rows and the residual are each sequence's first rows
+        # the query rows and the residual: every real row, or the [CLS] rows
         dx_q = dq_m @ layer.wq.T
         dx_q += dy1
-        rows = dx_q.shape[0] // batch
-        dx.reshape(batch, seq, -1)[:, :rows] += dx_q.reshape(batch, rows, -1)
+        if index == last:
+            dx[cls] += dx_q
+        else:
+            dx += dx_q
 
     dembed = dx if cache["emb_keep"] is None else dx * cache["emb_keep"]
-    dembed = dembed.reshape(batch, seq, -1)
-    grads["position_embedding"][:seq] = dembed.sum(axis=0)
+    # summing the padded layout over the batch adds each position's rows in
+    # batch order, as np.add.at would, at a fraction of its cost
+    dpadded = _scatter(dembed, rows, padded).reshape(batch, seq, -1)
+    np.sum(dpadded, axis=0, out=grads["position_embedding"][:seq])
     np.add.at(grads["token_embedding"], cache["ids"], dembed)
     return grads

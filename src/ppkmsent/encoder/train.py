@@ -12,6 +12,7 @@ import numpy as np
 from ppkmsent.encoder.config import EncoderConfig, TrainProfile
 from ppkmsent.encoder.model import (
     EncoderParams,
+    FlatTensors,
     backward,
     cross_entropy,
     forward,
@@ -44,52 +45,58 @@ class EpochStats:
 
 
 class _AdamState:
-    """First/second moment accumulators for every named tensor."""
+    """Adam's step count and moments, with the weights they update.
+
+    The weights, m and v are each one :class:`FlatTensors` buffer in the
+    params' tensor order, and ``params`` is rebound to views of the weights'
+    buffer, so one elementwise pass updates every tensor.
+    """
 
     def __init__(self, params: EncoderParams) -> None:
         self.step = 0
-        self.m = {name: np.zeros_like(t) for name, t in params.named_tensors()}
-        self.v = {name: np.zeros_like(t) for name, t in params.named_tensors()}
+        shapes = {name: t.shape for name, t in params.named_tensors()}
+        dtype = params.token_embedding.dtype
+        self.weights = FlatTensors(shapes, dtype)
+        for name, tensor in params.named_tensors():
+            self.weights[name][...] = tensor
+        params.rebind(self.weights)
+        self.m = FlatTensors(shapes, dtype)
+        self.v = FlatTensors(shapes, dtype)
 
 
-def _adam_step(
-    params: EncoderParams,
-    grads: dict[str, np.ndarray],
-    state: _AdamState,
-    profile: TrainProfile,
-) -> None:
-    """Adam update of every tensor in place, bit-equal to the textbook formula
-    operation for operation; each gradient is overwritten as scratch space."""
+def _adam_step(grads: FlatTensors, state: _AdamState, profile: TrainProfile) -> None:
+    """Adam update of every weight in place, bit-equal to the textbook formula
+    operation for operation; the gradients are overwritten as scratch space.
+    ``grads`` has the weights' layout, as ``backward`` returns it."""
     state.step += 1
     beta1, beta2 = profile.adam_beta1, profile.adam_beta2
     correction1 = 1.0 - beta1**state.step
     correction2 = 1.0 - beta2**state.step
-    for name, tensor in params.named_tensors():
-        g = grads[name]
-        m, v = state.m[name], state.v[name]
-        scratch = np.multiply(g, 1.0 - beta1)
-        m *= beta1
-        m += scratch
-        np.square(g, out=g)
-        g *= 1.0 - beta2
-        v *= beta2
-        v += g
-        # g becomes lr * m_hat and scratch sqrt(v_hat) + eps
-        np.divide(m, correction1, out=g)
-        g *= profile.learning_rate
-        np.divide(v, correction2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += profile.adam_epsilon
-        g /= scratch
-        tensor -= g
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    scratch = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += scratch
+    np.square(g, out=g)
+    g *= 1.0 - beta2
+    v *= beta2
+    v += g
+    # g becomes lr * m_hat and scratch sqrt(v_hat) + eps
+    np.divide(m, correction1, out=g)
+    g *= profile.learning_rate
+    np.divide(v, correction2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += profile.adam_epsilon
+    g /= scratch
+    state.weights.flat -= g
 
 
-def _check_weights_finite(params: EncoderParams, epoch: int, step: int) -> None:
-    for name, tensor in params.named_tensors():
-        if not np.isfinite(tensor).all():
-            raise TrainingDivergedError(
-                epoch, step, f"non-finite values in {name} after the update"
-            )
+def _check_weights_finite(weights: FlatTensors, epoch: int, step: int) -> None:
+    if np.isfinite(weights.flat).all():
+        return
+    name = next(name for name, t in weights.items() if not np.isfinite(t).all())
+    raise TrainingDivergedError(
+        epoch, step, f"non-finite values in {name} after the update"
+    )
 
 
 def encode_documents(
@@ -239,7 +246,7 @@ def fine_tune(
                 loss_sum += loss * rows.shape[0]
                 predicted = np.argmax(result.logits, axis=-1)
                 correct += int(np.sum(predicted == train_labels[rows]))
-                _adam_step(params, grads, state, profile)
+                _adam_step(grads, state, profile)
             train_loss = loss_sum / train_ids.shape[0]
             train_acc = correct / train_ids.shape[0]
             val_loss = val_acc = float("nan")
@@ -259,7 +266,7 @@ def fine_tune(
             else:
                 # nothing reads the weights after the epoch's last update, so
                 # check them before they are returned and checkpointed
-                _check_weights_finite(params, epoch, step)
+                _check_weights_finite(state.weights, epoch, step)
             history.append(
                 EpochStats(epoch, train_loss, train_acc, val_loss, val_acc)
             )

@@ -5,7 +5,9 @@ eval → viz — driven by one key=value config file.  Every stage reads its
 predecessor's artifacts from the output directory, writes its own, and drops
 a ``<stage>.manifest.json`` (``train_<model>.manifest.json`` for ``train``)
 recording SHA-256 hashes of the exact inputs and outputs plus a hash of the
-effective settings.  Artifacts are rendered and written by
+effective settings.  A train manifest also records the split its model was
+fitted on, and ``eval`` refuses a model whose split differs from the one the
+current config gives.  Artifacts are rendered and written by
 :mod:`ppkmsent.artifacts`, so reruns with unchanged inputs and seed are
 byte-identical.
 """
@@ -340,8 +342,10 @@ def _write_manifest(
     inputs: dict[str, Path],
     outputs: list[Path],
     name: str | None = None,
+    split: dict | None = None,
 ) -> Path:
-    """Write ``<name>.manifest.json``, ``name`` defaulting to the stage."""
+    """Write ``<name>.manifest.json``, ``name`` defaulting to the stage;
+    ``split`` is a ``_split_record``, kept under that key."""
     settings = config.settings_dump().encode("utf-8")
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
@@ -350,8 +354,55 @@ def _write_manifest(
         "inputs": {n: artifacts.sha256_file(p) for n, p in sorted(inputs.items())},
         "outputs": {p.name: artifacts.sha256_file(p) for p in outputs},
     }
+    if split is not None:
+        manifest["split"] = split
     path = config.output_dir / f"{name or stage}.manifest.json"
     return artifacts.write_json(manifest, path)
+
+
+def _split_record(config: PipelineConfig) -> dict:
+    """What decides the train/validation/test split: the split settings and
+    the SHA-256 of ``labeled.jsonl``."""
+    spec = config.split_spec()
+    return {
+        "seed": spec.seed,
+        "train_fraction": str(spec.train_fraction),
+        "validation_fraction": str(spec.validation_fraction),
+        "test_fraction": str(spec.test_fraction),
+        "stratified": spec.stratified,
+        "labeled_sha256": artifacts.sha256_file(config.output_dir / LABELED_FILE),
+    }
+
+
+def _check_train_split(config: PipelineConfig, model: str, split: dict) -> Path:
+    """The model's train manifest, after checking that it records ``split``.
+
+    Raises ConfigError naming the model and the first field that differs,
+    so that no model is scored on documents it was trained on.
+    """
+    path = config.output_dir / f"train_{model}.manifest.json"
+    if not path.is_file():
+        raise ConfigError(
+            f"{model}: {path} is missing, so the split the model was trained "
+            f"on is unknown; run train again"
+        )
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8")).get("split")
+    except (ValueError, AttributeError) as exc:
+        raise ConfigError(f"{model}: {path} is not a train manifest") from exc
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{model}: {path} records no split; run train again")
+    for field, value in split.items():
+        if recorded.get(field) != value:
+            what = (
+                f"{LABELED_FILE} has changed"
+                if field == "labeled_sha256"
+                else f"{field} was {recorded.get(field)!r}, now {value!r}"
+            )
+            raise ConfigError(
+                f"{model} was trained on another split ({what}); run train again"
+            )
+    return path
 
 
 def document_to_json(doc: Document, score: int | None = None) -> dict:
@@ -702,7 +753,14 @@ def run_train(config: PipelineConfig) -> list[Path]:
     outputs = [config.output_dir / name for name in (spec.file, *spec.train_outputs)]
     # one manifest per model, so models trained into one directory keep theirs
     outputs.append(
-        _write_manifest(config, "train", inputs, outputs, f"train_{config.model}")
+        _write_manifest(
+            config,
+            "train",
+            inputs,
+            outputs,
+            f"train_{config.model}",
+            split=_split_record(config),
+        )
     )
     logger.info(
         "train: fitted %s on %d documents (validation %d)",
@@ -728,8 +786,14 @@ def run_eval(config: PipelineConfig) -> list[Path]:
         raise StageOrderError(
             MODELS[config.model].file, "run the train stage first"
         )
-    true_labels = [doc.label for doc in test_docs]
+    # every model must have been trained on the split scored here, checked
+    # before any report is written
+    split = _split_record(config)
     inputs = {LABELED_FILE: config.output_dir / LABELED_FILE}
+    for name in available:
+        path = _check_train_split(config, name, split)
+        inputs[path.name] = path
+    true_labels = [doc.label for doc in test_docs]
     outputs: list[Path] = []
     named_reports: list[tuple[str, evaluation.MetricsReport]] = []
     for name, spec in available.items():

@@ -169,18 +169,36 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert filename in err
 
+    def test_eval_on_another_split_seed_exits_one(self, tmp_path, capsys):
+        # a model trained at seed 0 must not be scored on the seed-7 test
+        # split, most of whose documents it was trained on
+        config_path = write_setup(tmp_path)
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        seed_7 = tmp_path / "seed7.cfg"
+        seed_7.write_text(config_path.read_text() + "seed = 7\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "-c", str(seed_7)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: mnb ")
+        assert "seed was 0, now 7" in err
+        assert not (tmp_path / "out" / "metrics_mnb.json").exists()
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_OK
+
     @pytest.mark.parametrize(
         "expected, other", [("mnb", "svm"), ("svm", "mnb")], ids=["svm-as-mnb", "mnb-as-svm"]
     )
     def test_model_of_another_kind_exits_two(self, tmp_path, capsys, expected, other):
         config_path = write_setup(tmp_path)
-        other_config = tmp_path / "other.cfg"
-        other_config.write_text(
-            config_path.read_text().replace("model = mnb", f"model = {other}")
+        # both models are trained, so each has the train manifest eval checks
+        # before it reads a model file
+        svm_config = tmp_path / "svm.cfg"
+        svm_config.write_text(
+            config_path.read_text().replace("model = mnb", "model = svm")
         )
         for stage in ("ingest", "label", "train"):
             assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
-        assert cli.main(["train", "-c", str(other_config)]) == cli.EXIT_OK
+        assert cli.main(["train", "-c", str(svm_config)]) == cli.EXIT_OK
         out = tmp_path / "out"
         filename = f"{expected}_model.json"
         (out / filename).write_bytes((out / f"{other}_model.json").read_bytes())

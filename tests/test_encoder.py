@@ -30,6 +30,7 @@ from ppkmsent.encoder.config import (
 )
 from ppkmsent.encoder.model import (
     EncoderParams,
+    FlatTensors,
     _dropout,
     _gelu,
     _gelu_tanh,
@@ -354,6 +355,21 @@ class TestSoftmax:
         assert np.isfinite(out).all()
         assert out.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_last_axis_formula_bit_for_bit(self, dtype):
+        # attention scores with masked keys, as forward builds them
+        rng = np.random.default_rng(0)
+        x = (rng.standard_normal((4, 2, 7, 7)) * 30.0).astype(dtype)
+        x[0, :, :, 5:] = -np.inf
+        x[2, :, :, 1:] = -np.inf
+        x[3, 1, 4, 3] = x[3, 1, 4, 2]  # a tied maximum candidate
+        want = np.exp(x - np.max(x, -1, keepdims=True))
+        want /= np.sum(want, -1, keepdims=True)
+        got = softmax(x, axis=-1)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert float(np.max(got[2, :, :, 1:])) == 0.0
+
 
 class TestAttention:
     def run_tiny(self, ids, mask, **config_overrides):
@@ -463,7 +479,7 @@ class TestAttention:
 
 class TestClsOnlyLastLayer:
     """The head reads position 0 alone, so the last layer computes the
-    [CLS] query row only; inner layers run on every position."""
+    [CLS] query row only; inner layers run on every real token."""
 
     def mixed_batch(self):
         config = tiny_config(
@@ -477,11 +493,16 @@ class TestClsOnlyLastLayer:
         params = init_params(config, seed=0)
         result = forward(ids, mask, params, config, want_cache=True)
         *inner, last = result.cache["layers"]
+        # the residual stream carries the 6 + 3 + 2 real tokens, attention
+        # runs at the batch width
+        real = int(mask.sum())
+        assert real == 11
         for layer in inner:
             assert layer["probs"].shape == (3, 2, 6, 6)
-            assert layer["x_in"].shape == layer["x1"].shape == (18, 8)
+            assert layer["x_in"].shape == layer["x1"].shape == (real, 8)
+            assert layer["hidden"].shape == (real, config.feedforward_size)
         assert last["probs"].shape == (3, 2, 1, 6)
-        assert last["x_in"].shape == (18, 8)
+        assert last["x_in"].shape == (real, 8)
         assert last["x_q"].shape == last["x1"].shape == (3, 8)
         assert last["hidden"].shape == (3, config.feedforward_size)
         assert result.cache["cls_vector"].shape == (3, 8)
@@ -665,6 +686,38 @@ class TestLayerNorm:
 
 
 class TestDropout:
+    def test_forward_draws_the_padded_sizes_and_keeps_the_real_rows(self):
+        config = tiny_config(
+            num_layers=2, num_heads=2, hidden_size=8, dropout_rate=0.3
+        )
+        params = init_params(config, seed=0, dtype=np.float64)
+        ids = np.array([[2, 4, 5, 6, 3, 0], [2, 7, 3, 0, 0, 0], [2, 3, 0, 0, 0, 0]])
+        mask = (ids != PAD_ID).astype(np.float64)
+        rng = np.random.default_rng(7)
+        result = forward(ids, mask, params, config, "train", rng=rng, want_cache=True)
+        batch, seq, d = *ids.shape, config.hidden_size
+        real = mask.astype(bool).ravel()
+        reference = np.random.default_rng(7)
+
+        def keep(shape, rows=None):
+            draws = reference.random(shape)
+            mask = (draws >= 0.3).astype(np.float64) / (1.0 - 0.3)
+            return mask if rows is None else mask[rows]
+
+        # the embedding and the inner layer's two sites draw the padded
+        # layout, the last layer's two sites one row per sequence
+        want = [keep((batch * seq, d), real)]
+        want += [keep((batch * seq, d), real), keep((batch * seq, d), real)]
+        want += [keep((batch, d)), keep((batch, d))]
+        inner, last = result.cache["layers"]
+        got = [result.cache["emb_keep"]]
+        got += [inner["attn_keep"], inner["ffn_keep"]]
+        got += [last["attn_keep"], last["ffn_keep"]]
+        for index, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), index
+        assert got[0].shape == (int(mask.sum()), d)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_zero_rate_is_identity(self):
         x = np.arange(6.0).reshape(2, 3)
         out, keep = _dropout(x, 0.0, None)
@@ -947,8 +1000,14 @@ class TestTrainingStep:
                 want_cache=True,
             )
             assert result.logits.dtype == dtype
-            ids_array, *arrays = cache_arrays(result.cache)
+            ids_array, rows_array, cls_array, *arrays = cache_arrays(result.cache)
+            # the real tokens' ids, their rows in the padded layout and each
+            # sequence's [CLS] row come first, as integer indices
             assert ids_array is result.cache["ids"]
+            assert rows_array is result.cache["rows"]
+            assert cls_array is result.cache["cls"]
+            for index in (ids_array, rows_array, cls_array):
+                assert index.dtype == np.int64
             # the embedding keep mask, cls_vector and 19 per layer, the
             # attention and feed-forward keep masks, the query rows and
             # GELU's tanh among them
@@ -959,13 +1018,15 @@ class TestTrainingStep:
             assert dlogits.dtype == dtype
             grads = backward(dlogits, params, config, result.cache)
             state = encoder_train._AdamState(params)
-            encoder_train._adam_step(params, grads, state, profile)
+            encoder_train._adam_step(grads, state, profile)
             for name, tensor in params.named_tensors():
                 assert grads[name].dtype == dtype, name
                 assert tensor.dtype == dtype, name
                 assert state.m[name].dtype == state.v[name].dtype == dtype, name
 
     def test_in_place_adam_equals_the_out_of_place_formula(self):
+        # one pass over the flat buffers, against the textbook formula run
+        # tensor by tensor
         config = tiny_config(num_layers=2, num_heads=2, hidden_size=8)
         profile = TrainProfile(learning_rate=3e-3)
         beta1, beta2 = profile.adam_beta1, profile.adam_beta2
@@ -977,13 +1038,11 @@ class TestTrainingStep:
             v = {name: np.zeros_like(t) for name, t in tensors.items()}
             rng = np.random.default_rng(0)
             for t in range(1, 4):
-                grads = {
-                    name: (
-                        rng.standard_normal(x.shape)
-                        * 10.0 ** rng.uniform(-6, 2, x.shape)
-                    ).astype(dtype)
-                    for name, x in tensors.items()
-                }
+                grads = FlatTensors(param_shapes(config), dtype)
+                for name, g in grads.items():
+                    g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(
+                        -6, 2, g.shape
+                    )
                 for name, g in grads.items():
                     m[name] = beta1 * m[name] + (1.0 - beta1) * g
                     v[name] = beta2 * v[name] + (1.0 - beta2) * g**2
@@ -992,15 +1051,62 @@ class TestTrainingStep:
                     tensors[name] = tensors[name] - profile.learning_rate * m_hat / (
                         np.sqrt(v_hat) + profile.adam_epsilon
                     )
-                encoder_train._adam_step(
-                    params, {k: g.copy() for k, g in grads.items()}, state, profile
-                )
+                encoder_train._adam_step(grads, state, profile)
                 for name, tensor in params.named_tensors():
                     key = (dtype.__name__, t, name)
                     assert tensor.dtype == state.m[name].dtype == dtype, key
                     assert np.array_equal(tensor, tensors[name]), key
                     assert np.array_equal(state.m[name], m[name]), key
                     assert np.array_equal(state.v[name], v[name]), key
+
+    def test_adam_updates_views_of_one_buffer_per_role(self):
+        docs, vocab, config, profile = self.setup_training()
+        ids, mask, labels = encode_documents(docs[:5], vocab, config)
+        params = init_params(config, seed=0)
+        before = {name: t.copy() for name, t in params.named_tensors()}
+        state = encoder_train._AdamState(params)
+        result = forward(*_trim(ids, mask), params, config, want_cache=True)
+        grads = backward(
+            cross_entropy(result.logits, labels)[1], params, config, result.cache
+        )
+        names = list(param_shapes(config))
+        roles = {
+            "weights": dict(params.named_tensors()),
+            "grads": grads,
+            "m": state.m,
+            "v": state.v,
+        }
+        buffers = {
+            "weights": state.weights.flat,
+            "grads": grads.flat,
+            "m": state.m.flat,
+            "v": state.v.flat,
+        }
+        for role, tensors in roles.items():
+            flat = buffers[role]
+            assert list(tensors) == names, role
+            assert flat.flags.c_contiguous and flat.ndim == 1, role
+            # every tensor is a view of the buffer, in param_shapes order,
+            # and together they cover it
+            offset = 0
+            for name, tensor in tensors.items():
+                assert tensor.base is flat, (role, name)
+                start = tensor.ctypes.data - flat.ctypes.data
+                assert start == offset * flat.itemsize, (role, name)
+                offset += tensor.size
+            assert offset == flat.size, role
+        # rebinding kept the weights' values
+        for name, tensor in params.named_tensors():
+            assert np.array_equal(tensor, before[name]), name
+
+    def test_a_non_finite_weight_is_named(self):
+        config = tiny_config(num_layers=2)
+        params = init_params(config, seed=0)
+        state = encoder_train._AdamState(params)
+        encoder_train._check_weights_finite(state.weights, 1, 0)
+        params.layers[1].w2[0, 1] = np.inf
+        with pytest.raises(TrainingDivergedError, match=r"layers\.1\.w2"):
+            encoder_train._check_weights_finite(state.weights, 2, 3)
 
 
 class TestEncodeAndPredict:
@@ -1084,6 +1190,34 @@ class TestBatchTrimming:
                 cut_grads[name], grad, rtol=0, atol=1e-12, err_msg=name
             )
         assert np.abs(full_grads["position_embedding"][:6]).min() > 1e-6
+
+    def test_appending_pad_columns_changes_no_logit_or_gradient(self):
+        config = tiny_config(
+            num_layers=3, num_heads=2, hidden_size=8, max_sequence_length=9
+        )
+        params = init_params(config, seed=2, dtype=np.float64)
+        for name, tensor in params.named_tensors():
+            if not name.endswith(("_gain", "_bias", "head_b")):
+                tensor *= 25.0
+        ids = np.array([[2, 4, 5, 6, 7, 3], [2, 8, 3, 0, 0, 0], [2, 3, 0, 0, 0, 0]])
+        labels = np.array([0, 2, 1])
+        outputs = []
+        for extra in (0, 3):
+            wide = np.pad(ids, ((0, 0), (0, extra)), constant_values=PAD_ID)
+            mask = (wide != PAD_ID).astype(np.float64)
+            result = forward(wide, mask, params, config, "train", want_cache=True)
+            _, dlogits = cross_entropy(result.logits, labels)
+            grads = backward(dlogits, params, config, result.cache)
+            outputs.append((result.logits, grads))
+        (logits, grads), (wide_logits, wide_grads) = outputs
+        np.testing.assert_allclose(wide_logits, logits, rtol=0, atol=1e-12)
+        for name, grad in grads.items():
+            np.testing.assert_allclose(
+                wide_grads[name], grad, rtol=0, atol=1e-12, err_msg=name
+            )
+        # the padded positions' embeddings get no gradient
+        assert not wide_grads["position_embedding"][6:].any()
+        assert not wide_grads["token_embedding"][PAD_ID].any()
 
     def test_forward_sees_each_batch_cut_to_its_longest_sequence(
         self, monkeypatch

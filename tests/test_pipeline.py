@@ -735,6 +735,85 @@ class TestEvalStage:
         assert payload["model"] == "bert"
 
 
+class TestSplitFingerprint:
+    """Each train manifest records the split its model was fitted on, and
+    eval refuses a model whose split is not the one it scores."""
+
+    def train_mnb(self, tmp_path):
+        config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
+        write_labeled_corpus(config.output_dir)
+        pipeline.run_train(config)
+        return config
+
+    def test_train_manifest_records_the_split(self, tmp_path):
+        config = self.train_mnb(tmp_path)
+        out = config.output_dir
+        manifest = json.loads((out / "train_mnb.manifest.json").read_text())
+        assert manifest["split"] == {
+            "seed": 0,
+            "train_fraction": "3/5",
+            "validation_fraction": "1/5",
+            "test_fraction": "1/5",
+            "stratified": True,
+            "labeled_sha256": sha256_file(out / pipeline.LABELED_FILE),
+        }
+        # the same split evaluates, and eval records the manifest it checked
+        pipeline.run_eval(config)
+        eval_manifest = json.loads((out / "eval.manifest.json").read_text())
+        assert eval_manifest["inputs"]["train_mnb.manifest.json"] == sha256_file(
+            out / "train_mnb.manifest.json"
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(seed=7), "seed"),
+            (
+                dict(
+                    train_fraction=Fraction(7, 10),
+                    validation_fraction=Fraction(1, 10),
+                ),
+                "train_fraction",
+            ),
+            (dict(stratified=False), "stratified"),
+        ],
+        ids=["seed", "fraction", "stratified"],
+    )
+    def test_another_split_setting_is_refused(self, tmp_path, overrides, field):
+        self.train_mnb(tmp_path)
+        config = make_config(tmp_path, model="mnb", **{**EVEN_SPLIT, **overrides})
+        with pytest.raises(ConfigError, match=rf"^mnb .*\({field} was "):
+            pipeline.run_eval(config)
+        assert not (config.output_dir / "metrics_mnb.json").exists()
+
+    def test_relabelled_documents_are_refused(self, tmp_path):
+        config = self.train_mnb(tmp_path)
+        path = config.output_dir / pipeline.LABELED_FILE
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0]["label"] = "positive" if rows[0]["label"] != "positive" else "negative"
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+        with pytest.raises(ConfigError, match=r"^mnb .*labeled\.jsonl has changed"):
+            pipeline.run_eval(config)
+
+    def test_every_available_model_is_checked(self, tmp_path):
+        config = self.train_mnb(tmp_path)
+        pipeline.run_train(make_config(tmp_path, model="svm", **EVEN_SPLIT, seed=3))
+        with pytest.raises(ConfigError, match=r"^svm .*\(seed was 3, now 0\)"):
+            pipeline.run_eval(config)
+
+    def test_missing_or_splitless_manifest_is_refused(self, tmp_path):
+        config = self.train_mnb(tmp_path)
+        path = config.output_dir / "train_mnb.manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["split"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="^mnb: .* records no split"):
+            pipeline.run_eval(config)
+        path.unlink()
+        with pytest.raises(ConfigError, match="^mnb: .* is missing"):
+            pipeline.run_eval(config)
+
+
 class TestVizStage:
     def test_artifacts_and_count_consistency(self, tmp_path):
         config = make_config(tmp_path, top_k=10, ngram_n=2)
