@@ -595,5 +595,9 @@ def backward(
     # batch order, as np.add.at would, at a fraction of its cost
     dpadded = _scatter(dembed, rows, padded).reshape(batch, seq, -1)
     np.sum(dpadded, axis=0, out=grads["position_embedding"][:seq])
-    np.add.at(grads["token_embedding"], cache["ids"], dembed)
+    # one index per element takes numpy's faster 1-D ``ufunc.at`` path; it
+    # adds in the same order as the row-wise call, so the sums are the same
+    width = dembed.shape[1]
+    elements = (cache["ids"][:, None] * width + np.arange(width)).ravel()
+    np.add.at(grads["token_embedding"].reshape(-1), elements, dembed.reshape(-1))
     return grads
