@@ -700,9 +700,8 @@ class TestDropout:
         reference = np.random.default_rng(7)
 
         def keep(shape, rows=None):
-            draws = reference.random(shape)
-            mask = (draws >= 0.3).astype(np.float64) / (1.0 - 0.3)
-            return mask if rows is None else mask[rows]
+            kept = (reference.random(shape) >= 0.3).astype(np.float64) / (1.0 - 0.3)
+            return kept if rows is None else kept[rows]
 
         # the embedding and the inner layer's two sites draw the padded
         # layout, the last layer's two sites one row per sequence

@@ -801,7 +801,7 @@ class TestSplitFingerprint:
         with pytest.raises(ConfigError, match=r"^svm .*\(seed was 3, now 0\)"):
             pipeline.run_eval(config)
 
-    def test_missing_or_splitless_manifest_is_refused(self, tmp_path):
+    def test_missing_splitless_or_corrupt_manifest_is_refused(self, tmp_path):
         config = self.train_mnb(tmp_path)
         path = config.output_dir / "train_mnb.manifest.json"
         manifest = json.loads(path.read_text())
@@ -809,6 +809,10 @@ class TestSplitFingerprint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="^mnb: .* records no split"):
             pipeline.run_eval(config)
+        for corrupt in ("{truncated", "[]"):
+            path.write_text(corrupt)
+            with pytest.raises(ConfigError, match="^mnb: .* is not a train manifest"):
+                pipeline.run_eval(config)
         path.unlink()
         with pytest.raises(ConfigError, match="^mnb: .* is missing"):
             pipeline.run_eval(config)
