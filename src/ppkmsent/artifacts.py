@@ -106,6 +106,14 @@ def check_row(payload: object, fields: dict[str, type]) -> dict:
     return payload
 
 
+def str_list(payload: dict, key: str) -> list[str]:
+    """``payload[key]`` when it is a list of str; ValueError otherwise."""
+    value = payload.get(key)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{key!r} is missing or not a list of str")
+    return value
+
+
 def corpus_row(payload: object) -> tuple[str, str]:
     """(id, text) of a ``corpus.jsonl`` row."""
     row = check_row(payload, {"id": str, "text": str})

@@ -10,7 +10,7 @@ from ppkmsent.encoder.config import (
     paper_config,
 )
 from ppkmsent.encoder.model import (
-    EncoderParams,
+    FlatTensors,
     backward,
     cross_entropy,
     forward,
@@ -32,7 +32,7 @@ __all__ = [
     "CLS_ID",
     "DESK_PROFILE",
     "EncoderConfig",
-    "EncoderParams",
+    "FlatTensors",
     "EpochStats",
     "PAD_ID",
     "PAPER_PROFILE",

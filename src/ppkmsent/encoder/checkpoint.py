@@ -8,8 +8,8 @@ Layout (all integers little-endian uint32):
 * tensor count, then per tensor: name length, UTF-8 name, ndim, each
   dimension, raw float32 little-endian data
 
-Tensors are stored in ``param_shapes`` order, the order of
-``EncoderParams.named_tensors``.  On load the names and shapes are checked
+Tensors are stored in ``param_shapes`` order, the order of the params'
+``FlatTensors``.  On load the names and shapes are checked
 against ``param_shapes`` of the stored config, so a checkpoint either
 reconstructs the exact architecture it was saved from or fails loudly,
 naming the file.
@@ -25,7 +25,7 @@ import numpy as np
 
 from ppkmsent import artifacts
 from ppkmsent.encoder.config import EncoderConfig
-from ppkmsent.encoder.model import EncoderParams, param_shapes
+from ppkmsent.encoder.model import FlatTensors, param_shapes
 from ppkmsent.errors import CheckpointFormatError, ConfigError
 
 CHECKPOINT_MAGIC = b"PPKMENC\x01"
@@ -33,19 +33,18 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(
-    params: EncoderParams, config: EncoderConfig, path: str | Path
+    params: FlatTensors, config: EncoderConfig, path: str | Path
 ) -> None:
     """Write weights and architecture to ``path``."""
     header = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    named = params.named_tensors()
     chunks = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<I", len(header)),
         header,
-        struct.pack("<I", len(named)),
+        struct.pack("<I", len(params)),
     ]
-    for name, tensor in named:
+    for name, tensor in params.items():
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(name_bytes)))
         chunks.append(name_bytes)
@@ -72,7 +71,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
+def load_checkpoint(path: str | Path) -> tuple[FlatTensors, EncoderConfig]:
     """Read a checkpoint and rebuild (params, config).
 
     The tensors come back float32, the stored values bit for bit, so a
@@ -108,9 +107,7 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
         shape = tuple(reader.take_u32() for _ in range(ndim))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = reader.take(count * 4)
-        tensors[name] = (
-            np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
-        )
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     if reader.offset != len(reader.data):
         raise CheckpointFormatError(f"{path}: checkpoint has trailing bytes")
 
@@ -127,4 +124,7 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
                 f"{path}: tensor {name} has shape {tensors[name].shape}, "
                 f"expected {shape}"
             )
-    return EncoderParams.from_named(tensors, config.num_layers), config
+    params = FlatTensors(expected, np.float32)
+    for name, tensor in params.items():
+        tensor[...] = tensors[name]
+    return params, config

@@ -6,6 +6,10 @@ attention and a GELU feed-forward sublayer (each followed by residual add and
 layer norm), then an affine classification head over the position-0 hidden
 state.  The attention/feed-forward projections carry no bias terms.
 
+The params are a :class:`FlatTensors`: every weight tensor, under its
+``param_shapes`` name (``"layers.{i}.wq"`` for a block's query projection),
+is a view of one buffer, ``params.flat``, which Adam updates in place.
+
 Per-token work runs on the batch's real tokens only.  Between layers the
 residual stream holds the real-token rows ``(n_real, hidden)``, packed in
 (sequence, position) order, so the embeddings, every projection and weight
@@ -30,7 +34,7 @@ the logits or the gradients; the training and prediction helpers in
 :mod:`ppkmsent.encoder.train` therefore cut each batch to its longest real
 sequence rather than pass the fixed-length rows of ``format_input``.
 
-The working precision is the dtype of the params: every activation, the
+The working precision is ``params.flat.dtype``: every activation, the
 gradients and (in :mod:`ppkmsent.encoder.train`) the Adam moments follow
 it, because the scalar constants are Python floats and the masks take the
 params' dtype.  ``init_params`` and ``load_checkpoint`` give float32, the
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -58,76 +62,13 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-@dataclass
-class LayerParams:
-    """Weights for one encoder block; the field order is the checkpoint order."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
-
-
-@dataclass
-class EncoderParams:
-    """All weights of the encoder classifier."""
-
-    token_embedding: np.ndarray
-    position_embedding: np.ndarray
-    layers: list[LayerParams]
-    head_w: np.ndarray
-    head_b: np.ndarray
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Every parameter tensor under a stable name, in ``param_shapes``
-        order: the fields in order, each layer's fields in place of ``layers``."""
-        named = []
-        for f in fields(self):
-            if f.name == "layers":
-                named.extend(
-                    (f"layers.{i}.{g.name}", getattr(layer, g.name))
-                    for i, layer in enumerate(self.layers)
-                    for g in fields(layer)
-                )
-            else:
-                named.append((f.name, getattr(self, f.name)))
-        return named
-
-    @classmethod
-    def from_named(
-        cls, tensors: Mapping[str, np.ndarray], num_layers: int
-    ) -> EncoderParams:
-        """The inverse of ``named_tensors``: params holding the arrays of
-        ``tensors`` (not copies), which must have every name of a
-        ``num_layers``-layer encoder."""
-        layers = [
-            LayerParams(
-                **{g.name: tensors[f"layers.{i}.{g.name}"] for g in fields(LayerParams)}
-            )
-            for i in range(num_layers)
-        ]
-        rest = {f.name: tensors[f.name] for f in fields(cls) if f.name != "layers"}
-        return cls(layers=layers, **rest)
-
-    def rebind(self, tensors: Mapping[str, np.ndarray]) -> None:
-        """Make every tensor the same-named array of ``tensors`` (not a
-        copy), as ``from_named`` would."""
-        rebuilt = self.from_named(tensors, len(self.layers))
-        for f in fields(self):
-            setattr(self, f.name, getattr(rebuilt, f.name))
-
-
 class FlatTensors(dict):
     """Named tensors that are consecutive views of one zeroed buffer, ``flat``.
 
     The names, shapes and order come from a ``param_shapes`` table, so one
-    elementwise pass over ``flat`` acts on every tensor.
+    elementwise pass over ``flat`` acts on every tensor.  The params, their
+    gradients and Adam's moments are each one.  Tensors are written in
+    place, never rebound, so ``flat`` stays what every name reads.
     """
 
     def __init__(self, shapes: Mapping[str, tuple[int, ...]], dtype: DTypeLike):
@@ -143,9 +84,8 @@ class FlatTensors(dict):
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter tensor of ``config``'s encoder.
 
-    This table is the encoder's layout, the one place its shapes are
-    written.  Its names and order are those of
-    ``EncoderParams.named_tensors``; ``init_params`` fills it and
+    This table is the encoder's layout, the one place its shapes and the
+    params' names and order are written; ``init_params`` fills it and
     ``load_checkpoint`` checks a file against it.
     """
     d = config.hidden_size
@@ -189,7 +129,7 @@ def init_params(
     config: EncoderConfig,
     seed: int | np.random.SeedSequence = 0,
     dtype: DTypeLike = np.float32,
-) -> EncoderParams:
+) -> FlatTensors:
     """Random initial weights: ones for layer-norm gains, zeros for biases
     and truncated normal (std 0.02) for everything else, drawn in
     ``param_shapes`` order.
@@ -203,15 +143,13 @@ def init_params(
             f"{config.vocab_size}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    tensors = {}
-    for name, shape in param_shapes(config).items():
+    params = FlatTensors(param_shapes(config), dtype)
+    for name, tensor in params.items():
         if name.endswith("_gain"):
-            tensors[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith(("_bias", "head_b")):
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
-            tensors[name] = _truncated_normal(rng, shape, 0.02).astype(dtype, copy=False)
-    return EncoderParams.from_named(tensors, config.num_layers)
+            tensor[...] = 1.0
+        elif not name.endswith(("_bias", "head_b")):
+            tensor[...] = _truncated_normal(rng, tensor.shape, 0.02)
+    return params
 
 
 # softmax, GELU and layer norm work in place on the arrays they create, in
@@ -361,7 +299,7 @@ class ForwardResult:
 def forward(
     ids: np.ndarray,
     mask: np.ndarray,
-    params: EncoderParams,
+    params: FlatTensors,
     config: EncoderConfig,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
@@ -378,7 +316,7 @@ def forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
-    mask = np.atleast_2d(np.asarray(mask, dtype=params.token_embedding.dtype))
+    mask = np.atleast_2d(np.asarray(mask, dtype=params.flat.dtype))
     if ids.shape != mask.shape:
         raise ConfigError(
             f"ids shape {ids.shape} does not match mask shape {mask.shape}"
@@ -408,8 +346,8 @@ def forward(
     pad_keys = ~real.reshape(batch, 1, 1, seq)
 
     token_ids = ids.ravel()[rows]
-    embedded = params.token_embedding[token_ids]
-    embedded += params.position_embedding[rows % seq]
+    embedded = params["token_embedding"][token_ids]
+    embedded += params["position_embedding"][rows % seq]
     x, emb_keep = _dropout(embedded, rate, rng, real)
 
     cache: dict = {
@@ -419,18 +357,19 @@ def forward(
         "emb_keep": emb_keep,
         "layers": [],
     }
-    last = len(params.layers) - 1
-    for index, layer in enumerate(params.layers):
+    last = config.num_layers - 1
+    for index in range(config.num_layers):
+        p = f"layers.{index}."
         # the head reads [CLS] alone, so the last layer queries that row of
         # each sequence; inner layers query every real row
         x_in = x
         x_q = x_in[cls] if index == last else x_in
-        q = x_q @ layer.wq
+        q = x_q @ params[p + "wq"]
         if index != last:
             q = _scatter(q, rows, padded)
         q = _split_heads(q, batch, heads)
-        k = _split_heads(_scatter(x_in @ layer.wk, rows, padded), batch, heads)
-        v = _split_heads(_scatter(x_in @ layer.wv, rows, padded), batch, heads)
+        k = _split_heads(_scatter(x_in @ params[p + "wk"], rows, padded), batch, heads)
+        v = _split_heads(_scatter(x_in @ params[p + "wv"], rows, padded), batch, heads)
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= scale
         np.copyto(scores, -np.inf, where=pad_keys)
@@ -438,21 +377,25 @@ def forward(
         context = _merge_heads(probs @ v)
         if index != last:
             context = context[rows]
-        attn_out = context @ layer.wo
+        attn_out = context @ params[p + "wo"]
         attn_dropped, attn_keep = _dropout(
             attn_out, rate, rng, None if index == last else real
         )
         attn_dropped += x_q
-        x1, ln1_cache = _layer_norm(attn_dropped, layer.ln1_gain, layer.ln1_bias, eps)
-        hidden = x1 @ layer.w1
+        x1, ln1_cache = _layer_norm(
+            attn_dropped, params[p + "ln1_gain"], params[p + "ln1_bias"], eps
+        )
+        hidden = x1 @ params[p + "w1"]
         tanh = _gelu_tanh(hidden)
         activated = _gelu(hidden, tanh)
-        ffn_out = activated @ layer.w2
+        ffn_out = activated @ params[p + "w2"]
         ffn_dropped, ffn_keep = _dropout(
             ffn_out, rate, rng, None if index == last else real
         )
         ffn_dropped += x1
-        x, ln2_cache = _layer_norm(ffn_dropped, layer.ln2_gain, layer.ln2_bias, eps)
+        x, ln2_cache = _layer_norm(
+            ffn_dropped, params[p + "ln2_gain"], params[p + "ln2_bias"], eps
+        )
         _check_finite(x, f"output of encoder layer {index}")
         if want_cache:
             cache["layers"].append(
@@ -477,7 +420,7 @@ def forward(
 
     # one row per sequence: the [CLS] hidden state
     cls_vector = x
-    logits = cls_vector @ params.head_w + params.head_b
+    logits = cls_vector @ params["head_w"] + params["head_b"]
     _check_finite(logits, "classifier logits")
     if want_cache:
         cache["cls_vector"] = cls_vector
@@ -507,7 +450,7 @@ def cross_entropy(
 
 def backward(
     dlogits: np.ndarray,
-    params: EncoderParams,
+    params: FlatTensors,
     config: EncoderConfig,
     cache: dict,
 ) -> FlatTensors:
@@ -517,13 +460,13 @@ def backward(
     ``cache`` must come from a ``forward`` call with ``want_cache=True`` on
     the same batch; ``dlogits`` is the loss gradient at the logits.
     """
-    if cache is None or len(cache.get("layers", ())) != len(params.layers):
+    if cache is None or len(cache.get("layers", ())) != config.num_layers:
         raise ConfigError("backward needs the cache from forward(want_cache=True)")
     heads = config.num_heads
     scale = 1.0 / math.sqrt(config.head_size)
     seq, rows, cls = cache["seq"], cache["rows"], cache["cls"]
     # every gradient is written into its view; the embeddings are added into
-    grads = FlatTensors(param_shapes(config), params.token_embedding.dtype)
+    grads = FlatTensors(param_shapes(config), params.flat.dtype)
 
     dlogits = np.atleast_2d(dlogits)
     np.matmul(cache["cls_vector"].T, dlogits, out=grads["head_w"])
@@ -532,33 +475,32 @@ def backward(
     # the head's gradient reaches the last layer's one query row per sequence
     batch = dlogits.shape[0]
     padded = batch * seq
-    dx = dlogits @ params.head_w.T
+    dx = dlogits @ params["head_w"].T
 
-    last = len(params.layers) - 1
+    last = config.num_layers - 1
     for index in range(last, -1, -1):
-        layer = params.layers[index]
         c = cache["layers"][index]
-        prefix = f"layers.{index}."
+        p = f"layers.{index}."
 
         dy2 = _layer_norm_backward(
-            dx, c["ln2"], grads[prefix + "ln2_gain"], grads[prefix + "ln2_bias"]
+            dx, c["ln2"], grads[p + "ln2_gain"], grads[p + "ln2_bias"]
         )
         dffn = dy2 if c["ffn_keep"] is None else dy2 * c["ffn_keep"]
 
-        np.matmul(c["activated"].T, dffn, out=grads[prefix + "w2"])
-        dhidden = dffn @ layer.w2.T
+        np.matmul(c["activated"].T, dffn, out=grads[p + "w2"])
+        dhidden = dffn @ params[p + "w2"].T
         dhidden *= _gelu_grad(c["hidden"], c["tanh"])
-        np.matmul(c["x1"].T, dhidden, out=grads[prefix + "w1"])
-        dx1 = dhidden @ layer.w1.T
+        np.matmul(c["x1"].T, dhidden, out=grads[p + "w1"])
+        dx1 = dhidden @ params[p + "w1"].T
         dx1 += dy2
 
         dy1 = _layer_norm_backward(
-            dx1, c["ln1"], grads[prefix + "ln1_gain"], grads[prefix + "ln1_bias"]
+            dx1, c["ln1"], grads[p + "ln1_gain"], grads[p + "ln1_bias"]
         )
         dattn = dy1 if c["attn_keep"] is None else dy1 * c["attn_keep"]
 
-        np.matmul(c["context"].T, dattn, out=grads[prefix + "wo"])
-        dcontext = dattn @ layer.wo.T
+        np.matmul(c["context"].T, dattn, out=grads[p + "wo"])
+        dcontext = dattn @ params[p + "wo"].T
         if index != last:
             dcontext = _scatter(dcontext, rows, padded)
         dcontext = _split_heads(dcontext, batch, heads)
@@ -577,13 +519,13 @@ def backward(
         dk_m = _merge_heads(dscores.transpose(0, 1, 3, 2) @ c["q"])[rows]
         dv_m = _merge_heads(dv)[rows]
 
-        np.matmul(c["x_q"].T, dq_m, out=grads[prefix + "wq"])
-        np.matmul(c["x_in"].T, dk_m, out=grads[prefix + "wk"])
-        np.matmul(c["x_in"].T, dv_m, out=grads[prefix + "wv"])
-        dx = dk_m @ layer.wk.T
-        dx += dv_m @ layer.wv.T
+        np.matmul(c["x_q"].T, dq_m, out=grads[p + "wq"])
+        np.matmul(c["x_in"].T, dk_m, out=grads[p + "wk"])
+        np.matmul(c["x_in"].T, dv_m, out=grads[p + "wv"])
+        dx = dk_m @ params[p + "wk"].T
+        dx += dv_m @ params[p + "wv"].T
         # the query rows and the residual: every real row, or the [CLS] rows
-        dx_q = dq_m @ layer.wq.T
+        dx_q = dq_m @ params[p + "wq"].T
         dx_q += dy1
         if index == last:
             dx[cls] += dx_q

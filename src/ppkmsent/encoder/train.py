@@ -11,7 +11,6 @@ import numpy as np
 
 from ppkmsent.encoder.config import EncoderConfig, TrainProfile
 from ppkmsent.encoder.model import (
-    EncoderParams,
     FlatTensors,
     backward,
     cross_entropy,
@@ -47,21 +46,17 @@ class EpochStats:
 class _AdamState:
     """Adam's step count and moments, with the weights they update.
 
-    The weights, m and v are each one :class:`FlatTensors` buffer in the
-    params' tensor order, and ``params`` is rebound to views of the weights'
-    buffer, so one elementwise pass updates every tensor.
+    The weights are the params themselves, not a copy; m and v are zeroed
+    :class:`FlatTensors` of the same layout, so one elementwise pass over
+    the ``flat`` buffers updates every tensor in place.
     """
 
-    def __init__(self, params: EncoderParams) -> None:
+    def __init__(self, params: FlatTensors) -> None:
         self.step = 0
-        shapes = {name: t.shape for name, t in params.named_tensors()}
-        dtype = params.token_embedding.dtype
-        self.weights = FlatTensors(shapes, dtype)
-        for name, tensor in params.named_tensors():
-            self.weights[name][...] = tensor
-        params.rebind(self.weights)
-        self.m = FlatTensors(shapes, dtype)
-        self.v = FlatTensors(shapes, dtype)
+        self.weights = params
+        shapes = {name: t.shape for name, t in params.items()}
+        self.m = FlatTensors(shapes, params.flat.dtype)
+        self.v = FlatTensors(shapes, params.flat.dtype)
 
 
 def _adam_step(grads: FlatTensors, state: _AdamState, profile: TrainProfile) -> None:
@@ -165,7 +160,7 @@ def _evaluate(
     ids: np.ndarray,
     mask: np.ndarray,
     labels: np.ndarray,
-    params: EncoderParams,
+    params: FlatTensors,
     config: EncoderConfig,
     batch_size: int,
 ) -> tuple[float, float]:
@@ -187,7 +182,7 @@ def fine_tune(
     vocab: TokenVocab,
     config: EncoderConfig,
     profile: TrainProfile,
-) -> tuple[EncoderParams, list[EpochStats]]:
+) -> tuple[FlatTensors, list[EpochStats]]:
     """Train the encoder classifier from random initial weights.
 
     Shuffling, dropout and initialisation all derive from ``profile.seed``,
@@ -285,7 +280,7 @@ def fine_tune(
 
 def predict_batch(
     documents: Sequence[Document],
-    params: EncoderParams,
+    params: FlatTensors,
     vocab: TokenVocab,
     config: EncoderConfig,
     batch_size: int = 32,

@@ -411,30 +411,26 @@ def document_to_json(doc: Document, score: int | None = None) -> dict:
         "raw_text": doc.raw_text,
         "clean_text": doc.clean_text,
         "tokens": list(doc.tokens),
+        "label": label_name(doc.label),
     }
-    if doc.label is not None:
-        payload["label"] = label_name(doc.label)
     if score is not None:
         payload["score"] = score
     return payload
 
 
-_DOCUMENT_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "tokens": list}
+_DOCUMENT_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "label": str}
 
 
 def document_from_json(payload: object) -> Document:
     """Inverse of :func:`document_to_json`; raises ValueError on a row of
     the wrong shape."""
     payload = artifacts.check_row(payload, _DOCUMENT_FIELDS)
-    label = payload.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ValueError("'label' is not a str")
     return Document(
         id=payload["id"],
         raw_text=payload["raw_text"],
         clean_text=payload["clean_text"],
-        tokens=tuple(payload["tokens"]),
-        label=parse_label(label) if label is not None else None,
+        tokens=tuple(artifacts.str_list(payload, "tokens")),
+        label=parse_label(payload["label"]),
     )
 
 
@@ -700,8 +696,8 @@ def _predict_lexicon(
     if not isinstance(payload, dict) or payload.get("magic") != LEXICON_MODEL_MAGIC:
         raise CheckpointFormatError(f"{path} is not a lexicon model file")
     lex = lexicon.LexiconDict(
-        positive=frozenset(payload["positive"]),
-        negative=frozenset(payload["negative"]),
+        positive=frozenset(artifacts.str_list(payload, "positive")),
+        negative=frozenset(artifacts.str_list(payload, "negative")),
     )
     return [lexicon.score_document(doc.tokens, lex).label for doc in test_docs]
 

@@ -75,7 +75,7 @@ def encoder_gradient_check(
         dropout_rate=0.0,
     )
     params = init_params(config, seed=0, dtype=np.float64)
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.items():
         if not name.endswith(("_gain", "_bias", "head_b")):
             tensor *= 25.0
 
@@ -93,7 +93,7 @@ def encoder_gradient_check(
 
     eps = 1e-5
     errors: dict[str, float] = {}
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.items():
         numeric = np.zeros_like(tensor)
         flat_tensor = tensor.reshape(-1)
         flat_numeric = numeric.reshape(-1)

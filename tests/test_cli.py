@@ -84,8 +84,18 @@ class TestExitCodes:
                 "'tokens'",
             ),
             (lambda row: [row], "not a JSON object"),
+            (lambda row: {**row, "tokens": [1, 2]}, "'tokens'"),
+            (
+                lambda row: {k: v for k, v in row.items() if k != "label"},
+                "'label'",
+            ),
         ],
-        ids=["missing-tokens", "not-an-object"],
+        ids=[
+            "missing-tokens",
+            "not-an-object",
+            "token-not-a-string",
+            "missing-label",
+        ],
     )
     def test_corrupt_labeled_row_exits_one(
         self, tmp_path, capsys, corrupt, message
@@ -139,6 +149,8 @@ class TestExitCodes:
             ),
             ("lexicon_model.json", lambda p: {**p, "magic": "other"}),
             ("lexicon_model.json", lambda p: [p]),
+            ("lexicon_model.json", lambda p: {**p, "positive": [1, 2]}),
+            ("lexicon_model.json", lambda p: {**p, "positive": "abc"}),
         ],
         ids=[
             "mnb-without-vocab",
@@ -147,6 +159,8 @@ class TestExitCodes:
             "lexicon-without-positive",
             "lexicon-wrong-magic",
             "lexicon-not-an-object",
+            "lexicon-phrase-not-a-string",
+            "lexicon-phrases-not-a-list",
         ],
     )
     def test_corrupt_model_file_exits_two(
@@ -437,15 +451,15 @@ class TestBertTraining:
 
         def recording_fine_tune(*args, **kwargs):
             params, history = real_fine_tune(*args, **kwargs)
-            trained.update((n, t.copy()) for n, t in params.named_tensors())
+            trained.update((n, t.copy()) for n, t in params.items())
             return params, history
 
         monkeypatch.setattr(enc_train, "fine_tune", recording_fine_tune)
         for stage in ("ingest", "label", "train"):
             assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
         loaded, _ = load_checkpoint(tmp_path / "out" / "bert.ckpt")
-        assert [name for name, _ in loaded.named_tensors()] == list(trained)
-        for name, tensor in loaded.named_tensors():
+        assert [name for name, _ in loaded.items()] == list(trained)
+        for name, tensor in loaded.items():
             assert tensor.dtype == trained[name].dtype == np.float32, name
             assert np.array_equal(tensor, trained[name]), name
 

@@ -29,7 +29,6 @@ from ppkmsent.encoder.config import (
     paper_config,
 )
 from ppkmsent.encoder.model import (
-    EncoderParams,
     FlatTensors,
     _dropout,
     _gelu,
@@ -286,11 +285,26 @@ class TestFormatInput:
         assert sep_pos == 1 + min(len(tokens), seq_len - 2)
 
 
+def assert_views_of_one_buffer(tensors, config, role):
+    """Every tensor is a view of ``tensors.flat``, in ``param_shapes``
+    order, and together they cover it."""
+    flat = tensors.flat
+    assert list(tensors) == list(param_shapes(config)), role
+    assert flat.flags.c_contiguous and flat.ndim == 1, role
+    offset = 0
+    for name, tensor in tensors.items():
+        assert tensor.base is flat, (role, name)
+        start = tensor.ctypes.data - flat.ctypes.data
+        assert start == offset * flat.itemsize, (role, name)
+        offset += tensor.size
+    assert offset == flat.size, role
+
+
 class TestInitParams:
     def test_shapes_and_constant_tensors(self):
         config = tiny_config(num_layers=2)
         params = init_params(config, seed=0)
-        shapes = {name: t.shape for name, t in params.named_tensors()}
+        shapes = {name: t.shape for name, t in params.items()}
         assert shapes["token_embedding"] == (10, 4)
         assert shapes["position_embedding"] == (6, 4)
         assert shapes["layers.0.wq"] == (4, 4)
@@ -298,7 +312,7 @@ class TestInitParams:
         assert shapes["layers.1.w2"] == (8, 4)
         assert shapes["head_w"] == (4, 3)
         assert shapes["head_b"] == (3,)
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             if name.endswith("_gain"):
                 assert np.all(tensor == 1.0)
             elif name.endswith(("_bias", "head_b")):
@@ -306,19 +320,15 @@ class TestInitParams:
         for num_layers in (1, 3):
             config = tiny_config(num_layers=num_layers)
             params = init_params(config, seed=0)
-            named = params.named_tensors()
-            assert [(n, t.shape) for n, t in named] == list(
+            assert [(n, t.shape) for n, t in params.items()] == list(
                 param_shapes(config).items()
             )
-            rebuilt = EncoderParams.from_named(dict(named), num_layers)
-            assert [n for n, _ in rebuilt.named_tensors()] == [n for n, _ in named]
-            for (_, a), (_, b) in zip(named, rebuilt.named_tensors()):
-                assert a is b
+            assert_views_of_one_buffer(params, config, "init")
 
     def test_truncated_normal_bounds(self):
         params = init_params(tiny_config(vocab_size=200, hidden_size=16,
                                          feedforward_size=32, num_heads=2), seed=1)
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             if name.endswith(("_gain", "_bias", "head_b")):
                 continue
             assert float(np.max(np.abs(tensor))) <= 2.0 * 0.02
@@ -330,7 +340,7 @@ class TestInitParams:
         b = init_params(config, seed=3)
         c = init_params(config, seed=4)
         for (name, ta), (_, tb), (_, tc) in zip(
-            a.named_tensors(), b.named_tensors(), c.named_tensors()
+            a.items(), b.items(), c.items()
         ):
             assert np.array_equal(ta, tb)
             if not name.endswith(("_gain", "_bias", "head_b")):
@@ -398,7 +408,7 @@ class TestAttention:
     def test_zero_key_projection_gives_uniform_attention(self):
         config = tiny_config(max_sequence_length=4)
         params = init_params(config, seed=0)
-        params.layers[0].wk = np.zeros_like(params.layers[0].wk)
+        params["layers.0.wk"][...] = 0.0
         result = forward(
             np.array([[2, 4, 5, 3], [2, 6, 3, 0]]),
             np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]]),
@@ -460,7 +470,7 @@ class TestAttention:
     def test_non_finite_weights_raise(self):
         config = tiny_config(max_sequence_length=4)
         params = init_params(config, seed=0)
-        params.layers[0].w2 = params.layers[0].w2 * float("nan")
+        params["layers.0.w2"][...] = float("nan")
         with pytest.raises(EncoderNumericsError), np.errstate(invalid="ignore"):
             forward(
                 np.array([[2, 4, 5, 3]]),
@@ -513,7 +523,7 @@ class TestClsOnlyLastLayer:
     def test_logits_equal_a_full_rows_reference(self):
         config, ids, mask = self.mixed_batch()
         params = init_params(config, seed=4, dtype=np.float64)
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             if not name.endswith(("_gain", "_bias", "head_b")):
                 tensor *= 25.0
         got = forward(ids, mask, params, config).logits
@@ -542,18 +552,21 @@ def full_rows_reference_logits(ids, mask, params, config):
         c = math.sqrt(2.0 / math.pi)
         return 0.5 * t * (1.0 + np.tanh(c * (t + 0.044715 * t**3)))
 
-    x = params.token_embedding[ids] + params.position_embedding[:seq]
-    for layer in params.layers:
-        scores = split(x @ layer.wq) @ split(x @ layer.wk).transpose(0, 1, 3, 2)
+    x = params["token_embedding"][ids] + params["position_embedding"][:seq]
+    for i in range(config.num_layers):
+        p = f"layers.{i}."
+        q, k, v = (split(x @ params[p + w]) for w in ("wq", "wk", "wv"))
+        scores = q @ k.transpose(0, 1, 3, 2)
         scores = np.where(
             mask[:, None, None, :] > 0, scores / math.sqrt(size), -np.inf
         )
-        context = softmax(scores) @ split(x @ layer.wv)
-        attn = context.transpose(0, 2, 1, 3).reshape(batch, seq, -1) @ layer.wo
-        x1 = layer_norm(x + attn, layer.ln1_gain, layer.ln1_bias)
-        ffn = gelu(x1 @ layer.w1) @ layer.w2
-        x = layer_norm(x1 + ffn, layer.ln2_gain, layer.ln2_bias)
-    return x[:, 0] @ params.head_w + params.head_b
+        context = softmax(scores) @ v
+        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, -1)
+        attn = context @ params[p + "wo"]
+        x1 = layer_norm(x + attn, params[p + "ln1_gain"], params[p + "ln1_bias"])
+        ffn = gelu(x1 @ params[p + "w1"]) @ params[p + "w2"]
+        x = layer_norm(x1 + ffn, params[p + "ln2_gain"], params[p + "ln2_bias"])
+    return x[:, 0] @ params["head_w"] + params["head_b"]
 
 
 def python_reference_forward(ids, mask, params, config):
@@ -583,14 +596,15 @@ def python_reference_forward(ids, mask, params, config):
     def gelu(x):
         return 0.5 * x * (1.0 + math.tanh(gelu_c * (x + 0.044715 * x**3)))
 
-    tok = params.token_embedding.tolist()
-    pos = params.position_embedding.tolist()
+    tok = params["token_embedding"].tolist()
+    pos = params["position_embedding"].tolist()
     x = [[tok[t][j] + pos[i][j] for j in range(d)] for i, t in enumerate(ids)]
     n = len(ids)
-    for layer in params.layers:
-        q = matmul(x, layer.wq.tolist())
-        k = matmul(x, layer.wk.tolist())
-        v = matmul(x, layer.wv.tolist())
+    for index in range(config.num_layers):
+        p = f"layers.{index}."
+        q = matmul(x, params[p + "wq"].tolist())
+        k = matmul(x, params[p + "wk"].tolist())
+        v = matmul(x, params[p + "wv"].tolist())
         context = []
         for i in range(n):
             scores = [
@@ -606,22 +620,22 @@ def python_reference_forward(ids, mask, params, config):
             context.append(
                 [sum(probs[j] * v[j][m] for j in range(n)) for m in range(d)]
             )
-        attn = matmul(context, layer.wo.tolist())
+        attn = matmul(context, params[p + "wo"].tolist())
         x1 = layer_norm(
             [[a + b for a, b in zip(xr, ar)] for xr, ar in zip(x, attn)],
-            layer.ln1_gain.tolist(),
-            layer.ln1_bias.tolist(),
+            params[p + "ln1_gain"].tolist(),
+            params[p + "ln1_bias"].tolist(),
         )
-        hidden = matmul(x1, layer.w1.tolist())
+        hidden = matmul(x1, params[p + "w1"].tolist())
         activated = [[gelu(h) for h in row] for row in hidden]
-        ffn = matmul(activated, layer.w2.tolist())
+        ffn = matmul(activated, params[p + "w2"].tolist())
         x = layer_norm(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(x1, ffn)],
-            layer.ln2_gain.tolist(),
-            layer.ln2_bias.tolist(),
+            params[p + "ln2_gain"].tolist(),
+            params[p + "ln2_bias"].tolist(),
         )
-    head_w = params.head_w.tolist()
-    head_b = params.head_b.tolist()
+    head_w = params["head_w"].tolist()
+    head_b = params["head_b"].tolist()
     cls = x[0]
     return [
         sum(cls[m] * head_w[m][c] for m in range(d)) + head_b[c]
@@ -836,8 +850,9 @@ class TestFineTune:
         docs, vocab, config, profile = self.setup_training(epochs=3)
         params_a, history_a = fine_tune(docs, docs[:2], vocab, config, profile)
         params_b, history_b = fine_tune(docs, docs[:2], vocab, config, profile)
+        assert_views_of_one_buffer(params_a, config, "fine_tune")
         for (name, ta), (_, tb) in zip(
-            params_a.named_tensors(), params_b.named_tensors()
+            params_a.items(), params_b.items()
         ):
             assert np.array_equal(ta, tb), name
         assert history_a == history_b
@@ -858,7 +873,7 @@ class TestFineTune:
         init_seq, _ = np.random.SeedSequence(profile.seed).spawn(2)
         reference = init_params(config, init_seq)
         for (name, got), (_, want) in zip(
-            params.named_tensors(), reference.named_tensors()
+            params.items(), reference.items()
         ):
             assert np.array_equal(got, want), name
 
@@ -921,7 +936,7 @@ class TestTrainingStep:
         docs, vocab, config, profile = self.setup_training()
         params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
         digest = hashlib.sha256()
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             assert tensor.dtype == np.float32, name
             digest.update(name.encode())
             digest.update(tensor.tobytes())
@@ -940,7 +955,7 @@ class TestTrainingStep:
         docs, vocab, config, profile = self.setup_training()
         params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
         digest = hashlib.sha256()
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             assert tensor.dtype == np.float64, name
             digest.update(name.encode())
             digest.update(tensor.tobytes())
@@ -1018,7 +1033,7 @@ class TestTrainingStep:
             grads = backward(dlogits, params, config, result.cache)
             state = encoder_train._AdamState(params)
             encoder_train._adam_step(grads, state, profile)
-            for name, tensor in params.named_tensors():
+            for name, tensor in params.items():
                 assert grads[name].dtype == dtype, name
                 assert tensor.dtype == dtype, name
                 assert state.m[name].dtype == state.v[name].dtype == dtype, name
@@ -1032,7 +1047,7 @@ class TestTrainingStep:
         for dtype in (np.float32, np.float64):
             params = init_params(config, seed=0, dtype=dtype)
             state = encoder_train._AdamState(params)
-            tensors = {name: t.copy() for name, t in params.named_tensors()}
+            tensors = {name: t.copy() for name, t in params.items()}
             m = {name: np.zeros_like(t) for name, t in tensors.items()}
             v = {name: np.zeros_like(t) for name, t in tensors.items()}
             rng = np.random.default_rng(0)
@@ -1051,7 +1066,7 @@ class TestTrainingStep:
                         np.sqrt(v_hat) + profile.adam_epsilon
                     )
                 encoder_train._adam_step(grads, state, profile)
-                for name, tensor in params.named_tensors():
+                for name, tensor in params.items():
                     key = (dtype.__name__, t, name)
                     assert tensor.dtype == state.m[name].dtype == dtype, key
                     assert np.array_equal(tensor, tensors[name]), key
@@ -1062,48 +1077,23 @@ class TestTrainingStep:
         docs, vocab, config, profile = self.setup_training()
         ids, mask, labels = encode_documents(docs[:5], vocab, config)
         params = init_params(config, seed=0)
-        before = {name: t.copy() for name, t in params.named_tensors()}
         state = encoder_train._AdamState(params)
+        # Adam updates the params themselves, not a copy
+        assert state.weights is params
         result = forward(*_trim(ids, mask), params, config, want_cache=True)
         grads = backward(
             cross_entropy(result.logits, labels)[1], params, config, result.cache
         )
-        names = list(param_shapes(config))
-        roles = {
-            "weights": dict(params.named_tensors()),
-            "grads": grads,
-            "m": state.m,
-            "v": state.v,
-        }
-        buffers = {
-            "weights": state.weights.flat,
-            "grads": grads.flat,
-            "m": state.m.flat,
-            "v": state.v.flat,
-        }
+        roles = {"weights": params, "grads": grads, "m": state.m, "v": state.v}
         for role, tensors in roles.items():
-            flat = buffers[role]
-            assert list(tensors) == names, role
-            assert flat.flags.c_contiguous and flat.ndim == 1, role
-            # every tensor is a view of the buffer, in param_shapes order,
-            # and together they cover it
-            offset = 0
-            for name, tensor in tensors.items():
-                assert tensor.base is flat, (role, name)
-                start = tensor.ctypes.data - flat.ctypes.data
-                assert start == offset * flat.itemsize, (role, name)
-                offset += tensor.size
-            assert offset == flat.size, role
-        # rebinding kept the weights' values
-        for name, tensor in params.named_tensors():
-            assert np.array_equal(tensor, before[name]), name
+            assert_views_of_one_buffer(tensors, config, role)
 
     def test_a_non_finite_weight_is_named(self):
         config = tiny_config(num_layers=2)
         params = init_params(config, seed=0)
         state = encoder_train._AdamState(params)
         encoder_train._check_weights_finite(state.weights, 1, 0)
-        params.layers[1].w2[0, 1] = np.inf
+        params["layers.1.w2"][0, 1] = np.inf
         with pytest.raises(TrainingDivergedError, match=r"layers\.1\.w2"):
             encoder_train._check_weights_finite(state.weights, 2, 3)
 
@@ -1166,7 +1156,7 @@ class TestBatchTrimming:
         )
         params = init_params(config, seed=3, dtype=np.float64)
         # lift the gradients well above the tolerance, as the gradient check does
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             if not name.endswith(("_gain", "_bias", "head_b")):
                 tensor *= 25.0
         ids, mask, labels = encode_documents(docs, vocab, config)
@@ -1195,7 +1185,7 @@ class TestBatchTrimming:
             num_layers=3, num_heads=2, hidden_size=8, max_sequence_length=9
         )
         params = init_params(config, seed=2, dtype=np.float64)
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             if not name.endswith(("_gain", "_bias", "head_b")):
                 tensor *= 25.0
         ids = np.array([[2, 4, 5, 6, 7, 3], [2, 8, 3, 0, 0, 0], [2, 3, 0, 0, 0, 0]])
@@ -1278,13 +1268,14 @@ class TestCheckpoint:
         config, params, path = self.build(tmp_path)
         loaded_params, loaded_config = load_checkpoint(path)
         assert loaded_config == config
+        assert_views_of_one_buffer(loaded_params, config, "load_checkpoint")
         wide = init_params(config, seed=0, dtype=np.float64)
         save_checkpoint(wide, config, tmp_path / "wide.ckpt")
         assert (tmp_path / "wide.ckpt").read_bytes() == path.read_bytes()
         for (name, original), (_, restored), (_, wide_tensor) in zip(
-            params.named_tensors(),
-            loaded_params.named_tensors(),
-            wide.named_tensors(),
+            params.items(),
+            loaded_params.items(),
+            wide.items(),
         ):
             assert original.dtype == restored.dtype == np.float32, name
             assert restored.tobytes() == original.tobytes(), name
