@@ -259,14 +259,11 @@ def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmM
     if len(present) < 2:
         raise MissingClassError("SVM training needs at least 2 classes present")
     rows = [vectorize(doc, vocab, mode=config.feature_mode) for doc in train]
-    matrix = feature_matrix(rows)
     labels = np.array([int(doc.label) for doc in train])
     lam = config.regularization_lambda
     v = vocab.size
 
-    weights = np.zeros((NUM_CLASSES, v))
-    biases = np.zeros(NUM_CLASSES)
-    final_obj = []
+    solved = []
     class_seeds = np.random.SeedSequence(config.seed).spawn(NUM_CLASSES)
     for c in range(NUM_CLASSES):
         rng = np.random.default_rng(class_seeds[c])
@@ -291,19 +288,22 @@ def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmM
                     for i, value in row.items():
                         s[i] += y * value
                     b += y / (lam * t)
-        w = np.array(s) / (lam * t)
-        weights[c] = w
-        biases[c] = b
-        final_obj.append(hinge_objective(w, b, matrix, ys, lam))
+        solved.append((np.array(s) / (lam * t), b, ys))
+
+    # the CSR matrix serves only the objectives: build it after the loops
+    # and drop the row dicts before the passes allocate their temporaries
+    matrix = feature_matrix(rows)
+    del rows
+    final_obj = tuple(hinge_objective(w, b, matrix, ys, lam) for w, b, ys in solved)
 
     return SvmModel(
-        weights=weights,
-        biases=biases,
+        weights=np.array([w for w, _, _ in solved]),
+        biases=np.array([b for _, b, _ in solved]),
         regularization_lambda=lam,
         feature_mode=config.feature_mode,
         # at w = 0, b = 0 every hinge term is exactly 1
         initial_objective=(1.0,) * NUM_CLASSES,
-        final_objective=tuple(final_obj),
+        final_objective=final_obj,
     )
 
 

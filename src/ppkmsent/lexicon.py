@@ -9,7 +9,7 @@ token consumed by a phrase is not re-counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -142,7 +142,15 @@ def label_corpus(
     for doc in documents:
         verdict = score_document(doc.tokens, lexicon)
         final = overrides.get(doc.id, verdict.label)
-        labeled.append(replace(doc, label=final))
+        labeled.append(
+            Document(
+                id=doc.id,
+                raw_text=doc.raw_text,
+                clean_text=doc.clean_text,
+                tokens=doc.tokens,
+                label=final,
+            )
+        )
         worksheet.append(
             WorksheetRow(
                 id=doc.id,

@@ -59,16 +59,16 @@ class StopwordDict:
     source_name: str = ""
 
 
-# Chunks containing "http" (covers https and truncated links) and t.co
-# shortlinks are deleted wholesale; stray fragments would otherwise survive
-# the symbol pass as fake words.
-_URL_RE = re.compile(r"\S*http\S*|\S*\bt\.co/\S+")
+# A whitespace-delimited chunk that contains "http" (covers https and
+# truncated links) or a t.co shortlink is deleted wholesale; stray fragments
+# would otherwise survive the symbol pass as fake words.  The lookbehind
+# anchors every attempt at a chunk start, so each chunk is scanned once.
+_URL_RE = re.compile(r"(?<!\S)(?=\S*?(?:http|\bt\.co/\S))\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _SYMBOL_RE = re.compile(r"[^a-z0-9\s-]")
 _MULTI_HYPHEN_RE = re.compile(r"-{2,}")
 _LONE_HYPHEN_RE = re.compile(r"(?<![a-z0-9])-|-(?![a-z0-9])")
 _LONE_DIGITS_RE = re.compile(r"(?<![a-z0-9-])[0-9]+(?![a-z0-9-])")
-_WS_RE = re.compile(r"\s+")
 
 
 def cleanse(raw_text: str) -> str:
@@ -78,19 +78,28 @@ def cleanse(raw_text: str) -> str:
     stripping (the hashtag word survives), symbol removal keeping
     intra-word hyphens, standalone-digit removal (digits embedded in words
     like "covid19" survive), whitespace collapse, trim.  Idempotent.
+
+    Runs in time linear in the text: every pattern does a bounded amount
+    of work per character.  A pass whose pattern cannot match is skipped:
+    the URL pass when the text holds neither "http" nor "t.co/", the
+    mention pass without '@' and the two hyphen passes without '-'.
     """
     text = raw_text.lower()
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
+    if "http" in text or "t.co/" in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
     # '#' becomes a space, not the empty string: deleting it outright could
     # splice the surrounding fragments into a new "http" run that a second
     # pass would treat as a URL, breaking idempotence
     text = text.replace("#", " ")
     text = _SYMBOL_RE.sub(" ", text)
-    text = _MULTI_HYPHEN_RE.sub(" ", text)
-    text = _LONE_HYPHEN_RE.sub(" ", text)
+    if "-" in text:
+        text = _MULTI_HYPHEN_RE.sub(" ", text)
+        text = _LONE_HYPHEN_RE.sub(" ", text)
     text = _LONE_DIGITS_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    # str.split and re's \s both take whitespace to be str.isspace
+    return " ".join(text.split())
 
 
 def rank_tokens(counts: Counter[str], min_count: int = 1) -> list[str]:

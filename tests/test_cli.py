@@ -325,6 +325,23 @@ class TestFullRun:
         assert summary.startswith("model,")
         assert (out_dir / "unigrams.svg").is_file()
 
+    @pytest.mark.parametrize(
+        "tail, clean",
+        [("-" * 20_000, "ppkm"), ("x" * 20_000 + " http://a.b", "ppkm " + "x" * 20_000)],
+        ids=["hyphens", "chunk-then-url"],
+    )
+    def test_label_takes_a_long_row(self, tmp_path, tail, clean):
+        config_path = write_setup(tmp_path)
+        rows = synthetic_tweets(40, seed=1)
+        rows[0]["text"] = "PPKM " + tail
+        write_jsonl(rows, tmp_path / "raw.jsonl")
+        for stage in ("ingest", "label"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        labeled = (tmp_path / "out" / pipeline.LABELED_FILE).read_text(encoding="utf-8")
+        long_row = json.loads(labeled.splitlines()[0])
+        assert long_row["id"] == rows[0]["id"]
+        assert long_row["clean_text"] == clean
+
     def test_verbose_flag_logs_stage_progress(self, tmp_path, capsys):
         config_path = write_setup(tmp_path)
         assert cli.main(["-v", "ingest", "-c", str(config_path)]) == cli.EXIT_OK

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import re
+import sys
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppkmsent.data import default_stopwords
+from ppkmsent.fixtures import synthetic_tweets
 from ppkmsent.preprocess import (
     Document,
     SentimentLabel,
@@ -19,6 +24,31 @@ from ppkmsent.preprocess import (
     remove_stopwords,
     tokenize,
 )
+
+
+def reference_cleanse(raw_text: str) -> str:
+    """The plain regex pipeline that ``cleanse`` must equal character for
+    character; its URL pattern backtracks quadratically in a chunk's length."""
+    text = raw_text.lower()
+    text = re.sub(r"\S*http\S*|\S*\bt\.co/\S+", " ", text)
+    text = re.sub(r"@\w+", " ", text)
+    text = text.replace("#", " ")
+    text = re.sub(r"[^a-z0-9\s-]", " ", text)
+    text = re.sub(r"-{2,}", " ", text)
+    text = re.sub(r"(?<![a-z0-9])-|-(?![a-z0-9])", " ", text)
+    text = re.sub(r"(?<![a-z0-9-])[0-9]+(?![a-z0-9-])", " ", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+# pieces that exercise every pass and the edges between them: URL markers in
+# both cases, word characters before "t.co/", whitespace that is not ASCII,
+# and a capital whose lowercase is two code points
+ADVERSARIAL_PIECES = [
+    "http", "HTTP", "t.co/", "@", "#", "-", "0", "7", "_", "a",
+    "\t", "\n", "\x1e", "\xa0", " ", "\u0130", "\U0001f622",
+]
+
+LONG_ROW = 20_000
 
 
 class TestSentimentLabel:
@@ -104,6 +134,59 @@ class TestCleanse:
             assert "#" not in token
             assert "@" not in token
             assert "http" not in token
+
+
+class TestCleanseEquivalence:
+    """``cleanse`` equals the plain regex pipeline on every input."""
+
+    @given(st.text(max_size=80))
+    @settings(max_examples=500)
+    def test_any_unicode_text(self, text):
+        assert cleanse(text) == reference_cleanse(text)
+
+    @given(st.lists(st.sampled_from(ADVERSARIAL_PIECES), max_size=24).map("".join))
+    @settings(max_examples=500)
+    @example("0t.co/x")  # no word boundary before "t.co/"
+    @example("_t.co/x http")
+    @example("\u0130t.co/7")  # the lowered capital ends in a non-word dot
+    @example("a t.co/ b")  # nothing after "t.co/"
+    @example("t.co/")
+    @example("a -b c- d")  # lone hyphens without a double hyphen
+    @example("http\xa0a\x1ehttp#b")
+    def test_adversarial_alphabet(self, text):
+        assert cleanse(text) == reference_cleanse(text)
+
+    def test_every_fixture_row(self):
+        for row in synthetic_tweets(3000, seed=1):
+            assert cleanse(row["text"]) == reference_cleanse(row["text"]), row["id"]
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # cleanse collapses whitespace with str.split; the reference with \s+
+        space = re.compile(r"\s")
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert (space.fullmatch(ch) is not None) == ch.isspace(), hex(code)
+
+
+class TestCleanseLongRows:
+    """One long chunk costs time linear in its length."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a" * LONG_ROW, "a" * LONG_ROW),
+            ("1" * LONG_ROW + "a", "1" * LONG_ROW + "a"),
+            ("-" * LONG_ROW, ""),
+            ("@" * LONG_ROW, ""),
+            ("x" * LONG_ROW + " http://a.b", "x" * LONG_ROW),
+        ],
+        ids=["letters", "digits-then-letter", "hyphens", "at-signs", "chunk-then-url"],
+    )
+    def test_returns_within_a_second(self, text, expected):
+        start = time.perf_counter()
+        out = cleanse(text)
+        assert time.perf_counter() - start < 1.0
+        assert out == expected
 
 
 class TestTokenize:
