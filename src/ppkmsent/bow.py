@@ -22,7 +22,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,11 +62,10 @@ def build_vocab(documents: list[Document], min_count: int = 1) -> BowVocab:
         raise ValueError("cannot build a vocabulary from an empty training set")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    totals: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
-    for doc in documents:
-        totals.update(doc.tokens)
-        doc_freq.update(set(doc.tokens))
+    totals: Counter[str] = Counter(chain.from_iterable(doc.tokens for doc in documents))
+    doc_freq: Counter[str] = Counter(
+        chain.from_iterable(set(doc.tokens) for doc in documents)
+    )
     kept = rank_tokens(totals, min_count)
     token_to_index = {t: i for i, t in enumerate(kept)}
     return BowVocab(
@@ -165,15 +164,21 @@ def mnb_train(train: list[Document], vocab: BowVocab, alpha: float = 1.0) -> Mnb
         raise ValueError("alpha must be positive")
     _require_all_classes(train)
     v = vocab.size
-    class_counts = np.zeros(NUM_CLASSES)
-    token_counts = np.zeros((NUM_CLASSES, v))
-    for doc in train:
-        c = int(doc.label)
-        class_counts[c] += 1
-        for token in doc.tokens:
-            idx = vocab.token_to_index.get(token)
-            if idx is not None:
-                token_counts[c, idx] += 1
+    labels = np.fromiter((doc.label for doc in train), dtype=np.intp, count=len(train))
+    class_counts = np.bincount(labels, minlength=NUM_CLASSES)
+    # each in-vocabulary token adds one to cell c*V + i, all in one bincount;
+    # the integer counts convert exactly, so the floats below equal a loop's
+    lengths = np.fromiter((len(doc.tokens) for doc in train), dtype=np.intp, count=len(train))
+    tokens = chain.from_iterable(doc.tokens for doc in train)
+    indices = np.fromiter(
+        map(vocab.token_to_index.get, tokens, repeat(-1)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
+    )
+    cells = np.repeat(labels * v, lengths) + indices
+    token_counts = np.bincount(cells[indices >= 0], minlength=NUM_CLASSES * v).reshape(
+        NUM_CLASSES, v
+    )
     class_log_prior = np.log(class_counts / len(train))
     if v == 0:
         token_log_likelihood = np.zeros((NUM_CLASSES, 0))

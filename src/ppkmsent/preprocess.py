@@ -8,11 +8,15 @@ parallel without coordination.
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
+from typing import TypeVar
+
+T = TypeVar("T")
 
 
 class SentimentLabel(IntEnum):
@@ -102,11 +106,29 @@ def cleanse(raw_text: str) -> str:
     return " ".join(text.split())
 
 
-def rank_tokens(counts: Counter[str], min_count: int = 1) -> list[str]:
-    """Tokens counted at least ``min_count`` times, by descending count with
-    ties broken lexicographically; the order of every vocabulary."""
-    kept = [token for token, count in counts.items() if count >= min_count]
-    return sorted(kept, key=lambda token: (-counts[token], token))
+def rank_tokens(
+    counts: Counter[T], min_count: int = 1, top_k: int | None = None
+) -> list[T]:
+    """Keys counted at least ``min_count`` times, by descending count with
+    ties broken by the key's own order; the order of every vocabulary and
+    frequency chart.
+
+    ``top_k=None`` returns every kept key, fully sorted.  Otherwise only the
+    first ``top_k`` of that order are returned (``0`` gives ``[]``), chosen
+    with a bounded heap: ``heapq.nsmallest`` equals ``sorted(...)[:top_k]``
+    and ranks G kept keys in O(G log top_k) rather than O(G log G).  A
+    negative ``top_k`` raises ``ValueError``.
+    """
+    if top_k is not None and top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
+    kept = [key for key, count in counts.items() if count >= min_count]
+
+    def rank(key: T) -> tuple[int, T]:
+        return -counts[key], key
+
+    if top_k is None:
+        return sorted(kept, key=rank)
+    return heapq.nsmallest(top_k, kept, key=rank)
 
 
 def tokenize(clean_text: str) -> list[str]:

@@ -1,6 +1,12 @@
 """Frequency analytics: n-gram tables, word-cloud weights, label counts.
 
-Grams never cross document boundaries.  Rendering is deterministic SVG —
+Grams never cross document boundaries.  Counting runs at C speed: one
+``Counter`` is fed by ``zip`` over n shifted copies of each document's
+tokens, chained across documents, so no Python code runs per token.
+Ranking goes through :func:`~ppkmsent.preprocess.rank_tokens`, the one
+order of every vocabulary and chart (count descending, ties lexicographic);
+with a ``top_k`` it keeps a bounded heap, O(G log k) for G distinct grams,
+instead of sorting all of them.  Rendering is deterministic SVG —
 rank-ordered bars and scaled-text rows, byte-identical for identical input —
 because the countable weights, not the layout, are the testable content.
 """
@@ -9,11 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from ppkmsent import artifacts
-from ppkmsent.preprocess import Document, SentimentLabel, label_name
+from ppkmsent.preprocess import Document, SentimentLabel, label_name, rank_tokens
 
 
 @dataclass(frozen=True)
@@ -32,18 +39,23 @@ class CloudWeights:
 
 
 def ngrams(documents: Sequence[Document], n: int, top_k: int | None = None) -> NgramTable:
-    """Sliding-window gram counts within each document."""
+    """Sliding-window gram counts within each document, the top ``top_k``
+    of them (all with ``None``) in ``rank_tokens`` order.
+
+    ``zip`` over the n copies ``tokens[0:]``, ..., ``tokens[n-1:]`` yields
+    each document's grams ``tokens[i:i+n]`` and stops at its end, so grams
+    never cross documents.  One ``Counter`` counts them all in C; ranking is
+    a bounded heap, O(G log top_k) for G distinct grams.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts: Counter[tuple[str, ...]] = Counter()
-    for doc in documents:
-        tokens = doc.tokens
-        for i in range(len(tokens) - n + 1):
-            counts[tokens[i : i + n]] += 1
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    if top_k is not None:
-        ordered = ordered[:top_k]
-    return NgramTable(n=n, entries=tuple(ordered))
+    counts: Counter[tuple[str, ...]] = Counter(
+        chain.from_iterable(
+            zip(*(doc.tokens[i:] for i in range(n))) for doc in documents
+        )
+    )
+    ranked = rank_tokens(counts, top_k=top_k)
+    return NgramTable(n=n, entries=tuple((gram, counts[gram]) for gram in ranked))
 
 
 def cloud_weights(
@@ -51,12 +63,15 @@ def cloud_weights(
     top_k: int,
     extra_stopwords: frozenset[str] | set[str] = frozenset(),
 ) -> CloudWeights:
-    """Unigram counts minus extra stopwords, truncated to top_k."""
-    counts: Counter[str] = Counter()
-    for doc in documents:
-        counts.update(t for t in doc.tokens if t not in extra_stopwords)
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top_k]
-    return CloudWeights(entries=dict(ordered))
+    """Unigram counts minus extra stopwords, the top ``top_k`` of them in
+    ``rank_tokens`` order."""
+    counts: Counter[str] = Counter(
+        chain.from_iterable(doc.tokens for doc in documents)
+    )
+    for word in extra_stopwords:
+        counts.pop(word, None)
+    ranked = rank_tokens(counts, top_k=top_k)
+    return CloudWeights(entries={word: counts[word] for word in ranked})
 
 
 def sentiment_distribution(documents: Sequence[Document]) -> dict[SentimentLabel, int]:

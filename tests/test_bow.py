@@ -170,7 +170,35 @@ def fraction_mnb_scores(train, vocab, alpha, tokens):
     return scores
 
 
+def reference_mnb_arrays(train, vocab, alpha):
+    """The per-token counting loop that ``mnb_train``'s bincount replaces."""
+    v = vocab.size
+    class_counts = np.zeros(3)
+    token_counts = np.zeros((3, v))
+    for doc in train:
+        class_counts[int(doc.label)] += 1
+        for token in doc.tokens:
+            idx = vocab.token_to_index.get(token)
+            if idx is not None:
+                token_counts[int(doc.label), idx] += 1
+    totals = token_counts.sum(axis=1, keepdims=True)
+    return (
+        np.log(class_counts / len(train)),
+        np.log((token_counts + alpha) / (totals + alpha * v)),
+    )
+
+
 class TestMnb:
+    # min_count 8 leaves 29 of the 40 words, so some tokens are out of vocabulary
+    @pytest.mark.parametrize("min_count", [1, 8])
+    def test_arrays_equal_the_per_token_loop(self, min_count):
+        docs = random_corpus(n=90, vocab_words=40, seed=5)
+        vocab = build_vocab(docs, min_count=min_count)
+        model = mnb_train(docs, vocab, alpha=0.5)
+        prior, likelihood = reference_mnb_arrays(docs, vocab, 0.5)
+        assert np.array_equal(model.class_log_prior, prior)
+        assert np.array_equal(model.token_log_likelihood, likelihood)
+
     def test_balanced_corpus_has_uniform_priors(self):
         docs = [
             make_doc(["a"], NEG, "d0"),

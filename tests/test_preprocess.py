@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from ppkmsent.preprocess import (
     load_stopwords,
     make_document,
     parse_label,
+    rank_tokens,
     remove_stopwords,
     tokenize,
 )
@@ -187,6 +189,28 @@ class TestCleanseLongRows:
         out = cleanse(text)
         assert time.perf_counter() - start < 1.0
         assert out == expected
+
+
+class TestRankTokens:
+    def test_count_descending_ties_lexicographic(self):
+        counts = Counter({"b": 2, "a": 2, "c": 3, "d": 1})
+        assert rank_tokens(counts) == ["c", "a", "b", "d"]
+        assert rank_tokens(counts, min_count=2) == ["c", "a", "b"]
+
+    @given(
+        st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 3)),
+        st.integers(1, 3),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=200)
+    def test_top_k_is_a_prefix_of_the_full_order(self, counts, min_count, top_k):
+        counts = Counter(counts)
+        full = rank_tokens(counts, min_count)
+        assert rank_tokens(counts, min_count, top_k) == full[:top_k]
+
+    def test_negative_top_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k must be >= 0"):
+            rank_tokens(Counter({"a": 1}), top_k=-1)
 
 
 class TestTokenize:

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc
+from ppkmsent import pipeline
+from ppkmsent.fixtures import synthetic_tweets, write_jsonl
 from ppkmsent.preprocess import SentimentLabel
 from ppkmsent.viz import (
     CloudWeights,
@@ -31,6 +33,46 @@ token_lists = st.lists(
     st.lists(st.sampled_from(["ppkm", "rugi", "usaha", "bantuan"]), max_size=6),
     max_size=8,
 )
+# three words and short documents give many tied counts; n = 4 exceeds
+# every document of up to three tokens
+tied_token_lists = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c"]), max_size=3),
+    max_size=12,
+)
+top_ks = st.sampled_from([None, 0, 1, 2, 7, 10**6])
+
+
+def reference_ngrams(documents, n, top_k=None):
+    """The per-token loop and full sort that ``ngrams`` replaces."""
+    counts = Counter()
+    for doc in documents:
+        tokens = doc.tokens
+        for i in range(len(tokens) - n + 1):
+            counts[tokens[i : i + n]] += 1
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    if top_k is not None:
+        ordered = ordered[:top_k]
+    return NgramTable(n=n, entries=tuple(ordered))
+
+
+def reference_cloud_weights(documents, top_k, extra_stopwords=frozenset()):
+    """The per-document filter and full sort that ``cloud_weights`` replaces."""
+    counts = Counter()
+    for doc in documents:
+        counts.update(t for t in doc.tokens if t not in extra_stopwords)
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top_k]
+    return CloudWeights(entries=dict(ordered))
+
+
+@pytest.fixture(scope="module")
+def labeled_fixture_documents(tmp_path_factory):
+    """The labeled rows of ``synthetic_tweets(3000, seed=1)``."""
+    tmp = tmp_path_factory.mktemp("viz-fixture")
+    write_jsonl(synthetic_tweets(3000, seed=1), tmp / "raw.jsonl")
+    config = pipeline.PipelineConfig(output_dir=tmp / "out", corpus_path=tmp / "raw.jsonl")
+    pipeline.run_ingest(config)
+    pipeline.run_label(config)
+    return pipeline.load_labeled_documents(config.output_dir)
 
 
 class TestNgrams:
@@ -98,6 +140,34 @@ class TestNgrams:
         direct = Counter(tok for toks in lists for tok in toks)
         assert {gram[0]: count for gram, count in table.entries} == dict(direct)
 
+    @given(tied_token_lists, st.integers(min_value=1, max_value=4), top_ks)
+    @settings(max_examples=300)
+    def test_matches_the_reference_loop(self, lists, n, top_k):
+        docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
+        assert ngrams(docs, n, top_k) == reference_ngrams(docs, n, top_k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("top_k", [None, 20])
+    def test_matches_the_reference_on_the_labeled_fixture(
+        self, labeled_fixture_documents, n, top_k
+    ):
+        docs = labeled_fixture_documents
+        assert ngrams(docs, n, top_k) == reference_ngrams(docs, n, top_k)
+
+    def test_zero_top_k_is_empty_and_none_keeps_every_gram(self):
+        docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
+        assert ngrams(docs, 1, top_k=0).entries == ()
+        assert ngrams(docs, 1, top_k=None).entries == (
+            (("x",), 2),
+            (("y",), 1),
+            (("z",), 1),
+        )
+
+    def test_negative_top_k_rejected(self):
+        docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
+        with pytest.raises(ValueError, match="top_k"):
+            ngrams(docs, 1, top_k=-1)
+
 
 class TestCloudWeights:
     def test_matches_unigram_table(self):
@@ -118,6 +188,37 @@ class TestCloudWeights:
         docs = [make_doc(["z", "z", "a", "m", "m", "m"], doc_id="a")]
         cloud = cloud_weights(docs, top_k=2)
         assert cloud.entries == {"m": 3, "z": 2}
+
+    @given(
+        tied_token_lists,
+        top_ks.filter(lambda k: k is not None),
+        st.frozensets(st.sampled_from(["a", "b", "c", "d"]), min_size=1),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_reference_loop(self, lists, top_k, stopwords):
+        docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
+        want = reference_cloud_weights(docs, top_k, stopwords)
+        got = cloud_weights(docs, top_k, stopwords)
+        assert list(got.entries.items()) == list(want.entries.items())
+
+    @pytest.mark.parametrize("top_k", [1, 20, 10**6])
+    def test_matches_the_reference_on_the_labeled_fixture(
+        self, labeled_fixture_documents, top_k
+    ):
+        docs = labeled_fixture_documents
+        stopwords = frozenset({"ppkm", "tidak"})
+        want = reference_cloud_weights(docs, top_k, stopwords)
+        got = cloud_weights(docs, top_k, stopwords)
+        assert list(got.entries.items()) == list(want.entries.items())
+
+    def test_zero_top_k_is_empty(self):
+        docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
+        assert cloud_weights(docs, top_k=0).entries == {}
+
+    def test_negative_top_k_rejected(self):
+        docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
+        with pytest.raises(ValueError, match="top_k"):
+            cloud_weights(docs, top_k=-1)
 
 
 class TestSentimentDistribution:
