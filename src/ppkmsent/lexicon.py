@@ -10,7 +10,7 @@ token consumed by a phrase is not re-counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 
 from ppkmsent.errors import LexiconOverlapError, UnknownIdError
@@ -28,6 +28,20 @@ class LexiconDict:
         overlap = self.positive & self.negative
         if overlap:
             raise LexiconOverlapError(overlap)
+
+    @cached_property
+    def phrase_index(self) -> dict[str, list[tuple[tuple[str, ...], int]]]:
+        """Map first token -> [(phrase tokens, polarity)], longest phrases
+        first.  Kept on the instance, so a lookup never compares two
+        dictionaries' phrase sets."""
+        index: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+        for phrases, polarity in ((self.positive, +1), (self.negative, -1)):
+            for phrase in phrases:
+                words = tuple(phrase.split())
+                index.setdefault(words[0], []).append((words, polarity))
+        for candidates in index.values():
+            candidates.sort(key=lambda item: (-len(item[0]), item[0]))
+        return index
 
 
 @dataclass(frozen=True)
@@ -69,22 +83,9 @@ def _load_phrases(path: str | Path) -> set[str]:
     return phrases
 
 
-@lru_cache(maxsize=8)
-def _phrase_index(lexicon: LexiconDict) -> dict[str, list[tuple[tuple[str, ...], int]]]:
-    """Map first token -> [(phrase tokens, polarity)], longest phrases first."""
-    index: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    for phrases, polarity in ((lexicon.positive, +1), (lexicon.negative, -1)):
-        for phrase in phrases:
-            words = tuple(phrase.split())
-            index.setdefault(words[0], []).append((words, polarity))
-    for candidates in index.values():
-        candidates.sort(key=lambda item: (-len(item[0]), item[0]))
-    return index
-
-
 def score_document(tokens, lexicon: LexiconDict) -> LexiconVerdict:
     """Greedy longest-match scan; repeats count repeatedly."""
-    index = _phrase_index(lexicon)
+    index = lexicon.phrase_index
     tokens = tuple(tokens)
     matched_positive: list[str] = []
     matched_negative: list[str] = []

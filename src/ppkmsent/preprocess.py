@@ -44,7 +44,7 @@ def parse_label(name: str) -> SentimentLabel:
         raise ValueError(f"unknown sentiment label: {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """A cleaned, tokenized text unit flowing through the pipeline."""
 

@@ -129,7 +129,7 @@ def load_review_items(output_dir: Path) -> tuple[str, list[ReviewItem]]:
         ]
         return "worksheet", items
     corpus = artifacts.require_artifact(output_dir / pipeline.CORPUS_FILE, "ingest")
-    rows = artifacts.load_jsonl(corpus, artifacts.corpus_row)
+    rows, _ = artifacts.load_jsonl(corpus, artifacts.corpus_row)
     return "corpus", [ReviewItem(id=rid, text=text) for rid, text in rows]
 
 

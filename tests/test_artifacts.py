@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import ast
+import gc
+import hashlib
+import json
 from pathlib import Path
 
+import pytest
+
 import ppkmsent
+from ppkmsent import artifacts, pipeline
+from ppkmsent.errors import ConfigError
+from ppkmsent.preprocess import SentimentLabel
 
 PACKAGE_DIR = Path(ppkmsent.__file__).parent
 
@@ -79,3 +87,132 @@ class TestSingleWriter:
             for line in file_writes(path.read_text(encoding="utf-8"))
         ]
         assert found == []
+
+
+GOOD_ROW = {
+    "id": "t1",
+    "raw_text": "PPKM Rugi",
+    "clean_text": "ppkm rugi",
+    "tokens": ["ppkm", "rugi"],
+    "label": "Negative",
+}
+
+
+def labeled_file(tmp_path: Path, bad_line: bytes) -> Path:
+    """A labeled.jsonl whose third line (after a blank one) is ``bad_line``."""
+    path = tmp_path / pipeline.LABELED_FILE
+    good = json.dumps(GOOD_ROW, sort_keys=True).encode("utf-8")
+    path.write_bytes(good + b"\n\n" + bad_line + b"\n" + good + b"\n")
+    return path
+
+
+def row(**changes) -> bytes:
+    payload = {**GOOD_ROW, **changes}
+    kept = {k: v for k, v in payload.items() if v is not None}
+    return json.dumps(kept).encode("utf-8")
+
+
+class TestLoadJsonl:
+    def test_rows_and_the_digest_of_the_parsed_bytes(self, tmp_path):
+        path = labeled_file(tmp_path, row(id="t2", label="Positive"))
+        docs, digest = artifacts.load_jsonl(path, pipeline.document_from_json)
+        assert [d.id for d in docs] == ["t1", "t2", "t1"]
+        assert docs[1].label is SentimentLabel.POSITIVE
+        assert docs[1].tokens == ("ppkm", "rugi")
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (b"[1, 2]", "row is not a JSON object"),
+            (row(id=None), "'id' is missing or not a str"),
+            (row(raw_text=5), "'raw_text' is missing or not a str"),
+            # the first bad field in field order is named
+            (row(clean_text=None, label=3), "'clean_text' is missing or not a str"),
+            (row(label=1), "'label' is missing or not a str"),
+            (row(tokens="ppkm rugi"), "'tokens' is missing or not a list of str"),
+            (row(tokens=None), "'tokens' is missing or not a list of str"),
+            (row(tokens=["ppkm", 2]), "'tokens' is missing or not a list of str"),
+            (row(label="great"), "unknown sentiment label: 'great'"),
+            (
+                b"{not json",
+                "Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)",
+            ),
+            (
+                b"\xff{}",
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+        ],
+        ids=[
+            "not-an-object",
+            "missing-field",
+            "non-str-field",
+            "first-bad-field",
+            "non-str-label",
+            "tokens-not-a-list",
+            "tokens-missing",
+            "non-str-token",
+            "unknown-label",
+            "not-json",
+            "not-utf-8",
+        ],
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, bad_line, message):
+        path = labeled_file(tmp_path, bad_line)
+        with pytest.raises(ConfigError) as caught:
+            artifacts.load_jsonl(path, pipeline.document_from_json)
+        assert str(caught.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": [1, "x"]}\n',
+            '{"a": 1}',
+            '  {"a": 1}\n',
+            '{"a": 1}\r\n',
+            '{"a": 1} \n',
+            '{"a": 1} x\n',
+            '{"a": 1}{"b": 2}\n',
+            '1 2\n',
+            '"s"\n',
+            "NaN\n",
+            '\ufeff{"a": 1}\n',
+            '{"a": \n',
+            "{not json\n",
+        ],
+    )
+    def test_a_line_parses_as_json_loads_parses_it(self, text):
+        try:
+            expected = ("value", json.loads(text))
+        except ValueError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("value", artifacts._json_line(text))
+        except ValueError as exc:
+            got = ("error", str(exc))
+        assert got == expected
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "bad_line", [row(id="t2"), row(label="great")], ids=["ok", "bad"]
+    )
+    def test_collector_state_is_restored(self, tmp_path, enabled, bad_line):
+        path = labeled_file(tmp_path, bad_line)
+        seen = []
+
+        def parse(payload):
+            seen.append(gc.isenabled())
+            return pipeline.document_from_json(payload)
+
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            try:
+                artifacts.load_jsonl(path, parse)
+            except ConfigError:
+                assert b"great" in bad_line
+            assert gc.isenabled() is enabled
+            assert seen and not any(seen)
+        finally:
+            gc.enable() if was_enabled else gc.disable()

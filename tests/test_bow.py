@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_doc, separable_fixture
 from ppkmsent.bow import (
@@ -100,6 +102,97 @@ class TestBuildVocab:
         assert all(
             df <= forward.num_documents for df in forward.document_frequency
         )
+
+
+def reference_vectorize(document, vocab, mode):
+    """The per-document dict features feature_matrix replaced, with each
+    tf-idf norm added up by an explicit loop."""
+    counts = {}
+    for token in document.tokens:
+        idx = vocab.token_to_index.get(token)
+        if idx is not None:
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+    if mode == "tf" or not counts:
+        return counts
+    n = vocab.num_documents
+    weighted = {
+        idx: count * (math.log((1 + n) / (1 + vocab.document_frequency[idx])) + 1.0)
+        for idx, count in counts.items()
+    }
+    squares = 0.0
+    for value in weighted.values():
+        squares += value * value
+    norm = math.sqrt(squares)
+    return {idx: value / norm for idx, value in weighted.items()}
+
+
+def csr(rows):
+    """CSR triple of hand-written {index: value} rows, in each row's order."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([i for row in rows for i in row], dtype=np.intp)
+    values = np.array([v for row in rows for v in row.values()], dtype=float)
+    return indptr, indices, values
+
+
+def matrix_rows(matrix):
+    """The rows of a CSR triple as {index: value} dicts, in stored order."""
+    indptr, indices, values = matrix
+    return [
+        dict(zip(indices[a:b].tolist(), values[a:b].tolist()))
+        for a, b in zip(indptr[:-1], indptr[1:])
+    ]
+
+
+WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+
+
+class TestFeatureMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        train=st.lists(st.lists(WORDS, max_size=6), min_size=1, max_size=6),
+        queries=st.lists(
+            st.lists(st.one_of(WORDS, st.sampled_from(["oov", "lain"])), max_size=12),
+            max_size=8,
+        ),
+        min_count=st.integers(min_value=1, max_value=4),
+        mode=st.sampled_from(["tf", "tfidf"]),
+    )
+    def test_rows_equal_the_reference(self, train, queries, min_count, mode):
+        # min_count above every total leaves a vocabulary of size 0
+        vocab = build_vocab(
+            [make_doc(t, doc_id=f"t{i}") for i, t in enumerate(train)], min_count
+        )
+        docs = [make_doc(q, doc_id=f"q{i}") for i, q in enumerate(queries)]
+        indptr, indices, values = feature_matrix(docs, vocab, mode)
+        assert indptr.shape == (len(docs) + 1,)
+        expected = [reference_vectorize(doc, vocab, mode) for doc in docs]
+        got = matrix_rows((indptr, indices, values))
+        for row, want in zip(got, expected):
+            assert list(row.items()) == list(want.items())
+        for doc, want in zip(docs, expected):
+            assert list(vectorize(doc, vocab, mode).items()) == list(want.items())
+
+    def test_no_documents(self):
+        vocab = build_vocab([make_doc(["a"], doc_id="t")])
+        for mode in ("tf", "tfidf"):
+            indptr, indices, values = feature_matrix([], vocab, mode)
+            assert indptr.tolist() == [0]
+            assert indices.size == values.size == 0
+
+    def test_tfidf_norm_adds_in_order_on_every_python(self):
+        # builtin sum() compensates from Python 3.12 on and rounds the
+        # first entry's norm differently (a: 0.22941573387056177)
+        docs = [
+            make_doc(["a", "b", "b", "b", "c", "c", "c"], doc_id="x"),
+            make_doc(["d"], doc_id="y"),
+        ]
+        vocab = build_vocab(docs)
+        row = vectorize(docs[0], vocab, mode="tfidf")
+        assert [(vocab.tokens_in_index_order()[i], v) for i, v in row.items()] == [
+            ("a", 0.2294157338705618),
+            ("b", 0.6882472016116853),
+            ("c", 0.6882472016116853),
+        ]
 
 
 class TestVectorize:
@@ -432,9 +525,7 @@ class TestSvm:
     def test_hinge_objective_at_zero_weights_is_mean_hinge(self):
         rows = [{0: 1.0}, {1: 2.0}]
         ys = np.array([1.0, -1.0])
-        assert hinge_objective(
-            np.zeros(2), 0.0, feature_matrix(rows), ys, 0.5
-        ) == pytest.approx(1.0)
+        assert hinge_objective(np.zeros(2), 0.0, csr(rows), ys, 0.5) == pytest.approx(1.0)
 
 
 def reference_hinge_objective(w, b, rows, ys, lam):
@@ -518,7 +609,7 @@ class TestClosedFormPegasos:
         w = np.array([0.5, -1.25, 2.0])
         rows = [{0: 1.0, 2: 0.5}, {1: 2.0}, {0: 0.25, 1: 1.0, 2: 1.0}]
         ys = np.array([1.0, 1.0, -1.0])
-        value = hinge_objective(w, 0.125, feature_matrix(rows), ys, 0.5)
+        value = hinge_objective(w, 0.125, csr(rows), ys, 0.5)
         assert value == reference_hinge_objective(w, 0.125, rows, ys, 0.5)
         assert value == 0.5 * 0.5 * 5.8125 + (3.375 + 2.0) / 3
 
@@ -528,7 +619,8 @@ class TestClosedFormPegasos:
         rows = [vectorize(d, vocab, mode="tfidf") for d in docs]
         ys = np.where(np.arange(len(docs)) % 3 == 0, 1.0, -1.0)
         w = np.random.default_rng(5).normal(size=vocab.size)
-        assert hinge_objective(w, -0.3, feature_matrix(rows), ys, 0.01) == pytest.approx(
+        matrix = feature_matrix(docs, vocab, "tfidf")
+        assert hinge_objective(w, -0.3, matrix, ys, 0.01) == pytest.approx(
             reference_hinge_objective(w, -0.3, rows, ys, 0.01), rel=1e-12
         )
 
@@ -541,7 +633,7 @@ class TestClosedFormPegasos:
         rows = [vectorize(d, vocab, mode="tfidf") for d in docs]
         ys = np.where(np.arange(len(docs)) % 3 == 0, 1.0, -1.0)
         w = np.random.default_rng(5).normal(size=vocab.size)
-        matrix = feature_matrix(rows)
+        matrix = feature_matrix(docs, vocab, "tfidf")
         assert hinge_objective(w, -0.3, matrix, ys, 0.01) == reference_hinge_objective(
             w, -0.3, rows, ys, 0.01
         )
@@ -577,10 +669,17 @@ def trained_models(docs, vocab):
 
 class TestPredictBatch:
     def test_feature_matrix_keeps_row_order(self):
-        indptr, indices, values = feature_matrix([{4: 2.0, 1: 1.0}, {}, {0: 0.5}])
+        # first-occurrence order within a row; an OOV-only row is empty
+        vocab = BowVocab(
+            token_to_index={t: i for i, t in enumerate("abcde")},
+            document_frequency=(1,) * 5,
+            num_documents=1,
+        )
+        docs = [make_doc(["e", "b", "e"]), make_doc(["oov"]), make_doc(["a"])]
+        indptr, indices, values = feature_matrix(docs, vocab)
         assert indptr.tolist() == [0, 2, 2, 3]
         assert indices.tolist() == [4, 1, 0]
-        assert values.tolist() == [2.0, 1.0, 0.5]
+        assert values.tolist() == [2.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("corpus", [separable_fixture, random_corpus])
     def test_scores_equal_the_per_document_loop(self, corpus):

@@ -284,3 +284,24 @@ class TestLoadLexicon:
         present.write_text("a\n", encoding="utf-8")
         with pytest.raises(OSError):
             load_lexicon(present, tmp_path / "absent.txt")
+
+
+class TestPhraseIndex:
+    def test_an_equal_dictionary_is_never_compared(self, monkeypatch):
+        # every stage builds its own LexiconDict; finding the phrase index
+        # must not compare it with an equal one built earlier
+        phrases = dict(positive={"bagus", "sangat baik"}, negative={"rugi"})
+        score_document(("bagus",), lex(**phrases))
+        compared = []
+        equal = LexiconDict.__eq__
+
+        def counting_eq(self, other):
+            compared.append(other)
+            return equal(self, other)
+
+        monkeypatch.setattr(LexiconDict, "__eq__", counting_eq)
+        fresh = lex(**phrases)
+        docs = [("ppkm", "sangat", "baik"), ("rugi", "bagus"), ()] * 334
+        verdicts = [score_document(tokens, fresh) for tokens in docs[:1000]]
+        assert compared == []
+        assert [v.score for v in verdicts[:3]] == [1, 0, 0]

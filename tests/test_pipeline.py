@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -512,7 +514,7 @@ class TestLabelStage:
 
     def test_documents_round_trip_through_the_artifact(self, tmp_path):
         config = self.run_both(tmp_path)
-        documents = pipeline.load_labeled_documents(config.output_dir)
+        documents, _ = pipeline.load_labeled_documents(config.output_dir)
         assert all(doc.label is not None for doc in documents)
         assert all(doc.tokens for doc in documents)
         # tokens were stopword-filtered during labeling
@@ -523,13 +525,13 @@ class TestLabelStage:
 
     def test_label_overrides_replace_proposals(self, tmp_path):
         config = self.run_both(tmp_path)
-        labeled_before = pipeline.load_labeled_documents(config.output_dir)
+        labeled_before, _ = pipeline.load_labeled_documents(config.output_dir)
         target = next(doc for doc in labeled_before if doc.label is not POS)
         pipeline.write_label_overrides(
             {target.id: POS}, config.output_dir / pipeline.OVERRIDES_FILE
         )
         pipeline.run_label(config)
-        labeled_after = pipeline.load_labeled_documents(config.output_dir)
+        labeled_after, _ = pipeline.load_labeled_documents(config.output_dir)
         by_id = {doc.id: doc for doc in labeled_after}
         assert by_id[target.id].label is POS
         unchanged = [
@@ -564,7 +566,7 @@ class TestTrainStage:
         model_path = config.output_dir / "mnb_model.json"
         assert model_path in outputs
         model, vocab = bow.load_model(model_path)
-        documents = pipeline.load_labeled_documents(config.output_dir)
+        documents, _ = pipeline.load_labeled_documents(config.output_dir)
         train_docs, _, _ = corpus.split(documents, config.split_spec())
         rebuilt_vocab = bow.build_vocab(train_docs, min_count=config.min_count)
         rebuilt = bow.mnb_train(train_docs, rebuilt_vocab, alpha=config.mnb_alpha)
@@ -648,7 +650,7 @@ class TestEvalStage:
             (config.output_dir / "metrics_mnb.json").read_text()
         )
 
-        documents = pipeline.load_labeled_documents(config.output_dir)
+        documents, _ = pipeline.load_labeled_documents(config.output_dir)
         _, _, test_docs = corpus.split(documents, config.split_spec())
         model, vocab = bow.load_model(config.output_dir / "mnb_model.json")
         predicted = [bow.mnb_predict(doc, model, vocab)[0] for doc in test_docs]
@@ -706,7 +708,7 @@ class TestEvalStage:
 
         monkeypatch.setattr(bow, "predict_batch", spy)
         pipeline.run_eval(config)
-        documents = pipeline.load_labeled_documents(config.output_dir)
+        documents, _ = pipeline.load_labeled_documents(config.output_dir)
         _, _, test_docs = corpus.split(documents, config.split_spec())
         test_ids = [doc.id for doc in test_docs]
         assert calls == [(bow.MnbModel, test_ids), (bow.SvmModel, test_ids)]
@@ -763,6 +765,30 @@ class TestSplitFingerprint:
         assert eval_manifest["inputs"]["train_mnb.manifest.json"] == sha256_file(
             out / "train_mnb.manifest.json"
         )
+
+    def test_each_stage_reads_labeled_jsonl_once(self, tmp_path, monkeypatch):
+        config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
+        write_labeled_corpus(config.output_dir)
+        labeled = config.output_dir / pipeline.LABELED_FILE
+        digest = sha256_file(labeled)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if Path(file) == labeled:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        for run in (pipeline.run_train, pipeline.run_eval, pipeline.run_viz):
+            opened.clear()
+            outputs = run(config)
+            assert len(opened) == 1, run.__name__
+            manifest = json.loads(outputs[-1].read_text(encoding="utf-8"))
+            assert manifest["inputs"][pipeline.LABELED_FILE] == digest
+        split = json.loads((config.output_dir / "train_mnb.manifest.json").read_text())
+        assert split["split"]["labeled_sha256"] == digest
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -838,7 +864,7 @@ class TestVizStage:
         distribution = json.loads(
             (config.output_dir / "sentiment_distribution.json").read_text()
         )
-        documents = pipeline.load_labeled_documents(config.output_dir)
+        documents, _ = pipeline.load_labeled_documents(config.output_dir)
         assert sum(distribution.values()) == len(documents)
         assert distribution == {"negative": 41, "neutral": 10, "positive": 9}
         unigram_lines = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
 import time
@@ -324,3 +325,19 @@ class TestMakeDocument:
         for token in doc.tokens:
             assert token
             assert not any(ch.isspace() for ch in token)
+
+
+class TestDocument:
+    def test_slotted_document_keeps_value_semantics(self):
+        a = Document("d", "Raw", "raw", ("raw",), SentimentLabel.POSITIVE)
+        b = Document("d", "Raw", "raw", ("raw",), SentimentLabel.POSITIVE)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        relabeled = dataclasses.replace(a, label=SentimentLabel.NEGATIVE)
+        assert relabeled != a
+        assert relabeled.tokens is a.tokens
+        assert relabeled.label is SentimentLabel.NEGATIVE
+        assert a.label is SentimentLabel.POSITIVE
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.label = None

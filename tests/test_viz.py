@@ -72,7 +72,7 @@ def labeled_fixture_documents(tmp_path_factory):
     config = pipeline.PipelineConfig(output_dir=tmp / "out", corpus_path=tmp / "raw.jsonl")
     pipeline.run_ingest(config)
     pipeline.run_label(config)
-    return pipeline.load_labeled_documents(config.output_dir)
+    return pipeline.load_labeled_documents(config.output_dir)[0]
 
 
 class TestNgrams:
