@@ -25,7 +25,7 @@ import json.scanner
 import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import BinaryIO
 
@@ -60,12 +60,26 @@ def write_json(payload: object, path: str | Path) -> Path:
     return write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", path)
 
 
+# what json.dumps(row, sort_keys=True) builds anew for every call
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+# lines encoded per write: bounds the text held at once for a long iterator
+_WRITE_BATCH = 1024
+
+
 def write_jsonl(rows: Iterable[dict], path: str | Path) -> Path:
-    """Write dict rows as JSON Lines, one row at a time."""
+    """Write dict rows as JSON Lines, ``json.dumps(row, sort_keys=True)``
+    per line, ``_WRITE_BATCH`` lines per write.
+
+    Each row is encoded as soon as it is drawn, so only encoded text is
+    held: a batch of live rows from a generator outlasts the collector's
+    youngest generation and sets off extra passes over every live object.
+    """
     path = Path(path)
+    encode = _JSONL_ENCODER.encode
+    rows = iter(rows)
     with _replacing(path) as handle:
-        for row in rows:
-            handle.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+        while lines := list(map(encode, islice(rows, _WRITE_BATCH))):
+            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 

@@ -94,6 +94,8 @@ _CUES_BY_LABEL = {
     SentimentLabel.NEUTRAL: NEUTRAL_CUES,
     SentimentLabel.POSITIVE: POSITIVE_CUES,
 }
+# the cue pools indexed by label value
+_CUE_POOLS = tuple(_CUES_BY_LABEL[label] for label in SentimentLabel)
 
 # the example sentence used throughout the docs and tests; "rugi" is the
 # only class-bearing token in it
@@ -117,6 +119,18 @@ def fixture_class_counts(n: int) -> dict[SentimentLabel, int]:
     return floors
 
 
+def _pick(rng: np.random.Generator, pool: Sequence, size: int | None = None):
+    """One item of ``pool`` (``size`` None) or a list of ``size`` items.
+
+    This is the draw ``rng.choice(pool, size)`` makes with replacement,
+    without turning ``pool`` into an array on every call; the reference
+    tests in ``tests/test_fixtures.py`` pin it to ``choice``'s stream.
+    """
+    if size is None:
+        return pool[rng.integers(len(pool))]
+    return [pool[j] for j in rng.integers(0, len(pool), size=int(size)).tolist()]
+
+
 def synthetic_documents(n: int = 600, seed: int = 0) -> list[Document]:
     """Labeled separable corpus of ``n`` documents."""
     counts = fixture_class_counts(n)
@@ -128,10 +142,10 @@ def synthetic_documents(n: int = 600, seed: int = 0) -> list[Document]:
     documents: list[Document] = []
     for position, index in enumerate(order):
         label = labels[index]
-        cues = rng.choice(_CUES_BY_LABEL[label], size=rng.integers(2, 5))
-        filler = rng.choice(SHARED_FILLER, size=rng.integers(2, 7))
-        words = list(cues) + list(filler)
-        words = [words[i] for i in rng.permutation(len(words))]
+        cues = _pick(rng, _CUES_BY_LABEL[label], rng.integers(2, 5))
+        filler = _pick(rng, SHARED_FILLER, rng.integers(2, 7))
+        words = cues + filler
+        rng.shuffle(words)
         documents.append(
             make_document(
                 f"synt-{position:04d}", " ".join(words), label=label
@@ -163,10 +177,20 @@ def synthetic_tweets(
 
     Returns dicts with ``id``, ``text`` and (usually) ``created_at`` keys.
     Roughly ``offtopic_rate`` of rows mention no tracked keyword and
-    ``duplicate_rate`` repeat an earlier row's text under a new id.
+    ``duplicate_rate`` repeat an earlier row's text under a new id; each
+    rate is in [0, 1] and they sum to at most 1.
     """
     if n < 1:
         raise ConfigError(f"need at least one tweet, got {n}")
+    rates = {"duplicate_rate": duplicate_rate, "offtopic_rate": offtopic_rate}
+    for name, rate in rates.items():
+        if not 0 <= rate <= 1:
+            raise ConfigError(f"{name} must be in [0, 1], got {rate}")
+    if duplicate_rate + offtopic_rate > 1:
+        raise ConfigError(
+            "duplicate_rate + offtopic_rate must be at most 1, got "
+            f"{duplicate_rate} + {offtopic_rate}"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
     rows: list[dict] = []
     base_minute = 0
@@ -177,20 +201,20 @@ def synthetic_tweets(
         if rows and draw < duplicate_rate:
             row["text"] = rows[int(rng.integers(len(rows)))]["text"]
         elif draw < duplicate_rate + offtopic_rate:
-            row["text"] = str(rng.choice(_OFFTOPIC_TEXTS))
+            row["text"] = _pick(rng, _OFFTOPIC_TEXTS)
         else:
-            label = SentimentLabel(int(rng.integers(0, 3)))
-            cues = rng.choice(_CUES_BY_LABEL[label], size=rng.integers(1, 4))
-            filler = rng.choice(SHARED_FILLER, size=rng.integers(2, 6))
-            keyword = str(rng.choice(_KEYWORD_FORMS))
-            url = str(rng.choice(_URL_NOISE))
-            mention = str(rng.choice(_MENTION_NOISE))
+            pool = _pick(rng, _CUE_POOLS)
+            cues = _pick(rng, pool, rng.integers(1, 4))
+            filler = _pick(rng, SHARED_FILLER, rng.integers(2, 6))
+            keyword = _pick(rng, _KEYWORD_FORMS)
+            url = _pick(rng, _URL_NOISE)
+            mention = _pick(rng, _MENTION_NOISE)
             pieces = [*cues, *filler, keyword, mention, url]
-            pieces = [pieces[j] for j in rng.permutation(len(pieces)) if pieces[j]]
-            row["text"] = " ".join(pieces)
+            rng.shuffle(pieces)
+            row["text"] = " ".join(filter(None, pieces))
         if rng.random() > 0.05:
             stamp = _FIRST_TWEET + timedelta(minutes=base_minute)
-            row["created_at"] = stamp.strftime("%Y-%m-%dT%H:%M:00Z")
+            row["created_at"] = stamp.isoformat(timespec="minutes") + ":00Z"
         rows.append(row)
     return rows
 

@@ -6,6 +6,7 @@ import ast
 import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -216,3 +217,79 @@ class TestLoadJsonl:
             assert seen and not any(seen)
         finally:
             gc.enable() if was_enabled else gc.disable()
+
+
+B = artifacts._WRITE_BATCH
+
+
+def dumps_lines(rows) -> bytes:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode("utf-8")
+
+
+def mixed_rows(count: int) -> list[dict]:
+    """Rows with non-ASCII text, control characters, NaN and nested dicts."""
+    kinds = [
+        lambda i: {"id": f"r{i}", "text": "ppkm jualan"},
+        lambda i: {"text": "rugi — naïve 😷 ﻿", "id": f"r{i}"},
+        lambda i: {"id": f"r{i}", "text": "tab\there\nline\x00nul\x1f "},
+        lambda i: {"id": f"r{i}", "score": float("nan"), "inf": float("-inf")},
+        lambda i: {"z": {"b": [1, 2.5, None], "a": {"y": True, "x": "é"}}, "a": i},
+    ]
+    return [kinds[i % len(kinds)](i) for i in range(count)]
+
+
+def rows_then_raise():
+    """More than one batch of rows, then a failure of the row source."""
+    yield from mixed_rows(B + 7)
+    raise RuntimeError("row source failed")
+
+
+class TestWriteJsonl:
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+    def test_bytes_are_json_dumps_per_line(self, tmp_path, count, as_generator):
+        rows = mixed_rows(count)
+        path = tmp_path / "rows.jsonl"
+        artifacts.write_jsonl((r for r in rows) if as_generator else rows, path)
+        assert path.read_bytes() == dumps_lines(rows)
+
+    def test_each_row_is_released_once_encoded(self, tmp_path):
+        # rows held for a whole batch would outlast the collector's youngest
+        # generation and set off passes over every live object
+        class Row(dict):
+            __slots__ = ("__weakref__",)
+
+        alive = [0]
+        most_alive = 0
+
+        def released():
+            alive[0] -= 1
+
+        def rows():
+            nonlocal most_alive
+            for i in range(2 * B + 1):
+                most_alive = max(most_alive, alive[0])
+                row = Row(id=f"r{i}", tokens=["a", "b"])
+                alive[0] += 1
+                weakref.finalize(row, released)
+                yield row
+                del row
+
+        artifacts.write_jsonl(rows(), tmp_path / "rows.jsonl")
+        assert most_alive == 0
+
+    @pytest.mark.parametrize(
+        "make_rows, error",
+        [
+            (rows_then_raise, RuntimeError),
+            (lambda: mixed_rows(B + 3) + [{"id": "bad", "tokens": {"a set"}}], TypeError),
+        ],
+        ids=["iterator-raises", "unserializable-row"],
+    )
+    def test_a_failed_write_keeps_the_previous_file(self, tmp_path, make_rows, error):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(error):
+            artifacts.write_jsonl(make_rows(), path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]

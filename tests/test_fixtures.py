@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
-from datetime import datetime
+from datetime import datetime, timedelta
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ppkmsent.corpus import ingest_file
 from ppkmsent.data import default_lexicon, default_stopwords
 from ppkmsent.errors import ConfigError
 from ppkmsent.fixtures import (
+    _CUES_BY_LABEL,
+    _FIRST_TWEET,
+    _KEYWORD_FORMS,
+    _MENTION_NOISE,
+    _OFFTOPIC_TEXTS,
+    _URL_NOISE,
     CLASS_RATIO,
     NEGATIVE_CUES,
     NEUTRAL_CUES,
@@ -24,13 +34,139 @@ from ppkmsent.fixtures import (
     write_jsonl,
 )
 from ppkmsent.lexicon import label_corpus, score_document
-from ppkmsent.preprocess import SentimentLabel
+from ppkmsent.preprocess import SentimentLabel, make_document
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
     SentimentLabel.NEUTRAL,
     SentimentLabel.POSITIVE,
 )
+
+INPUTS_PATH = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+
+
+def load_bench_inputs():
+    spec = importlib.util.spec_from_file_location("_bench_inputs", INPUTS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_synthetic_documents(n: int = 600, seed: int = 0):
+    """``synthetic_documents`` as written with ``Generator.choice``."""
+    counts = fixture_class_counts(n)
+    labels: list[SentimentLabel] = []
+    for label in sorted(counts):
+        labels.extend([label] * counts[label])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = rng.permutation(n)
+    documents = []
+    for position, index in enumerate(order):
+        label = labels[index]
+        cues = rng.choice(_CUES_BY_LABEL[label], size=rng.integers(2, 5))
+        filler = rng.choice(SHARED_FILLER, size=rng.integers(2, 7))
+        words = list(cues) + list(filler)
+        words = [words[i] for i in rng.permutation(len(words))]
+        documents.append(
+            make_document(f"synt-{position:04d}", " ".join(words), label=label)
+        )
+    return documents
+
+
+def reference_synthetic_tweets(
+    n: int = 80, seed: int = 1, duplicate_rate: float = 0.05, offtopic_rate: float = 0.1
+):
+    """``synthetic_tweets`` as written with ``Generator.choice``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows: list[dict] = []
+    base_minute = 0
+    for i in range(n):
+        row: dict = {"id": f"tw-{i:05d}"}
+        base_minute += int(rng.integers(1, 5))
+        draw = rng.random()
+        if rows and draw < duplicate_rate:
+            row["text"] = rows[int(rng.integers(len(rows)))]["text"]
+        elif draw < duplicate_rate + offtopic_rate:
+            row["text"] = str(rng.choice(_OFFTOPIC_TEXTS))
+        else:
+            label = SentimentLabel(int(rng.integers(0, 3)))
+            cues = rng.choice(_CUES_BY_LABEL[label], size=rng.integers(1, 4))
+            filler = rng.choice(SHARED_FILLER, size=rng.integers(2, 6))
+            keyword = str(rng.choice(_KEYWORD_FORMS))
+            url = str(rng.choice(_URL_NOISE))
+            mention = str(rng.choice(_MENTION_NOISE))
+            pieces = [*cues, *filler, keyword, mention, url]
+            pieces = [pieces[j] for j in rng.permutation(len(pieces)) if pieces[j]]
+            row["text"] = " ".join(pieces)
+        if rng.random() > 0.05:
+            stamp = _FIRST_TWEET + timedelta(minutes=base_minute)
+            row["created_at"] = stamp.strftime("%Y-%m-%dT%H:%M:00Z")
+        rows.append(row)
+    return rows
+
+
+def jsonl_sha256(rows, tmp_path: Path) -> str:
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(rows, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# (n, seeds) for the reference comparisons: 50 seeds for the small sizes,
+# fewer for the large ones, whose reference calls cost about 80 us a row
+STREAM_CASES = [
+    (1, range(50)),
+    (2, range(50)),
+    (80, range(50)),
+    (1000, range(50, 55)),
+    (5315, [55]),
+]
+RATE_SETTINGS = [
+    {},
+    {"duplicate_rate": 0.5, "offtopic_rate": 0.4},
+    {"duplicate_rate": 0.0, "offtopic_rate": 0.0},
+]
+
+
+class TestReferenceStreams:
+    """The generators draw exactly what their ``Generator.choice`` forms
+    drew, so no dump, and no benchmark baseline, moves."""
+
+    @pytest.mark.parametrize("rates", RATE_SETTINGS, ids=["default", "noisy", "clean"])
+    @pytest.mark.parametrize("n, seeds", STREAM_CASES, ids=[f"n{n}" for n, _ in STREAM_CASES])
+    def test_tweets_equal_the_reference(self, n, seeds, rates):
+        for seed in seeds:
+            assert synthetic_tweets(n, seed, **rates) == reference_synthetic_tweets(
+                n, seed, **rates
+            ), (n, seed)
+
+    @pytest.mark.parametrize("n, seeds", STREAM_CASES, ids=[f"n{n}" for n, _ in STREAM_CASES])
+    def test_documents_equal_the_reference(self, n, seeds):
+        for seed in seeds:
+            if n < len(CLASS_RATIO):
+                with pytest.raises(ConfigError, match="at least 3"):
+                    synthetic_documents(n, seed)
+                continue
+            assert synthetic_documents(n, seed) == reference_synthetic_documents(
+                n, seed
+            ), (n, seed)
+
+    def test_paper_scale_dump_bytes(self, tmp_path):
+        assert jsonl_sha256(synthetic_tweets(5315, seed=1), tmp_path) == (
+            "61b0e631ccb0fe5ed8d1c29d64e0760c4804449516e93bdb719c3c2122a8f176"
+        )
+
+    @pytest.mark.parametrize(
+        "n, seed, chunks, digest",
+        [
+            (800, 1, 1, "edbddbdf7e950c1f0786635a9b202852fbe5b5b9d4cc7094647b6b31f3bf8614"),
+            (2500, 7, 3, "e11494cb975c8bac1688f44f8e2eb30f33e90e3a5e007a5fc3b73e0d672c3f16"),
+        ],
+        ids=["n800", "n2500"],
+    )
+    def test_bench_dump_bytes(self, tmp_path, n, seed, chunks, digest):
+        inputs = load_bench_inputs()
+        assert -(-n // inputs.CHUNK_ROWS) == chunks
+        assert jsonl_sha256(inputs.zipf_tweets(n, seed), tmp_path) == digest
 
 
 class TestFixtureClassCounts:
@@ -178,6 +314,27 @@ class TestSyntheticTweets:
     def test_rejects_zero_rows(self):
         with pytest.raises(ConfigError, match="at least one"):
             synthetic_tweets(0)
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ({"duplicate_rate": -0.1}, "duplicate_rate must be in [0, 1], got -0.1"),
+            ({"offtopic_rate": 1.5}, "offtopic_rate must be in [0, 1], got 1.5"),
+            ({"offtopic_rate": float("nan")}, "offtopic_rate must be in [0, 1], got nan"),
+            (
+                {"duplicate_rate": 0.6, "offtopic_rate": 0.6},
+                "duplicate_rate + offtopic_rate must be at most 1, got 0.6 + 0.6",
+            ),
+        ],
+    )
+    def test_rejects_rates_that_make_a_degenerate_dump(self, rates, message):
+        with pytest.raises(ConfigError) as excinfo:
+            synthetic_tweets(10, **rates)
+        assert str(excinfo.value) == message
+
+    def test_rates_summing_to_one_are_accepted(self):
+        rows = synthetic_tweets(50, seed=3, duplicate_rate=0.25, offtopic_rate=0.75)
+        assert len(rows) == 50
 
     def test_twenty_thousand_rows_ingest_without_row_errors(self, tmp_path):
         # timestamps run into August past about 16.8k rows
