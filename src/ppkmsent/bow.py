@@ -1,14 +1,21 @@
 """Bag-of-words baselines: Multinomial Naive Bayes and a linear SVM.
 
-Features are unigram counts over a training-split vocabulary, built by one
-featurizer, :func:`feature_matrix`: the CSR triple (indptr, indices,
-values) of a list of documents, each row's entries in the order its
-in-vocabulary tokens first occur.  The SVM trains on rows in its feature
-mode, both models score on them, and :func:`vectorize` is one document's
-row; MNB training needs only per-class token totals and counts tokens
-directly.  Every sum over a row, a tf-idf norm or a score, adds its terms
-in stored order (``_row_sums``), as a plain Python loop would; builtin
-``sum()`` adds floats with compensation from Python 3.12 on, so the
+Tokens are counted as integer ids, never as Python objects per document.
+:func:`build_vocab` numbers the training tokens with one
+:func:`~ppkmsent.preprocess.token_ids` pass and takes each token's total
+and document frequency by ``np.bincount``, the latter over the distinct
+(document, id) keys left by one sort.  Once a vocabulary exists it is
+itself the id map: the featurizer, :func:`feature_matrix`, and
+:func:`mnb_train` send every token through it in one C-speed ``map`` and
+drop OOV tokens.  The featurizer's output is the CSR triple (indptr,
+indices, values) of a list of documents, each row's entries in the order
+its in-vocabulary tokens first occur, found by one stable argsort of the
+(document, index) keys.  The SVM trains on rows in its feature mode, both
+models score on them, and :func:`vectorize` is one document's row; MNB
+training needs only per-class token totals, one bincount over (class,
+index) cells.  Every sum over a row, a tf-idf norm or a score, adds its
+terms in stored order (``_row_sums``), as a plain Python loop would;
+builtin ``sum()`` adds floats with compensation from Python 3.12 on, so the
 features would otherwise depend on the Python version.
 
 MNB uses raw counts with Laplace smoothing; the SVM trains three
@@ -29,8 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -40,7 +45,13 @@ import numpy as np
 
 from ppkmsent import artifacts
 from ppkmsent.errors import CheckpointFormatError, MissingClassError
-from ppkmsent.preprocess import Document, SentimentLabel, rank_tokens
+from ppkmsent.preprocess import (
+    Document,
+    SentimentLabel,
+    rank_tokens,
+    run_starts,
+    token_ids,
+)
 
 MODEL_MAGIC = "ppkmsent/bow-model"
 MODEL_VERSION = 1
@@ -83,14 +94,19 @@ def build_vocab(documents: list[Document], min_count: int = 1) -> BowVocab:
         raise ValueError("cannot build a vocabulary from an empty training set")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    totals: Counter[str] = Counter(chain.from_iterable(doc.tokens for doc in documents))
-    doc_freq: Counter[str] = Counter(
-        chain.from_iterable(set(doc.tokens) for doc in documents)
-    )
+    lengths, ids, tokens = token_ids(documents)
+    u = len(tokens)
+    totals = dict(zip(tokens, np.bincount(ids, minlength=u).tolist()))
+    # a token's document frequency counts its distinct (document, id) pairs
+    pairs = _pair_keys(lengths, ids, u)
+    pairs.sort()
+    distinct = pairs[run_starts(pairs)]
+    del pairs
+    distinct %= max(u, 1)
+    doc_freq = dict(zip(tokens, np.bincount(distinct, minlength=u).tolist()))
     kept = rank_tokens(totals, min_count)
-    token_to_index = {t: i for i, t in enumerate(kept)}
     return BowVocab(
-        token_to_index=token_to_index,
+        token_to_index={t: i for i, t in enumerate(kept)},
         document_frequency=tuple(doc_freq[t] for t in kept),
         num_documents=len(documents),
     )
@@ -109,9 +125,9 @@ def feature_matrix(
     """
     if mode not in ("tf", "tfidf"):
         raise ValueError(f"unsupported feature mode: {mode!r}")
-    lengths, indices, values = (
-        np.concatenate(part) for part in zip(*_counted_rows(documents, vocab))
-    )
+    lengths, indices = _vocab_indices(documents, vocab)
+    lengths, indices, counts = _row_counts(lengths, indices, vocab.size)
+    values = counts.astype(float)
     indptr = np.zeros(len(documents) + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
     if mode == "tfidf":
@@ -120,33 +136,59 @@ def feature_matrix(
     return indptr, indices, values
 
 
-# documents counted per batch, so that only one batch's Counters are alive
-_COUNT_BATCH = 1024
-
-
-def _counted_rows(
+def _vocab_indices(
     documents: list[Document], vocab: BowVocab
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per batch of documents: each document's number of distinct
-    in-vocabulary tokens, and for each such token its index and count, in
-    first-occurrence order (a Counter's key order)."""
-    index = vocab.token_to_index
-    # an empty first batch keeps np.concatenate defined for no documents
-    yield np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    for start in range(0, len(documents), _COUNT_BATCH):
-        counters = [
-            Counter(filter(index.__contains__, doc.tokens))
-            for doc in documents[start : start + _COUNT_BATCH]
-        ]
-        lengths = np.fromiter(map(len, counters), dtype=np.intp, count=len(counters))
-        total = int(lengths.sum())
-        indices = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(counters)), dtype=np.intp, count=total
-        )
-        counts = np.fromiter(
-            chain.from_iterable(map(Counter.values, counters)), dtype=float, count=total
-        )
-        yield lengths, indices, counts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's number of in-vocabulary tokens, and their vocabulary
+    indices in document order, OOV tokens dropped.
+
+    The vocabulary is already a dense id map, so one C-speed map through
+    it, as in :func:`~ppkmsent.preprocess.token_ids`, gives the indices
+    without renumbering.
+    """
+    lengths = np.fromiter(
+        (len(doc.tokens) for doc in documents), dtype=np.intp, count=len(documents)
+    )
+    tokens = chain.from_iterable(doc.tokens for doc in documents)
+    indices = np.fromiter(
+        map(vocab.token_to_index.get, tokens, repeat(-1)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
+    )
+    known = indices >= 0
+    docs = np.repeat(np.arange(len(documents)), lengths)[known]
+    return np.bincount(docs, minlength=len(documents)), indices[known]
+
+
+def _pair_keys(lengths: np.ndarray, ids: np.ndarray, size: int) -> np.ndarray:
+    """d * size + id for each id, d the document that owns it (document d
+    owns the next ``lengths[d]`` of ``ids``, each below ``size``)."""
+    keys = np.repeat(np.arange(len(lengths)) * size, lengths)
+    keys += ids
+    return keys
+
+
+def _row_counts(
+    lengths: np.ndarray, ids: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per document, its number of distinct ids; and for each distinct id
+    of each document, the id and its count, in first-occurrence order.
+
+    A stable argsort of the (document, id) keys groups each pair's
+    occurrences, first occurrence first.  Each pair's count is scattered
+    to the position of its first occurrence, and reading the positions in
+    order gives every document's ids in the order they first occur.
+    """
+    keys = _pair_keys(lengths, ids, size)
+    order = np.argsort(keys, kind="stable")
+    runs = np.flatnonzero(run_starts(keys[order]))
+    del keys
+    count_at = np.zeros(len(ids), dtype=np.intp)
+    count_at[order[runs]] = np.diff(runs, append=len(ids))
+    del order, runs
+    firsts = np.flatnonzero(count_at)
+    rows = np.repeat(np.arange(len(lengths)), lengths)[firsts]
+    return np.bincount(rows, minlength=len(lengths)), ids[firsts], count_at[firsts]
 
 
 def vectorize(document: Document, vocab: BowVocab, mode: str = "tf") -> dict[int, float]:
@@ -206,20 +248,10 @@ def mnb_train(train: list[Document], vocab: BowVocab, alpha: float = 1.0) -> Mnb
     labels = np.fromiter((doc.label for doc in train), dtype=np.intp, count=len(train))
     class_counts = np.bincount(labels, minlength=NUM_CLASSES)
     # each in-vocabulary token adds one to cell c*V + i, all in one bincount;
-    # the integer counts convert exactly, so the floats below equal a loop's.
-    # Counting tokens, not feature_matrix rows, skips the per-document
-    # Counters: the same counts in about a third of the time.
-    lengths = np.fromiter((len(doc.tokens) for doc in train), dtype=np.intp, count=len(train))
-    tokens = chain.from_iterable(doc.tokens for doc in train)
-    indices = np.fromiter(
-        map(vocab.token_to_index.get, tokens, repeat(-1)),
-        dtype=np.intp,
-        count=int(lengths.sum()),
-    )
+    # the integer counts convert exactly, so the floats below equal a loop's
+    lengths, indices = _vocab_indices(train, vocab)
     cells = np.repeat(labels * v, lengths) + indices
-    token_counts = np.bincount(cells[indices >= 0], minlength=NUM_CLASSES * v).reshape(
-        NUM_CLASSES, v
-    )
+    token_counts = np.bincount(cells, minlength=NUM_CLASSES * v).reshape(NUM_CLASSES, v)
     class_log_prior = np.log(class_counts / len(train))
     if v == 0:
         token_log_likelihood = np.zeros((NUM_CLASSES, 0))
@@ -470,16 +502,24 @@ def _shaped_array(payload: dict, key: str, shape: tuple[int, ...], path) -> np.n
     value = np.array(payload[key], dtype=float)
     if value.shape != shape:
         raise CheckpointFormatError(f"{path}: {key} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise CheckpointFormatError(f"{path}: {key} holds a non-finite value")
     return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_model(path: str | Path, kind: str | None = None):
     """Load (model, vocab) from a container written by save_model.
 
-    When ``kind`` ("mnb" or "svm") is given, a file holding another kind of
-    model is a CheckpointFormatError, and so is a weight, offset or
-    document-frequency array whose shape does not match the file's
-    vocabulary.
+    A CheckpointFormatError names the file and the field when the file
+    holds another kind of model than ``kind`` ("mnb" or "svm", when
+    given), when a weight, offset or document-frequency array does not
+    match the vocabulary's shape, when a weight or offset is not finite,
+    when the document count N is below 1, and when a document frequency is
+    not an integer in 0..N.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -498,6 +538,13 @@ def load_model(path: str | Path, kind: str | None = None):
         raise CheckpointFormatError(
             f"{path}: {len(vocab.document_frequency)} document frequencies "
             f"for {vocab.size} vocabulary tokens"
+        )
+    n = vocab.num_documents
+    if not _is_int(n) or n < 1:
+        raise CheckpointFormatError(f"{path}: vocab.num_documents is {n!r}, expected >= 1")
+    if not all(_is_int(df) and 0 <= df <= n for df in vocab.document_frequency):
+        raise CheckpointFormatError(
+            f"{path}: vocab.document_frequency holds a value outside 0..{n}"
         )
     weight_shape = (NUM_CLASSES, vocab.size)
     if payload["kind"] == "mnb":

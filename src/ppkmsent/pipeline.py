@@ -43,6 +43,7 @@ from ppkmsent.preprocess import (
     load_stopwords,
     make_document,
     parse_label,
+    token_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -904,9 +905,10 @@ def run_viz(config: PipelineConfig) -> list[Path]:
     grams_stem = f"ngrams_{config.ngram_n}"
     documents, labeled_sha256 = load_labeled_documents(out)
     inputs = {LABELED_FILE: labeled_sha256}
-    unigrams = viz.ngrams(documents, 1, config.top_k)
-    grams = viz.ngrams(documents, config.ngram_n, config.top_k)
-    cloud = viz.cloud_weights(documents, config.top_k)
+    ids = token_ids(documents)
+    unigrams = viz.ngrams(ids, 1, config.top_k)
+    grams = viz.ngrams(ids, config.ngram_n, config.top_k)
+    cloud = viz.cloud_weights(ids, config.top_k)
     distribution = viz.sentiment_distribution(documents)
 
     counts = {label_name(label): count for label, count in distribution.items()}

@@ -3,18 +3,23 @@
 All pattern deletion (URLs, mentions, hashtags, symbols) happens in
 ``cleanse``; ``remove_stopwords`` is a pure dictionary filter.  Every
 function here is pure and deterministic, so documents can be processed in
-parallel without coordination.
+parallel without coordination.  :func:`token_ids` turns documents into
+integer token ids, the one input of every token count in the package.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -34,7 +39,11 @@ _NAME_LABELS = {name: label for label, name in _LABEL_NAMES.items()}
 
 
 def label_name(label: SentimentLabel) -> str:
-    return _LABEL_NAMES[SentimentLabel(label)]
+    """The label's lowercase name; ``ValueError`` for a non-label value."""
+    try:
+        return _LABEL_NAMES[label]
+    except (KeyError, TypeError):
+        raise ValueError(f"{label!r} is not a valid SentimentLabel") from None
 
 
 def parse_label(name: str) -> SentimentLabel:
@@ -129,6 +138,49 @@ def rank_tokens(
     if top_k is None:
         return sorted(kept, key=rank)
     return heapq.nsmallest(top_k, kept, key=rank)
+
+
+class TokenIds(NamedTuple):
+    """Documents' tokens as dense integer ids.
+
+    ``ids`` holds every token of every document, in document order, as one
+    flat ``intp`` array; document d owns the next ``lengths[d]`` of them.
+    Id i stands for ``tokens[i]``; ids run 0..U-1 in order of first
+    occurrence.
+    """
+
+    lengths: np.ndarray
+    ids: np.ndarray
+    tokens: list[str]
+
+
+def token_ids(documents: Sequence[Document]) -> TokenIds:
+    """Map every token of the documents to a dense id in one C-speed pass.
+
+    ``index`` is a ``defaultdict`` whose factory is its own ``len``, so
+    looking up a new token stores and returns the next free id: ids come
+    out dense and in order of first occurrence, and no Python code runs per
+    token.
+    """
+    lengths = np.fromiter(
+        (len(doc.tokens) for doc in documents), dtype=np.intp, count=len(documents)
+    )
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__
+    tokens = chain.from_iterable(doc.tokens for doc in documents)
+    ids = np.fromiter(
+        map(index.__getitem__, tokens), dtype=np.intp, count=int(lengths.sum())
+    )
+    return TokenIds(lengths, ids, list(index))
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """A mask of the entries of a sorted array that start a run of equal
+    values."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
 
 
 def tokenize(clean_text: str) -> list[str]:

@@ -1,26 +1,43 @@
 """Frequency analytics: n-gram tables, word-cloud weights, label counts.
 
-Grams never cross document boundaries.  Counting runs at C speed: one
-``Counter`` is fed by ``zip`` over n shifted copies of each document's
-tokens, chained across documents, so no Python code runs per token.
+Every count starts from :func:`~ppkmsent.preprocess.token_ids`, one pass
+that turns the documents' tokens into dense integer ids; the functions take
+documents or that pass, so one pass can serve several counts.  Unigrams are
+counted by ``np.bincount``.  An n-gram's key is built in place, one token at
+a time, as key * U + next id for U distinct tokens.  Before a round whose
+keys could overflow the integer type, the keys are renumbered densely and
+their sorted distinct values kept to decode them, so no n overflows.  Keys
+of windows that cross a document end are set to -1, and one in-place sort
+groups equal keys, whose run lengths are the counts.
+
 Ranking goes through :func:`~ppkmsent.preprocess.rank_tokens`, the one
-order of every vocabulary and chart (count descending, ties lexicographic);
-with a ``top_k`` it keeps a bounded heap, O(G log k) for G distinct grams,
-instead of sorting all of them.  Rendering is deterministic SVG —
+order of every vocabulary and chart (count descending, ties broken on the
+gram's strings).  With a ``top_k``, ``np.partition`` first keeps the grams
+counted at least as often as the k-th most frequent, and only those are
+turned into strings and ranked.  Rendering is deterministic SVG —
 rank-ordered bars and scaled-text rows, byte-identical for identical input —
 because the countable weights, not the layout, are the testable content.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ppkmsent import artifacts
-from ppkmsent.preprocess import Document, SentimentLabel, label_name, rank_tokens
+from ppkmsent.preprocess import (
+    Document,
+    SentimentLabel,
+    TokenIds,
+    label_name,
+    rank_tokens,
+    run_starts,
+    token_ids,
+)
 
 
 @dataclass(frozen=True)
@@ -38,40 +55,115 @@ class CloudWeights:
     entries: dict[str, int]
 
 
-def ngrams(documents: Sequence[Document], n: int, top_k: int | None = None) -> NgramTable:
+def ngrams(
+    documents: Sequence[Document] | TokenIds, n: int, top_k: int | None = None
+) -> NgramTable:
     """Sliding-window gram counts within each document, the top ``top_k``
-    of them (all with ``None``) in ``rank_tokens`` order.
-
-    ``zip`` over the n copies ``tokens[0:]``, ..., ``tokens[n-1:]`` yields
-    each document's grams ``tokens[i:i+n]`` and stops at its end, so grams
-    never cross documents.  One ``Counter`` counts them all in C; ranking is
-    a bounded heap, O(G log top_k) for G distinct grams.
-    """
+    of them (all with ``None``) in ``rank_tokens`` order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts: Counter[tuple[str, ...]] = Counter(
-        chain.from_iterable(
-            zip(*(doc.tokens[i:] for i in range(n))) for doc in documents
-        )
-    )
-    ranked = rank_tokens(counts, top_k=top_k)
-    return NgramTable(n=n, entries=tuple((gram, counts[gram]) for gram in ranked))
+    lengths, ids, tokens = _as_token_ids(documents)
+    base = max(len(tokens), 1)
+    if n == 1:
+        grams = np.arange(len(tokens))
+        counts = np.bincount(ids, minlength=len(tokens))
+        tables = []
+    else:
+        grams, counts, tables = _count_grams(lengths, ids, base, n)
+    words = np.array(tokens, dtype=object)
+
+    def spell(labels: np.ndarray) -> list[tuple[str, ...]]:
+        # peel the last token id off each key, round by round, back to the
+        # first token id, looking a key up in its table where it was
+        # renumbered
+        keys = grams[labels]
+        columns = []
+        for table in reversed(tables):
+            keys, last = np.divmod(keys, base)
+            columns.append(last)
+            if table is not None:
+                keys = table[keys]
+        columns.append(keys)
+        return list(zip(*(words[column].tolist() for column in reversed(columns))))
+
+    return NgramTable(n=n, entries=tuple(_top_counts(counts, spell, top_k)))
+
+
+def _count_grams(
+    lengths: np.ndarray, ids: np.ndarray, base: int, n: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
+    """The distinct keys of the n-grams and their counts, with the tables
+    that decode the keys.
+
+    The key of each window is built in place, one token at a time:
+    key * base + next id.  Before a round whose keys could overflow, the
+    keys are renumbered 0..G-1 and the sorted distinct keys kept as that
+    round's table.  Windows that cross a document end get the key -1, and
+    one in-place sort then groups equal keys for counting.
+    """
+    width = max(len(ids) - n + 1, 0)
+    keys = ids[:width].copy()
+    bound = base  # every key is below bound
+    tables: list[np.ndarray | None] = []
+    for j in range(1, n):
+        table = None
+        if bound * base - 1 > np.iinfo(keys.dtype).max:
+            table, keys = np.unique(keys, return_inverse=True)
+            bound = len(table)
+        tables.append(table)
+        keys *= base
+        keys += ids[j : j + width]
+        bound *= base
+    # a document of length m ending at e owns no window starting at
+    # e-k for k < n and k <= m
+    ends = np.cumsum(lengths)
+    for k in range(1, n):
+        starts = ends[lengths >= k] - k
+        keys[starts[starts < width]] = -1
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0) :]
+    runs = np.flatnonzero(run_starts(keys))
+    return keys[runs], np.diff(runs, append=len(keys)), tables
 
 
 def cloud_weights(
-    documents: Sequence[Document],
+    documents: Sequence[Document] | TokenIds,
     top_k: int,
     extra_stopwords: frozenset[str] | set[str] = frozenset(),
 ) -> CloudWeights:
     """Unigram counts minus extra stopwords, the top ``top_k`` of them in
     ``rank_tokens`` order."""
-    counts: Counter[str] = Counter(
-        chain.from_iterable(doc.tokens for doc in documents)
-    )
-    for word in extra_stopwords:
-        counts.pop(word, None)
-    ranked = rank_tokens(counts, top_k=top_k)
-    return CloudWeights(entries={word: counts[word] for word in ranked})
+    _, ids, tokens = _as_token_ids(documents)
+    counts = np.bincount(ids, minlength=len(tokens))
+    if extra_stopwords:
+        counts[[i for i, word in enumerate(tokens) if word in extra_stopwords]] = 0
+    words = np.array(tokens, dtype=object)
+    ranked = _top_counts(counts, lambda labels: words[labels].tolist(), top_k)
+    return CloudWeights(entries=dict(ranked))
+
+
+def _as_token_ids(documents: Sequence[Document] | TokenIds) -> TokenIds:
+    return documents if isinstance(documents, TokenIds) else token_ids(documents)
+
+
+def _top_counts(
+    counts: np.ndarray,
+    spell: Callable[[np.ndarray], list[Hashable]],
+    top_k: int | None,
+) -> list[tuple[Hashable, int]]:
+    """(key, count) of the ``top_k`` labels counted at least once (all with
+    ``None``), in ``rank_tokens`` order; ``spell`` maps labels to keys.
+
+    A label whose count is below the k-th largest cannot be in the top k,
+    so only the others are spelled and ranked; ties at the k-th count all
+    stay, for ``rank_tokens`` to break on their keys.
+    """
+    labels = np.flatnonzero(counts)
+    if top_k is not None and 0 < top_k < len(labels):
+        kth = np.partition(counts[labels], len(labels) - top_k)[len(labels) - top_k]
+        labels = labels[counts[labels] >= kth]
+    keyed = dict(zip(spell(labels), counts[labels].tolist()))
+    return [(key, keyed[key]) for key in rank_tokens(keyed, top_k=top_k)]
 
 
 def sentiment_distribution(documents: Sequence[Document]) -> dict[SentimentLabel, int]:

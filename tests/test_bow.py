@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc, separable_fixture
@@ -31,7 +33,7 @@ from ppkmsent.bow import (
     vectorize,
 )
 from ppkmsent.errors import CheckpointFormatError, MissingClassError
-from ppkmsent.preprocess import SentimentLabel
+from ppkmsent.preprocess import SentimentLabel, rank_tokens
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -48,7 +50,33 @@ def three_class_docs():
     ]
 
 
+WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+
+
+def reference_build_vocab(documents, min_count=1):
+    """The per-document Counters that ``build_vocab``'s id pass replaced."""
+    totals = Counter(chain.from_iterable(doc.tokens for doc in documents))
+    doc_freq = Counter(chain.from_iterable(set(doc.tokens) for doc in documents))
+    kept = rank_tokens(totals, min_count)
+    return BowVocab(
+        token_to_index={t: i for i, t in enumerate(kept)},
+        document_frequency=tuple(doc_freq[t] for t in kept),
+        num_documents=len(documents),
+    )
+
+
 class TestBuildVocab:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        train=st.lists(st.lists(WORDS, max_size=10), min_size=1, max_size=8),
+        min_count=st.integers(min_value=1, max_value=5),
+    )
+    @example(train=[[]], min_count=1)
+    @example(train=[["a", "a", "a"], [], ["a"]], min_count=2)
+    def test_equals_the_counter_reference(self, train, min_count):
+        docs = [make_doc(tokens, doc_id=f"t{i}") for i, tokens in enumerate(train)]
+        assert build_vocab(docs, min_count) == reference_build_vocab(docs, min_count)
+
     def test_document_frequency_counts_documents_not_tokens(self):
         docs = [
             make_doc(["ppkm", "ppkm", "jakarta"], doc_id="a"),
@@ -143,9 +171,6 @@ def matrix_rows(matrix):
     ]
 
 
-WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
-
-
 class TestFeatureMatrix:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -156,6 +181,12 @@ class TestFeatureMatrix:
         ),
         min_count=st.integers(min_value=1, max_value=4),
         mode=st.sampled_from(["tf", "tfidf"]),
+    )
+    @example(
+        train=[["a", "b"]],
+        queries=[[], ["oov", "lain", "oov"], ["b", "b", "a", "b"]],
+        min_count=1,
+        mode="tfidf",
     )
     def test_rows_equal_the_reference(self, train, queries, min_count, mode):
         # min_count above every total leaves a vocabulary of size 0

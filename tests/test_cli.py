@@ -18,6 +18,15 @@ from ppkmsent.encoder.checkpoint import load_checkpoint
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
 
 
+def with_vocab(payload: dict, **fields) -> dict:
+    """A bag-of-words model payload with some vocabulary fields replaced."""
+    return {**payload, "vocab": {**payload["vocab"], **fields}}
+
+
+def frequencies(payload: dict) -> list:
+    return payload["vocab"]["document_frequency"]
+
+
 def write_setup(tmp_path: Path, extra: str = "") -> Path:
     """Raw corpus plus a config file pointing at it; returns the config path."""
     write_jsonl(synthetic_tweets(40, seed=1), tmp_path / "raw.jsonl")
@@ -262,6 +271,12 @@ class TestExitCodes:
     def test_model_array_of_wrong_shape_exits_two(
         self, tmp_path, capsys, filename, corrupt, message
     ):
+        self.eval_with_corrupt_model(tmp_path, capsys, filename, corrupt, message)
+
+    @staticmethod
+    def eval_with_corrupt_model(tmp_path, capsys, filename, corrupt, message):
+        """Train mnb and svm, rewrite one model file, and expect ``eval`` to
+        exit 2 with an error naming the file and ``message``, no traceback."""
         config_path = write_setup(tmp_path)
         svm_config = tmp_path / "svm.cfg"
         svm_config.write_text(config_path.read_text().replace("model = mnb", "model = svm"))
@@ -275,8 +290,73 @@ class TestExitCodes:
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
         assert filename in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "filename, corrupt, message",
+        [
+            (
+                "svm_model.json",
+                lambda p: with_vocab(p, document_frequency=[-1, *frequencies(p)[1:]]),
+                "vocab.document_frequency",
+            ),
+            (
+                "mnb_model.json",
+                lambda p: with_vocab(p, document_frequency=[0.5, *frequencies(p)[1:]]),
+                "vocab.document_frequency",
+            ),
+            (
+                "svm_model.json",
+                lambda p: with_vocab(
+                    p,
+                    document_frequency=[
+                        p["vocab"]["num_documents"] + 1,
+                        *frequencies(p)[1:],
+                    ],
+                ),
+                "vocab.document_frequency",
+            ),
+            ("svm_model.json", lambda p: with_vocab(p, num_documents=0), "vocab.num_documents"),
+            ("mnb_model.json", lambda p: with_vocab(p, num_documents="9"), "vocab.num_documents"),
+            (
+                "svm_model.json",
+                lambda p: {
+                    **p,
+                    "weights": [[float("nan"), *p["weights"][0][1:]], *p["weights"][1:]],
+                },
+                "weights holds a non-finite value",
+            ),
+            (
+                "svm_model.json",
+                lambda p: {**p, "biases": [float("inf"), *p["biases"][1:]]},
+                "biases holds a non-finite value",
+            ),
+            (
+                "mnb_model.json",
+                lambda p: {
+                    **p,
+                    "class_log_prior": [float("-inf"), *p["class_log_prior"][1:]],
+                },
+                "class_log_prior holds a non-finite value",
+            ),
+        ],
+        ids=[
+            "svm-negative-document-frequency",
+            "mnb-fractional-document-frequency",
+            "svm-document-frequency-above-document-count",
+            "svm-no-documents",
+            "mnb-document-count-not-an-integer",
+            "svm-nan-weight",
+            "svm-infinite-bias",
+            "mnb-infinite-prior",
+        ],
+    )
+    def test_model_value_out_of_range_exits_two(
+        self, tmp_path, capsys, filename, corrupt, message
+    ):
+        self.eval_with_corrupt_model(tmp_path, capsys, filename, corrupt, message)
 
     @pytest.mark.parametrize(
         "text, message",

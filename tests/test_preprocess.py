@@ -8,10 +8,12 @@ import sys
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_doc
 from ppkmsent.data import default_stopwords
 from ppkmsent.fixtures import synthetic_tweets
 from ppkmsent.preprocess import (
@@ -25,6 +27,7 @@ from ppkmsent.preprocess import (
     parse_label,
     rank_tokens,
     remove_stopwords,
+    token_ids,
     tokenize,
 )
 
@@ -68,6 +71,14 @@ class TestSentimentLabel:
     def test_parse_label_rejects_unknown_name(self):
         with pytest.raises(ValueError):
             parse_label("angry")
+
+    def test_label_name_takes_the_integer_codes(self):
+        assert [label_name(code) for code in (0, 1, 2)] == ["negative", "neutral", "positive"]
+
+    @pytest.mark.parametrize("value", [3, -1, "neutral", None, 1.5, [1]])
+    def test_label_name_rejects_a_value_that_is_not_a_label(self, value):
+        with pytest.raises(ValueError, match="not a valid SentimentLabel"):
+            label_name(value)
 
 
 class TestCleanse:
@@ -212,6 +223,30 @@ class TestRankTokens:
     def test_negative_top_k_rejected(self):
         with pytest.raises(ValueError, match="top_k must be >= 0"):
             rank_tokens(Counter({"a": 1}), top_k=-1)
+
+
+def make_docs(token_lists):
+    return [make_doc(tokens, doc_id=str(i)) for i, tokens in enumerate(token_lists)]
+
+
+class TestTokenIds:
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "é"]), max_size=6)))
+    @settings(max_examples=200)
+    @example([])
+    @example([[], ["a", "a"], []])
+    def test_ids_spell_the_tokens_in_first_occurrence_order(self, token_lists):
+        lengths, ids, tokens = token_ids(make_docs(token_lists))
+        flat = [token for tokens_ in token_lists for token in tokens_]
+        assert lengths.dtype == ids.dtype == np.intp
+        assert lengths.tolist() == [len(tokens_) for tokens_ in token_lists]
+        assert tokens == list(dict.fromkeys(flat))
+        assert [tokens[i] for i in ids.tolist()] == flat
+
+    def test_hand_example(self):
+        lengths, ids, tokens = token_ids(make_docs([["b", "a", "b"], [], ["c", "a"]]))
+        assert lengths.tolist() == [3, 0, 2]
+        assert ids.tolist() == [0, 1, 0, 2, 1]
+        assert tokens == ["b", "a", "c"]
 
 
 class TestTokenize:

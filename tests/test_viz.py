@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_doc
 from ppkmsent import pipeline
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
-from ppkmsent.preprocess import SentimentLabel
+from ppkmsent.preprocess import SentimentLabel, token_ids
 from ppkmsent.viz import (
     CloudWeights,
     NgramTable,
@@ -140,11 +140,27 @@ class TestNgrams:
         direct = Counter(tok for toks in lists for tok in toks)
         assert {gram[0]: count for gram, count in table.entries} == dict(direct)
 
-    @given(tied_token_lists, st.integers(min_value=1, max_value=4), top_ks)
+    @given(tied_token_lists, st.integers(min_value=1, max_value=5), top_ks)
     @settings(max_examples=300)
     def test_matches_the_reference_loop(self, lists, n, top_k):
         docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
-        assert ngrams(docs, n, top_k) == reference_ngrams(docs, n, top_k)
+        want = reference_ngrams(docs, n, top_k)
+        assert ngrams(docs, n, top_k) == want
+        assert ngrams(token_ids(docs), n, top_k) == want
+
+    @pytest.mark.parametrize("top_k", [None, 5])
+    def test_four_grams_over_seventy_thousand_distinct_tokens(self, top_k):
+        # U = 70,000 distinct ids: a 4-gram keyed by id1*U**3 + ... + id4
+        # would reach 2.4e19 and wrap int64; renumbering the 3-gram keys
+        # first keeps every key below U * (T + 1) for T tokens
+        words = [f"w{i}" for i in range(70_000)]
+        docs = [
+            make_doc(words, doc_id="all"),
+            make_doc(words[::-1], doc_id="reversed"),
+            make_doc(words[:9] * 3, doc_id="repeats"),
+            make_doc(words[-3:], doc_id="short"),
+        ]
+        assert ngrams(docs, 4, top_k) == reference_ngrams(docs, 4, top_k)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("top_k", [None, 20])
@@ -197,9 +213,10 @@ class TestCloudWeights:
     @settings(max_examples=300)
     def test_matches_the_reference_loop(self, lists, top_k, stopwords):
         docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
-        want = reference_cloud_weights(docs, top_k, stopwords)
-        got = cloud_weights(docs, top_k, stopwords)
-        assert list(got.entries.items()) == list(want.entries.items())
+        want = list(reference_cloud_weights(docs, top_k, stopwords).entries.items())
+        for source in (docs, token_ids(docs)):
+            got = cloud_weights(source, top_k, stopwords)
+            assert list(got.entries.items()) == want
 
     @pytest.mark.parametrize("top_k", [1, 20, 10**6])
     def test_matches_the_reference_on_the_labeled_fixture(
