@@ -38,7 +38,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,7 @@ from ppkmsent.errors import CheckpointFormatError, MissingClassError
 from ppkmsent.preprocess import (
     Document,
     SentimentLabel,
+    lookup_ids,
     rank_tokens,
     run_starts,
     token_ids,
@@ -140,20 +140,10 @@ def _vocab_indices(
     documents: list[Document], vocab: BowVocab
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each document's number of in-vocabulary tokens, and their vocabulary
-    indices in document order, OOV tokens dropped.
-
-    The vocabulary is already a dense id map, so one C-speed map through
-    it, as in :func:`~ppkmsent.preprocess.token_ids`, gives the indices
-    without renumbering.
-    """
-    lengths = np.fromiter(
-        (len(doc.tokens) for doc in documents), dtype=np.intp, count=len(documents)
-    )
-    tokens = chain.from_iterable(doc.tokens for doc in documents)
-    indices = np.fromiter(
-        map(vocab.token_to_index.get, tokens, repeat(-1)),
-        dtype=np.intp,
-        count=int(lengths.sum()),
+    indices in document order: the vocabulary is a dense id map, so
+    :func:`~ppkmsent.preprocess.lookup_ids` gives them, OOV tokens dropped."""
+    lengths, indices = lookup_ids(
+        [doc.tokens for doc in documents], vocab.token_to_index, -1
     )
     known = indices >= 0
     docs = np.repeat(np.arange(len(documents)), lengths)[known]

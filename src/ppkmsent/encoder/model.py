@@ -32,7 +32,7 @@ Inputs may have any width up to ``max_sequence_length``.  Padded key
 positions are masked out of attention, so trailing padding never changes
 the logits or the gradients; the training and prediction helpers in
 :mod:`ppkmsent.encoder.train` therefore cut each batch to its longest real
-sequence rather than pass the fixed-length rows of ``format_input``.
+sequence rather than pass the fixed-length rows of ``input_rows``.
 
 The working precision is ``params.flat.dtype``: every activation, the
 gradients and (in :mod:`ppkmsent.encoder.train`) the Adam moments follow

@@ -17,7 +17,8 @@ from ppkmsent.encoder.model import (
     forward,
     init_params,
 )
-from ppkmsent.encoder.vocab import TokenVocab, format_input
+# bench/spans.py counts format_input calls here by name (ROADMAP item 4)
+from ppkmsent.encoder.vocab import TokenVocab, format_input, input_rows  # noqa: F401
 from ppkmsent.errors import (
     ConfigError,
     EncoderNumericsError,
@@ -95,37 +96,22 @@ def _check_weights_finite(weights: FlatTensors, epoch: int, step: int) -> None:
 
 
 def encode_documents(
-    documents: Sequence[Document],
-    vocab: TokenVocab,
-    config: EncoderConfig,
-    require_labels: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Stack formatted inputs for a document batch.
-
-    Returns (ids, mask, labels); ``labels`` is None when ``require_labels``
-    is False and any document is unlabeled.
-    """
+    documents: Sequence[Document], vocab: TokenVocab, config: EncoderConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The documents' :func:`~ppkmsent.encoder.vocab.input_rows`: (ids, mask)."""
     if not documents:
         raise ConfigError("cannot encode an empty document batch")
-    ids_rows = []
-    mask_rows = []
-    labels: list[int] = []
-    labeled = True
-    for doc in documents:
-        ids, mask = format_input(doc.tokens, vocab, config.max_sequence_length)
-        ids_rows.append(ids)
-        mask_rows.append(mask)
-        if doc.label is None:
-            labeled = False
-            if require_labels:
-                raise ConfigError(f"document {doc.id!r} has no label")
-        else:
-            labels.append(int(doc.label))
-    return (
-        np.stack(ids_rows),
-        np.stack(mask_rows),
-        np.asarray(labels, dtype=np.int64) if labeled else None,
+    return input_rows(
+        [doc.tokens for doc in documents], vocab, config.max_sequence_length
     )
+
+
+def _labels(documents: Sequence[Document]) -> np.ndarray:
+    """The documents' labels as int64 class ids, for training."""
+    for doc in documents:
+        if doc.label is None:
+            raise ConfigError(f"document {doc.id!r} has no label")
+    return np.array([doc.label for doc in documents], dtype=np.int64)
 
 
 def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +142,18 @@ def _batches(
         yield (rows, *_trim(ids[rows], mask[rows]))
 
 
+def _eval_logits(
+    ids: np.ndarray,
+    mask: np.ndarray,
+    params: FlatTensors,
+    config: EncoderConfig,
+    batch_size: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, logits)`` of each consecutive batch, forward in eval mode."""
+    for rows, batch_ids, batch_mask in _batches(ids, mask, batch_size):
+        yield rows, forward(batch_ids, batch_mask, params, config, "eval").logits
+
+
 def _evaluate(
     ids: np.ndarray,
     mask: np.ndarray,
@@ -168,11 +166,10 @@ def _evaluate(
     total = ids.shape[0]
     loss_sum = 0.0
     correct = 0
-    for rows, batch_ids, batch_mask in _batches(ids, mask, batch_size):
-        result = forward(batch_ids, batch_mask, params, config, "eval")
-        loss, _ = cross_entropy(result.logits, labels[rows])
+    for rows, logits in _eval_logits(ids, mask, params, config, batch_size):
+        loss, _ = cross_entropy(logits, labels[rows])
         loss_sum += loss * rows.shape[0]
-        correct += int(np.sum(np.argmax(result.logits, axis=-1) == labels[rows]))
+        correct += int(np.sum(np.argmax(logits, axis=-1) == labels[rows]))
     return loss_sum / total, correct / total
 
 
@@ -198,13 +195,11 @@ def fine_tune(
     rng = np.random.Generator(np.random.PCG64(train_seq))
     state = _AdamState(params)
 
-    train_ids, train_mask, train_labels = encode_documents(
-        train_documents, vocab, config
-    )
+    train_ids, train_mask = encode_documents(train_documents, vocab, config)
+    train_labels = _labels(train_documents)
     if val_documents:
-        val_ids, val_mask, val_labels = encode_documents(
-            val_documents, vocab, config
-        )
+        val_ids, val_mask = encode_documents(val_documents, vocab, config)
+        val_labels = _labels(val_documents)
     history: list[EpochStats] = []
     # every non-finite value is caught below (batch loss, layer outputs and,
     # without a validation pass, the weights), so numpy's floating-point
@@ -286,15 +281,10 @@ def predict_batch(
     batch_size: int = 32,
 ) -> list[SentimentLabel]:
     """Predicted labels for a document sequence, in order."""
-    ids, mask, _ = encode_documents(
-        documents, vocab, config, require_labels=False
-    )
+    ids, mask = encode_documents(documents, vocab, config)
     labels: list[SentimentLabel] = []
-    for _, batch_ids, batch_mask in _batches(ids, mask, batch_size):
-        result = forward(batch_ids, batch_mask, params, config, "eval")
-        labels.extend(
-            SentimentLabel(int(i)) for i in np.argmax(result.logits, axis=-1)
-        )
+    for _, logits in _eval_logits(ids, mask, params, config, batch_size):
+        labels.extend(map(SentimentLabel, np.argmax(logits, axis=-1).tolist()))
     return labels
 
 

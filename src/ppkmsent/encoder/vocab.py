@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ppkmsent.errors import ConfigError
-from ppkmsent.preprocess import Document, rank_tokens
+from ppkmsent.preprocess import Document, lookup_ids, rank_tokens, token_ids
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -44,9 +43,6 @@ class TokenVocab:
     def size(self) -> int:
         return len(self.token_to_id)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def tokens_in_id_order(self) -> list[str]:
         return sorted(self.token_to_id, key=self.token_to_id.__getitem__)
 
@@ -62,7 +58,7 @@ class TokenVocab:
 
 
 def build_token_vocab(
-    documents: Iterable[Document], min_count: int = 1
+    documents: Sequence[Document], min_count: int = 1
 ) -> TokenVocab:
     """Build a vocabulary from document tokens.
 
@@ -71,36 +67,47 @@ def build_token_vocab(
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter[str] = Counter()
-    for doc in documents:
-        counts.update(doc.tokens)
+    _, ids, seen = token_ids(documents)
+    counts = dict(zip(seen, np.bincount(ids, minlength=len(seen)).tolist()))
     for reserved in RESERVED_TOKENS:
         counts.pop(reserved, None)
     tokens = [*RESERVED_TOKENS, *rank_tokens(counts, min_count)]
     return TokenVocab(token_to_id={tok: i for i, tok in enumerate(tokens)})
 
 
-def format_input(
-    tokens: Sequence[str],
-    vocab: TokenVocab,
-    max_sequence_length: int,
+def input_rows(
+    sequences: Sequence[Sequence[str]], vocab: TokenVocab, max_sequence_length: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convert a token sequence into fixed-length id and mask arrays.
+    """Fixed-length id (int64) and mask (float64) rows, one per token
+    sequence, laid out in numpy.
 
     Layout: ``[CLS]``, then content tokens truncated to ``max_sequence_length
-    - 2``, then ``[SEP]``, then ``[PAD]`` up to the full length.  The mask is
-    1.0 at every non-pad position and 0.0 at pad positions.
+    - 2`` (``[UNK]`` for a token not in the vocabulary), then ``[SEP]``, then
+    ``[PAD]`` up to the full length.  The mask is 1.0 at every non-pad
+    position and 0.0 at pad positions.
     """
     if max_sequence_length < 3:
         raise ConfigError(
             f"max_sequence_length must be >= 3, got {max_sequence_length}"
         )
-    content = [vocab.lookup(tok) for tok in tokens[: max_sequence_length - 2]]
-    ids = [CLS_ID, *content, SEP_ID]
-    pad_count = max_sequence_length - len(ids)
-    mask = [1.0] * len(ids) + [0.0] * pad_count
-    ids.extend([PAD_ID] * pad_count)
-    return (
-        np.asarray(ids, dtype=np.int64),
-        np.asarray(mask, dtype=np.float64),
+    kept = max_sequence_length - 2
+    lengths, content = lookup_ids(
+        [tokens[:kept] for tokens in sequences], vocab.token_to_id, UNK_ID
     )
+    columns = np.arange(max_sequence_length)
+    ids = np.full((len(sequences), max_sequence_length), PAD_ID, dtype=np.int64)
+    ids[:, 0] = CLS_ID
+    # a boolean index fills in row-major order: a row's content token j
+    # lands in column 1 + j
+    ids[:, 1:][np.greater.outer(lengths, columns[:-1])] = content
+    ids[np.arange(len(sequences)), lengths + 1] = SEP_ID
+    return ids, np.greater.outer(lengths + 2, columns).astype(np.float64)
+
+
+def format_input(
+    tokens: Sequence[str], vocab: TokenVocab, max_sequence_length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One token sequence's id and mask arrays: the one row of
+    :func:`input_rows`."""
+    ids, mask = input_rows([tokens], vocab, max_sequence_length)
+    return ids[0], mask[0]

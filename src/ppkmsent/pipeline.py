@@ -21,6 +21,7 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -657,8 +658,10 @@ def _train_mnb(
     return {}
 
 
-def _predict_mnb(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
-    model, vocab = bow.load_model(output_dir / MODELS["mnb"].file, "mnb")
+def _predict_bow(
+    kind: str, output_dir: Path, test_docs: list[Document]
+) -> list[SentimentLabel]:
+    model, vocab = bow.load_model(output_dir / MODELS[kind].file, kind)
     return bow.predict_batch(test_docs, model, vocab)[0]
 
 
@@ -675,11 +678,6 @@ def _train_svm(
     model = bow.svm_train(train_docs, vocab, svm_config)
     bow.save_model(model, vocab, _model_path(config))
     return {}
-
-
-def _predict_svm(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
-    model, vocab = bow.load_model(output_dir / MODELS["svm"].file, "svm")
-    return bow.predict_batch(test_docs, model, vocab)[0]
 
 
 def _train_lexicon(
@@ -704,6 +702,8 @@ def _predict_lexicon(
     payload = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or payload.get("magic") != LEXICON_MODEL_MAGIC:
         raise CheckpointFormatError(f"{path} is not a lexicon model file")
+    if (version := payload.get("version")) != LEXICON_MODEL_VERSION:
+        raise CheckpointFormatError(f"{path}: unsupported model version {version!r}")
     lex = lexicon.LexiconDict(
         positive=frozenset(artifacts.str_list(payload, "positive")),
         negative=frozenset(artifacts.str_list(payload, "negative")),
@@ -740,8 +740,8 @@ MODELS = {
         train_outputs=(BERT_VOCAB_FILE, HISTORY_FILE),
         predict_inputs=(BERT_VOCAB_FILE,),
     ),
-    "mnb": ModelSpec("mnb_model.json", _train_mnb, _predict_mnb),
-    "svm": ModelSpec("svm_model.json", _train_svm, _predict_svm),
+    "mnb": ModelSpec("mnb_model.json", _train_mnb, partial(_predict_bow, "mnb")),
+    "svm": ModelSpec("svm_model.json", _train_svm, partial(_predict_bow, "svm")),
     "lexicon": ModelSpec("lexicon_model.json", _train_lexicon, _predict_lexicon),
 }
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter, defaultdict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -122,21 +122,21 @@ def rank_tokens(
     ties broken by the key's own order; the order of every vocabulary and
     frequency chart.
 
-    ``top_k=None`` returns every kept key, fully sorted.  Otherwise only the
-    first ``top_k`` of that order are returned (``0`` gives ``[]``), chosen
-    with a bounded heap: ``heapq.nsmallest`` equals ``sorted(...)[:top_k]``
-    and ranks G kept keys in O(G log top_k) rather than O(G log G).  A
-    negative ``top_k`` raises ``ValueError``.
+    ``top_k=None`` returns every kept key by two stable C-level sorts.
+    Otherwise only the first ``top_k`` of that order are returned (``0``
+    gives ``[]``), chosen with a bounded heap: ``heapq.nsmallest`` equals
+    ``sorted(...)[:top_k]`` and ranks G kept keys in O(G log top_k) rather
+    than O(G log G).  A negative ``top_k`` raises ``ValueError``.
     """
     if top_k is not None and top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     kept = [key for key, count in counts.items() if count >= min_count]
+    if top_k is None:
+        return sorted(sorted(kept), key=counts.__getitem__, reverse=True)
 
     def rank(key: T) -> tuple[int, T]:
         return -counts[key], key
 
-    if top_k is None:
-        return sorted(kept, key=rank)
     return heapq.nsmallest(top_k, kept, key=rank)
 
 
@@ -172,6 +172,20 @@ def token_ids(documents: Sequence[Document]) -> TokenIds:
         map(index.__getitem__, tokens), dtype=np.intp, count=int(lengths.sum())
     )
     return TokenIds(lengths, ids, list(index))
+
+
+def lookup_ids(
+    sequences: Sequence[Sequence[str]], table: Mapping[str, int], default: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's length, and the ``table`` id of every token in order
+    (``default`` when absent) as one flat ``intp`` array, mapped in C."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+    ids = np.fromiter(
+        map(table.get, chain.from_iterable(sequences), repeat(default)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
+    )
+    return lengths, ids
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:

@@ -152,6 +152,7 @@ class TestExitCodes:
             ("mnb_model.json", lambda p: {k: v for k, v in p.items() if k != "vocab"}),
             ("mnb_model.json", lambda p: {**p, "magic": "other"}),
             ("mnb_model.json", lambda p: [p]),
+            ("mnb_model.json", lambda p: {**p, "version": 2}),
             (
                 "lexicon_model.json",
                 lambda p: {k: v for k, v in p.items() if k != "positive"},
@@ -160,16 +161,19 @@ class TestExitCodes:
             ("lexicon_model.json", lambda p: [p]),
             ("lexicon_model.json", lambda p: {**p, "positive": [1, 2]}),
             ("lexicon_model.json", lambda p: {**p, "positive": "abc"}),
+            ("lexicon_model.json", lambda p: {**p, "version": 2}),
         ],
         ids=[
             "mnb-without-vocab",
             "bow-wrong-magic",
             "bow-not-an-object",
+            "bow-other-version",
             "lexicon-without-positive",
             "lexicon-wrong-magic",
             "lexicon-not-an-object",
             "lexicon-phrase-not-a-string",
             "lexicon-phrases-not-a-list",
+            "lexicon-other-version",
         ],
     )
     def test_corrupt_model_file_exits_two(

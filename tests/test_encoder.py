@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import encoder_gradient_check, make_doc
@@ -56,6 +56,7 @@ from ppkmsent.encoder.vocab import (
     TokenVocab,
     build_token_vocab,
     format_input,
+    input_rows,
 )
 from ppkmsent.errors import (
     CheckpointFormatError,
@@ -211,8 +212,8 @@ class TestTokenVocab:
 
     def test_lookup_falls_back_to_unk(self):
         vocab = build_token_vocab([make_doc(["x"], doc_id="a")])
-        assert vocab.lookup("x") == 4
-        assert vocab.lookup("missing") == UNK_ID
+        ids, _ = format_input(["x", "missing"], vocab, 4)
+        assert ids.tolist() == [CLS_ID, 4, UNK_ID, SEP_ID]
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="\\[PAD\\]"):
@@ -283,6 +284,51 @@ class TestFormatInput:
         assert np.all(mask[: sep_pos + 1] == 1.0)
         assert np.all(mask[sep_pos + 1 :] == 0.0)
         assert sep_pos == 1 + min(len(tokens), seq_len - 2)
+
+
+def reference_format_input(tokens, vocab, max_sequence_length):
+    """The per-document layout in plain Python, one token at a time."""
+    content = [
+        vocab.token_to_id.get(tok, UNK_ID)
+        for tok in tokens[: max_sequence_length - 2]
+    ]
+    ids = [CLS_ID, *content, SEP_ID]
+    pad_count = max_sequence_length - len(ids)
+    mask = [1.0] * len(ids) + [0.0] * pad_count
+    ids.extend([PAD_ID] * pad_count)
+    return (
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(mask, dtype=np.float64),
+    )
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from(["jualan", "saya", "rugi", "oov1", "oov2"]),
+            max_size=12,
+        ),
+        max_size=6,
+    ),
+    st.integers(min_value=3, max_value=10),
+)
+@example(sequences=[[], ["oov1", "oov2"], ["saya"] * 12, ["rugi"]], seq_len=3)
+@settings(max_examples=300)
+def test_input_rows_match_the_reference(sequences, seq_len):
+    vocab = build_token_vocab([make_doc(["jualan", "saya", "rugi"], doc_id="a")])
+    ids, mask = input_rows(sequences, vocab, seq_len)
+    assert ids.shape == mask.shape == (len(sequences), seq_len)
+    for row, tokens in enumerate(sequences):
+        ref_ids, ref_mask = reference_format_input(tokens, vocab, seq_len)
+        # every row of the batch, and format_input's one row, element for
+        # element and dtype for dtype
+        for got_ids, got_mask in (
+            (ids[row], mask[row]),
+            format_input(tokens, vocab, seq_len),
+        ):
+            assert (got_ids.dtype, got_mask.dtype) == (np.int64, np.float64)
+            assert np.array_equal(got_ids, ref_ids)
+            assert np.array_equal(got_mask, ref_mask)
 
 
 def assert_views_of_one_buffer(tensors, config, role):
@@ -988,8 +1034,8 @@ class TestTrainingStep:
         # encode_documents hands forward float64 masks; if any array upcast
         # float32 params, every later product would run in float64
         docs, vocab, config, profile = self.setup_training()
-        ids, mask, labels = encode_documents(docs[:5], vocab, config)
-        ids, mask = _trim(ids, mask)
+        ids, mask = _trim(*encode_documents(docs[:5], vocab, config))
+        labels = encoder_train._labels(docs[:5])
         assert mask.dtype == np.float64
 
         def cache_arrays(node):
@@ -1075,7 +1121,8 @@ class TestTrainingStep:
 
     def test_adam_updates_views_of_one_buffer_per_role(self):
         docs, vocab, config, profile = self.setup_training()
-        ids, mask, labels = encode_documents(docs[:5], vocab, config)
+        ids, mask = encode_documents(docs[:5], vocab, config)
+        labels = encoder_train._labels(docs[:5])
         params = init_params(config, seed=0)
         state = encoder_train._AdamState(params)
         # Adam updates the params themselves, not a copy
@@ -1103,21 +1150,21 @@ class TestEncodeAndPredict:
         docs = three_class_docs()
         vocab = build_token_vocab(docs)
         config = tiny_config(vocab_size=vocab.size)
-        ids, mask, labels = encode_documents(docs, vocab, config)
+        ids, mask = encode_documents(docs, vocab, config)
         assert ids.shape == (3, 6)
         assert mask.shape == (3, 6)
+        labels = encoder_train._labels(docs)
+        assert labels.dtype == np.int64
         assert labels.tolist() == [0, 1, 2]
 
-    def test_encode_unlabeled_with_relaxed_labels(self):
+    def test_unlabeled_documents_encode_but_do_not_train(self):
         docs = [make_doc(["a"], None, "u")]
         vocab = build_token_vocab(docs)
         config = tiny_config(vocab_size=vocab.size)
-        ids, mask, labels = encode_documents(
-            docs, vocab, config, require_labels=False
-        )
-        assert labels is None
-        with pytest.raises(ConfigError, match="no label"):
-            encode_documents(docs, vocab, config)
+        ids, mask = encode_documents(docs, vocab, config)
+        assert ids.shape == mask.shape == (1, config.max_sequence_length)
+        with pytest.raises(ConfigError, match="document 'u' has no label"):
+            fine_tune(docs, [], vocab, config, TrainProfile(epochs=1))
 
     def test_predict_probabilities_sum_to_one(self):
         docs = three_class_docs()
@@ -1159,7 +1206,8 @@ class TestBatchTrimming:
         for name, tensor in params.items():
             if not name.endswith(("_gain", "_bias", "head_b")):
                 tensor *= 25.0
-        ids, mask, labels = encode_documents(docs, vocab, config)
+        ids, mask = encode_documents(docs, vocab, config)
+        labels = encoder_train._labels(docs)
         trimmed = _trim(ids, mask)
         # the longest document is [CLS] + 4 tokens + [SEP]
         assert trimmed[0].shape == trimmed[1].shape == (4, 6)

@@ -220,6 +220,18 @@ class TestRankTokens:
         full = rank_tokens(counts, min_count)
         assert rank_tokens(counts, min_count, top_k) == full[:top_k]
 
+    @given(
+        st.dictionaries(st.text("abc", max_size=3), st.integers(1, 2)),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=200)
+    def test_full_sort_and_heap_agree_on_tied_counts(self, counts, min_count):
+        counts = Counter(counts)
+        kept = [key for key, count in counts.items() if count >= min_count]
+        expected = sorted(kept, key=lambda key: (-counts[key], key))
+        assert rank_tokens(counts, min_count) == expected
+        assert rank_tokens(counts, min_count, top_k=len(counts)) == expected
+
     def test_negative_top_k_rejected(self):
         with pytest.raises(ValueError, match="top_k must be >= 0"):
             rank_tokens(Counter({"a": 1}), top_k=-1)
