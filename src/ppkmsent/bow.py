@@ -231,8 +231,8 @@ def mnb_train(train: list[Document], vocab: BowVocab, alpha: float = 1.0) -> Mnb
     """
     if not train:
         raise ValueError("empty training set")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     _require_all_classes(train)
     v = vocab.size
     labels = np.fromiter((doc.label for doc in train), dtype=np.intp, count=len(train))
@@ -276,8 +276,8 @@ class SvmConfig:
     feature_mode: str = "tfidf"
 
     def __post_init__(self):
-        if self.regularization_lambda <= 0:
-            raise ValueError("regularization_lambda must be positive")
+        if not 0 < self.regularization_lambda < math.inf:
+            raise ValueError("regularization_lambda must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.feature_mode not in ("tf", "tfidf"):

@@ -333,18 +333,10 @@ def split(
     if not documents:
         raise ValueError("cannot split an empty document list")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
-
-    if not spec.stratified:
-        order = rng.permutation(len(documents))
-        n_train, n_val, n_test = _bucket_sizes(len(documents), spec)
-        train = [documents[i] for i in order[:n_train]]
-        val = [documents[i] for i in order[n_train : n_train + n_val]]
-        test = [documents[i] for i in order[n_train + n_val : n_train + n_val + n_test]]
-        return train, val, test
-
+    # unstratified, every document falls in the one stratum None
     groups: dict[object, list[int]] = {}
     for idx, doc in enumerate(documents):
-        groups.setdefault(doc.label, []).append(idx)
+        groups.setdefault(doc.label if spec.stratified else None, []).append(idx)
     # fixed stratum order: label code ascending, unlabeled last
     ordered_keys = sorted(groups, key=lambda lbl: (lbl is None, lbl))
     train: list[Document] = []

@@ -22,11 +22,11 @@ rows.  The head reads position 0 (``[CLS]``) alone, so the last layer
 queries that row only: its query, attention output, residual, layer norms,
 feed-forward and both dropouts act on one row per sequence.
 
-Dropout draws exactly the randoms it would draw on padded rows: a
-``(batch * seq, hidden)`` array at the embedding and at each inner-layer
-site, of which the real rows are kept, and ``(batch, hidden)`` at the last
-layer.  The random stream, and with it every later shuffle, therefore does
-not depend on the packing.
+Each dropout site draws the packed rows it masks, and only those, from a
+stream of its own, ``default_rng((*key, site))``: ``key`` names the
+training step, and ``site`` is 0 at the embedding and ``2i + 1``, ``2i + 2``
+at layer ``i``'s attention and feed-forward outputs.  So no mask depends
+on the padding or on another site's draws.
 
 Inputs may have any width up to ``max_sequence_length``.  Padded key
 positions are masked out of attention, so trailing padding never changes
@@ -259,27 +259,21 @@ def _scatter(x: np.ndarray, rows: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-def _dropout(
-    x: np.ndarray,
-    rate: float,
-    rng: np.random.Generator | None,
-    real: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout; returns the rescaled keep mask for the backward pass.
+def _site_rng(key: tuple[int, ...] | None, site: int) -> np.random.Generator | None:
+    """The dropout stream of ``site`` under the step ``key``, if there is one."""
+    return None if key is None else np.random.default_rng((*key, site))
 
-    When ``x`` holds the rows of a padded array that the boolean row mask
-    ``real`` marks, the randoms are drawn for the whole padded array and
-    those rows kept, so the stream does not depend on the padding.
-    """
+
+def _dropout(
+    x: np.ndarray, rate: float, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout with one random per element of ``x``; returns the
+    rescaled keep mask for the backward pass."""
     if rate <= 0.0:
         return x, None
     if rng is None:
-        raise ConfigError("training-mode forward with dropout needs an rng")
-    if real is None:
-        draws = rng.random(x.shape)
-    else:
-        draws = rng.random((real.shape[0], x.shape[1]))[real]
-    keep = (draws >= rate).astype(x.dtype) / (1.0 - rate)
+        raise ConfigError("training-mode forward with dropout needs a keyed rng")
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
 
 
@@ -302,14 +296,16 @@ def forward(
     params: FlatTensors,
     config: EncoderConfig,
     mode: str = "eval",
-    rng: np.random.Generator | None = None,
+    key: tuple[int, ...] | None = None,
     want_cache: bool = False,
 ) -> ForwardResult:
     """Run the encoder over a batch.
 
     ``ids`` is (batch, seq) int64 and ``mask`` the matching 0/1 array; 1-d
     inputs are treated as a batch of one.  ``mode`` is ``"train"`` (dropout
-    active, needs ``rng`` when the rate is nonzero) or ``"eval"``.  Padded
+    active, needs ``key`` when the rate is nonzero) or ``"eval"``.  ``key``,
+    a tuple of non-negative ints, seeds every dropout site's stream (see the
+    module docstring); ``fine_tune`` passes ``(seed, epoch, step)``.  Padded
     key positions are excluded from attention by setting their scores to
     -inf before the softmax; padding therefore never changes the logits.
     """
@@ -348,7 +344,7 @@ def forward(
     token_ids = ids.ravel()[rows]
     embedded = params["token_embedding"][token_ids]
     embedded += params["position_embedding"][rows % seq]
-    x, emb_keep = _dropout(embedded, rate, rng, real)
+    x, emb_keep = _dropout(embedded, rate, _site_rng(key, 0))
 
     cache: dict = {
         "ids": token_ids,
@@ -379,7 +375,7 @@ def forward(
             context = context[rows]
         attn_out = context @ params[p + "wo"]
         attn_dropped, attn_keep = _dropout(
-            attn_out, rate, rng, None if index == last else real
+            attn_out, rate, _site_rng(key, 2 * index + 1)
         )
         attn_dropped += x_q
         x1, ln1_cache = _layer_norm(
@@ -390,7 +386,7 @@ def forward(
         activated = _gelu(hidden, tanh)
         ffn_out = activated @ params[p + "w2"]
         ffn_dropped, ffn_keep = _dropout(
-            ffn_out, rate, rng, None if index == last else real
+            ffn_out, rate, _site_rng(key, 2 * index + 2)
         )
         ffn_dropped += x1
         x, ln2_cache = _layer_norm(

@@ -182,17 +182,20 @@ def fine_tune(
 ) -> tuple[FlatTensors, list[EpochStats]]:
     """Train the encoder classifier from random initial weights.
 
-    Shuffling, dropout and initialisation all derive from ``profile.seed``,
+    Initialisation, shuffling and dropout all derive from ``profile.seed``,
     so repeated calls with identical inputs produce identical weights and
-    history.  Raises :class:`TrainingDivergedError` when a batch loss, any
-    activation or, with no validation set, any weight at the end of an epoch
-    stops being finite.  The working precision is the params' dtype, float32
-    from :func:`init_params`.
+    history.  Each has a stream of its own: two ``SeedSequence`` children
+    for the weights and the epoch order, and for dropout the step key
+    ``(seed, epoch, step)`` that ``forward`` extends per site.  Raises
+    :class:`TrainingDivergedError` when a batch loss, any activation or,
+    with no validation set, any weight at the end of an epoch stops being
+    finite.  The working precision is the params' dtype, float32 from
+    :func:`init_params`.
     """
     seed_seq = np.random.SeedSequence(profile.seed)
-    init_seq, train_seq = seed_seq.spawn(2)
+    init_seq, shuffle_seq = seed_seq.spawn(2)
     params = init_params(config, init_seq)
-    rng = np.random.Generator(np.random.PCG64(train_seq))
+    shuffle = np.random.Generator(np.random.PCG64(shuffle_seq))
     state = _AdamState(params)
 
     train_ids, train_mask = encode_documents(train_documents, vocab, config)
@@ -206,7 +209,7 @@ def fine_tune(
     # warnings would only repeat the error on stderr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, profile.epochs + 1):
-            order = rng.permutation(train_ids.shape[0])
+            order = shuffle.permutation(train_ids.shape[0])
             batches = _batches(train_ids, train_mask, profile.batch_size, order)
             loss_sum = 0.0
             correct = 0
@@ -218,7 +221,7 @@ def fine_tune(
                         params,
                         config,
                         "train",
-                        rng=rng,
+                        key=(profile.seed, epoch, step),
                         want_cache=True,
                     )
                     loss, dlogits = cross_entropy(

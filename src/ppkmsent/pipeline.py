@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -164,10 +165,10 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mnb_alpha <= 0:
-            raise ConfigError(f"mnb_alpha must be positive, got {self.mnb_alpha}")
-        if self.svm_lambda <= 0:
-            raise ConfigError(f"svm_lambda must be positive, got {self.svm_lambda}")
+        for name in ("mnb_alpha", "svm_lambda"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # false for nan as well
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         # type-check the split and profile overrides up front, before any
         # stage starts writing
         try:

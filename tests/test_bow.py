@@ -366,8 +366,9 @@ class TestMnb:
         vocab = build_vocab(docs)
         with pytest.raises(ValueError, match="empty"):
             mnb_train([], vocab)
-        with pytest.raises(ValueError, match="alpha"):
-            mnb_train(docs, vocab, alpha=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                mnb_train(docs, vocab, alpha=bad)
         with pytest.raises(ValueError, match="unlabeled"):
             mnb_train(docs + [make_doc(["x"], None, "u")], vocab)
 
@@ -546,8 +547,9 @@ class TestSvm:
         assert model.weights.shape == (3, 2)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="lambda"):
-            SvmConfig(regularization_lambda=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda"):
+                SvmConfig(regularization_lambda=bad)
         with pytest.raises(ValueError, match="epochs"):
             SvmConfig(epochs=0)
         with pytest.raises(ValueError, match="feature mode"):

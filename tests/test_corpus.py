@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,6 +360,23 @@ class TestFilterRelevant:
         ]
 
 
+def reference_unstratified_split(documents, spec):
+    """The unstratified split as first written: one permutation of every
+    document, cut at floor(fraction * N) with the remainder in train."""
+    order = np.random.default_rng(np.random.PCG64(spec.seed)).permutation(
+        len(documents)
+    )
+    n = len(documents)
+    n_val = math.floor(spec.validation_fraction * n)
+    n_test = math.floor(spec.test_fraction * n)
+    n_train = n - n_val - n_test
+    cuts = (0, n_train, n_train + n_val, n)
+    return tuple(
+        [documents[i] for i in order[start:stop]]
+        for start, stop in zip(cuts, cuts[1:])
+    )
+
+
 class TestSplit:
     def test_corpus_scale_bucket_sizes(self):
         docs = [make_doc(["w"], doc_id=str(i)) for i in range(5315)]
@@ -444,3 +463,7 @@ class TestSplit:
         if not stratified:
             assert len(val) == (val_tenths * n) // 10
             assert len(test) == (test_tenths * n) // 10
+            want = reference_unstratified_split(docs, spec)
+            assert [[d.id for d in part] for part in (train, val, test)] == [
+                [d.id for d in part] for part in want
+            ]

@@ -7,6 +7,7 @@ import hashlib
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -746,36 +747,61 @@ class TestLayerNorm:
 
 
 class TestDropout:
-    def test_forward_draws_the_padded_sizes_and_keeps_the_real_rows(self):
+    def test_each_site_draws_its_packed_rows_from_its_own_stream(self):
         config = tiny_config(
             num_layers=2, num_heads=2, hidden_size=8, dropout_rate=0.3
         )
         params = init_params(config, seed=0, dtype=np.float64)
         ids = np.array([[2, 4, 5, 6, 3, 0], [2, 7, 3, 0, 0, 0], [2, 3, 0, 0, 0, 0]])
         mask = (ids != PAD_ID).astype(np.float64)
-        rng = np.random.default_rng(7)
-        result = forward(ids, mask, params, config, "train", rng=rng, want_cache=True)
-        batch, seq, d = *ids.shape, config.hidden_size
-        real = mask.astype(bool).ravel()
-        reference = np.random.default_rng(7)
+        key = (7, 2, 5)
+        result = forward(ids, mask, params, config, "train", key=key, want_cache=True)
+        n_real, batch, d = int(mask.sum()), ids.shape[0], config.hidden_size
 
-        def keep(shape, rows=None):
-            kept = (reference.random(shape) >= 0.3).astype(np.float64) / (1.0 - 0.3)
-            return kept if rows is None else kept[rows]
+        def keep(site, rows):
+            draws = np.random.default_rng((*key, site)).random((rows, d))
+            return (draws >= 0.3).astype(np.float64) / (1.0 - 0.3)
 
-        # the embedding and the inner layer's two sites draw the padded
-        # layout, the last layer's two sites one row per sequence
-        want = [keep((batch * seq, d), real)]
-        want += [keep((batch * seq, d), real), keep((batch * seq, d), real)]
-        want += [keep((batch, d)), keep((batch, d))]
+        # the embedding (site 0) and the inner layer's two sites (1, 2) mask
+        # every real row, the last layer's two sites (3, 4) one row per
+        # sequence
+        want = [keep(0, n_real), keep(1, n_real), keep(2, n_real)]
+        want += [keep(3, batch), keep(4, batch)]
         inner, last = result.cache["layers"]
         got = [result.cache["emb_keep"]]
         got += [inner["attn_keep"], inner["ffn_keep"]]
         got += [last["attn_keep"], last["ffn_keep"]]
-        for index, (g, w) in enumerate(zip(got, want)):
-            assert np.array_equal(g, w), index
-        assert got[0].shape == (int(mask.sum()), d)
-        assert rng.bit_generator.state == reference.bit_generator.state
+        for site, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), site
+
+    def test_trailing_padding_changes_no_train_mode_logit_under_one_key(self):
+        config = tiny_config(
+            num_layers=2,
+            num_heads=2,
+            hidden_size=8,
+            max_sequence_length=9,
+            dropout_rate=0.3,
+        )
+        params = init_params(config, seed=2, dtype=np.float64)
+        ids = np.array([[2, 4, 5, 6, 7, 3], [2, 8, 3, 0, 0, 0], [2, 3, 0, 0, 0, 0]])
+        labels = np.array([0, 2, 1])
+        outputs = []
+        for extra in (0, 3):
+            wide = np.pad(ids, ((0, 0), (0, extra)), constant_values=PAD_ID)
+            mask = (wide != PAD_ID).astype(np.float64)
+            result = forward(
+                wide, mask, params, config, "train", key=(4, 1, 0), want_cache=True
+            )
+            _, dlogits = cross_entropy(result.logits, labels)
+            grads = backward(dlogits, params, config, result.cache)
+            outputs.append((result.logits, grads, result.cache["emb_keep"]))
+        (logits, grads, keep), (wide_logits, wide_grads, wide_keep) = outputs
+        assert np.array_equal(wide_keep, keep)
+        np.testing.assert_allclose(wide_logits, logits, rtol=0, atol=1e-12)
+        for name, grad in grads.items():
+            np.testing.assert_allclose(
+                wide_grads[name], grad, rtol=0, atol=1e-12, err_msg=name
+            )
 
     def test_zero_rate_is_identity(self):
         x = np.arange(6.0).reshape(2, 3)
@@ -810,9 +836,9 @@ class TestDropout:
         params = init_params(config, seed=0)
         ids = np.array([[2, 4, 5, 3]])
         mask = np.ones((1, 4))
-        a = forward(ids, mask, params, config, "train", rng=np.random.default_rng(1))
-        b = forward(ids, mask, params, config, "train", rng=np.random.default_rng(1))
-        c = forward(ids, mask, params, config, "train", rng=np.random.default_rng(2))
+        a = forward(ids, mask, params, config, "train", key=(1,))
+        b = forward(ids, mask, params, config, "train", key=(1,))
+        c = forward(ids, mask, params, config, "train", key=(2,))
         assert np.array_equal(a.logits, b.logits)
         assert not np.array_equal(a.logits, c.logits)
         with pytest.raises(ConfigError, match="rng"):
@@ -944,6 +970,28 @@ class TestFineTune:
                 fine_tune(docs, [], vocab, config, profile)
         assert excinfo.value.epoch == 1
 
+    def test_epoch_orders_do_not_depend_on_dropout(self, monkeypatch):
+        orders: list[list[np.ndarray]] = []
+        real_batches = encoder_train._batches
+
+        def recording_batches(ids, mask, batch_size, order=None):
+            if order is not None:
+                orders[-1].append(order.copy())
+            return real_batches(ids, mask, batch_size, order)
+
+        monkeypatch.setattr(encoder_train, "_batches", recording_batches)
+        docs, vocab, config, profile = self.setup_training(epochs=3)
+        for rate in (0.0, 0.1):
+            orders.append([])
+            fine_tune(
+                docs, [], vocab, replace(config, dropout_rate=rate), profile
+            )
+        plain, dropped = orders
+        assert len(plain) == len(dropped) == profile.epochs
+        for epoch, (a, b) in enumerate(zip(plain, dropped), start=1):
+            assert np.array_equal(a, b), epoch
+        assert not np.array_equal(plain[1], plain[2])
+
     def test_unlabeled_document_rejected(self):
         docs, vocab, config, profile = self.setup_training(epochs=1)
         docs[0] = make_doc(docs[0].tokens, None, docs[0].id)
@@ -976,9 +1024,10 @@ class TestTrainingStep:
         return docs, vocab, config, profile
 
     def test_weights_match_the_pinned_digest(self):
-        # the digest of the float32 weights that training with the [CLS]-only
-        # last layer first gave, under numpy 2.4 and OpenBLAS 0.3 on x86-64,
-        # where other SIMD kernels for exp/tanh or matmul may round differently
+        # the digest of the float32 weights that training with one keyed
+        # stream per dropout site first gave, under numpy 2.4 and OpenBLAS
+        # 0.3 on x86-64, where other SIMD kernels for exp/tanh or matmul may
+        # round differently
         docs, vocab, config, profile = self.setup_training()
         params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
         digest = hashlib.sha256()
@@ -987,12 +1036,13 @@ class TestTrainingStep:
             digest.update(name.encode())
             digest.update(tensor.tobytes())
         assert digest.hexdigest() == (
-            "426f03988225e4b195169e68724c604b956431dd933b79ff88a7dfe7a9a66f81"
+            "c4a7d1bbdf6d7b7f272a24945f61247a6d1830cf27bfd053ddedb207996bdb1b"
         )
 
     def test_float64_params_keep_the_float64_digest(self, monkeypatch):
         # the same code on float64 params gives the float64 weights that
-        # training with the [CLS]-only last layer first gave, bit for bit
+        # training with one keyed stream per dropout site first gave, bit
+        # for bit
         monkeypatch.setattr(
             encoder_train,
             "init_params",
@@ -1006,7 +1056,7 @@ class TestTrainingStep:
             digest.update(name.encode())
             digest.update(tensor.tobytes())
         assert digest.hexdigest() == (
-            "7067b9500571e4dae46e11e1e892e3b1159bde4a6b7e82e153849fc265ba9116"
+            "8d7a930588a029f25a91d3f94d20360a1db62d9c18ba23bcfbf67d9c4a495249"
         )
 
     def test_one_forward_per_batch_and_one_backward_per_train_batch(
@@ -1056,7 +1106,7 @@ class TestTrainingStep:
                 params,
                 config,
                 "train",
-                rng=np.random.default_rng(0),
+                key=(0,),
                 want_cache=True,
             )
             assert result.logits.dtype == dtype

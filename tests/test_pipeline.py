@@ -203,6 +203,10 @@ class TestPipelineConfigValidation:
             ("seed", -1),
             ("mnb_alpha", 0.0),
             ("svm_lambda", -0.5),
+            ("mnb_alpha", float("nan")),
+            ("mnb_alpha", float("inf")),
+            ("svm_lambda", float("nan")),
+            ("svm_lambda", float("inf")),
         ):
             with pytest.raises(ConfigError, match=key):
                 make_config(tmp_path, **{key: bad})
