@@ -7,6 +7,12 @@ object per line; CSV quoted by the ``csv`` module under a header row.
 Floats render as ``repr`` and no artifact records when it was written, so
 reruns with unchanged inputs and seed are byte-identical.
 
+The one binary artifact, the labeled documents as token ids
+(:func:`encode_labeled_ids`), is a header line of compact sorted-key JSON
+(magic, version, document and id counts, and the token table), then the
+little-endian ``int8`` label codes, ``int32`` document lengths and
+``int32`` token ids, with nothing after them.
+
 Each write goes to ``.<name>.<pid>.tmp`` beside the target, which
 ``os.replace`` then swaps in, so an interrupted write leaves the previous
 file or none, never a partial one.  Plain ``open`` keeps the umask's mode
@@ -29,7 +35,13 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import BinaryIO
 
-from ppkmsent.errors import ConfigError, StageOrderError
+import numpy as np
+
+from ppkmsent.errors import CheckpointFormatError, ConfigError, StageOrderError
+from ppkmsent.preprocess import LabeledIds, SentimentLabel, TokenIds
+
+LABELED_IDS_MAGIC = "ppkmsent/labeled-ids"
+LABELED_IDS_VERSION = 1
 
 
 @contextmanager
@@ -185,6 +197,81 @@ def load_jsonl(path: Path, parse_row: Callable[[object], object]) -> tuple[list,
         if was_enabled:
             gc.enable()
     return rows, digest.hexdigest()
+
+
+def encode_labeled_ids(labeled: LabeledIds) -> bytes:
+    """The labeled-ids format (module docstring) of ``labeled``."""
+    documents, labels = labeled
+    header = {
+        "magic": LABELED_IDS_MAGIC,
+        "version": LABELED_IDS_VERSION,
+        "documents": len(labels),
+        "ids": len(documents.ids),
+        "tokens": documents.tokens,
+    }
+    return b"".join(
+        (
+            json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"),
+            b"\n",
+            labels.astype("<i1").tobytes(),
+            documents.lengths.astype("<i4").tobytes(),
+            documents.ids.astype("<i4").tobytes(),
+        )
+    )
+
+
+def is_int(value: object) -> bool:
+    """An int from JSON, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def decode_labeled_ids(data: bytes, path: Path) -> LabeledIds:
+    """Inverse of :func:`encode_labeled_ids`, with ``intp`` arrays.
+
+    A CheckpointFormatError names ``path`` when the header is not a
+    labeled-ids header of this version, when the token table repeats a
+    token, when the body is not exactly as long as the header's counts
+    say, and when a label code is not a label, a length is negative, the
+    lengths do not sum to the number of ids or an id is outside the token
+    table.
+    """
+    end = data.find(b"\n")
+    try:
+        header = json.loads(data[:end]) if end >= 0 else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("magic") != LABELED_IDS_MAGIC:
+        raise CheckpointFormatError(f"{path}: not a labeled-ids file")
+    if (version := header.get("version")) != LABELED_IDS_VERSION:
+        raise CheckpointFormatError(f"{path}: unsupported version {version!r}")
+    n, t, tokens = header.get("documents"), header.get("ids"), header.get("tokens")
+    counts_ok = is_int(n) and is_int(t) and min(n, t) >= 0
+    if not (counts_ok and isinstance(tokens, list)) or not all(
+        map(isinstance, tokens, repeat(str))
+    ):
+        raise CheckpointFormatError(f"{path}: malformed header")
+    if len(set(tokens)) != len(tokens):
+        raise CheckpointFormatError(f"{path}: the token table repeats a token")
+    body = memoryview(data)[end + 1 :]
+    if len(body) != 5 * n + 4 * t:
+        raise CheckpointFormatError(
+            f"{path}: {len(body)} bytes follow the header, but {n} documents "
+            f"of {t} ids take {5 * n + 4 * t}"
+        )
+    labels = np.frombuffer(body, "<i1", n).astype(np.intp)
+    lengths = np.frombuffer(body, "<i4", n, n).astype(np.intp)
+    ids = np.frombuffer(body, "<i4", t, 5 * n).astype(np.intp)
+    if n and not 0 <= labels.min() <= labels.max() < len(SentimentLabel):
+        raise CheckpointFormatError(f"{path}: a label code is not a label")
+    if n and lengths.min() < 0:
+        raise CheckpointFormatError(f"{path}: a document length is negative")
+    if (total := int(lengths.sum())) != t:
+        raise CheckpointFormatError(
+            f"{path}: the document lengths sum to {total}, not to the {t} ids"
+        )
+    if t and not 0 <= ids.min() <= ids.max() < len(tokens):
+        raise CheckpointFormatError(f"{path}: an id is outside the token table")
+    return LabeledIds(TokenIds(lengths, ids, tokens), labels)
 
 
 def require_artifact(path: Path, producer: str) -> Path:

@@ -1,13 +1,15 @@
 """Bag-of-words baselines: Multinomial Naive Bayes and a linear SVM.
 
 Tokens are counted as integer ids, never as Python objects per document.
-:func:`build_vocab` numbers the training tokens with one
-:func:`~ppkmsent.preprocess.token_ids` pass and takes each token's total
-and document frequency by ``np.bincount``, the latter over the distinct
-(document, id) keys left by one sort.  Once a vocabulary exists it is
-itself the id map: the featurizer, :func:`feature_matrix`, and
-:func:`mnb_train` send every token through it in one C-speed ``map`` and
-drop OOV tokens.  The featurizer's output is the CSR triple (indptr,
+Every function takes documents or their token ids
+(:func:`~ppkmsent.preprocess.as_token_ids`; the training functions take
+labeled ids, :func:`~ppkmsent.preprocess.as_labeled_ids`), so a stage that
+holds ids makes no token pass at all.  :func:`build_vocab` takes each
+token's total and document frequency by ``np.bincount``, the latter over
+the distinct (document, id) keys left by one sort.  The featurizer,
+:func:`feature_matrix`, and :func:`mnb_train` map ids to vocabulary
+indices through a table with one entry per token of the id table, and drop
+OOV tokens.  The featurizer's output is the CSR triple (indptr,
 indices, values) of a list of documents, each row's entries in the order
 its in-vocabulary tokens first occur, found by one stable argsort of the
 (document, index) keys.  The SVM trains on rows in its feature mode, both
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -46,12 +49,18 @@ from ppkmsent import artifacts
 from ppkmsent.errors import CheckpointFormatError, MissingClassError
 from ppkmsent.preprocess import (
     Document,
+    LabeledIds,
     SentimentLabel,
-    lookup_ids,
+    TokenIds,
+    as_labeled_ids,
+    as_token_ids,
     rank_tokens,
     run_starts,
-    token_ids,
 )
+
+# what the functions below take: documents, or their (labeled) token ids
+Documents = Sequence[Document] | TokenIds | LabeledIds
+LabeledDocuments = Sequence[Document] | LabeledIds
 
 MODEL_MAGIC = "ppkmsent/bow-model"
 MODEL_VERSION = 1
@@ -88,13 +97,13 @@ class BowVocab:
         )
 
 
-def build_vocab(documents: list[Document], min_count: int = 1) -> BowVocab:
+def build_vocab(documents: Documents, min_count: int = 1) -> BowVocab:
     """Count tokens over the training documents and assign dense indices."""
-    if not documents:
+    lengths, ids, tokens = as_token_ids(documents)
+    if not len(lengths):
         raise ValueError("cannot build a vocabulary from an empty training set")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    lengths, ids, tokens = token_ids(documents)
     u = len(tokens)
     totals = dict(zip(tokens, np.bincount(ids, minlength=u).tolist()))
     # a token's document frequency counts its distinct (document, id) pairs
@@ -104,16 +113,18 @@ def build_vocab(documents: list[Document], min_count: int = 1) -> BowVocab:
     del pairs
     distinct %= max(u, 1)
     doc_freq = dict(zip(tokens, np.bincount(distinct, minlength=u).tolist()))
+    # tokens of the id table that these documents do not use count 0, and
+    # rank_tokens drops them with every other count below min_count
     kept = rank_tokens(totals, min_count)
     return BowVocab(
         token_to_index={t: i for i, t in enumerate(kept)},
         document_frequency=tuple(doc_freq[t] for t in kept),
-        num_documents=len(documents),
+        num_documents=len(lengths),
     )
 
 
 def feature_matrix(
-    documents: list[Document], vocab: BowVocab, mode: str = "tf"
+    documents: Documents, vocab: BowVocab, mode: str = "tf"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR triple (indptr, indices, values) of the documents' features.
 
@@ -125,10 +136,10 @@ def feature_matrix(
     """
     if mode not in ("tf", "tfidf"):
         raise ValueError(f"unsupported feature mode: {mode!r}")
-    lengths, indices = _vocab_indices(documents, vocab)
+    lengths, indices = _in_vocabulary(as_token_ids(documents), vocab)
     lengths, indices, counts = _row_counts(lengths, indices, vocab.size)
     values = counts.astype(float)
-    indptr = np.zeros(len(documents) + 1, dtype=np.intp)
+    indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
     if mode == "tfidf":
         values *= vocab.idf[indices]
@@ -136,18 +147,16 @@ def feature_matrix(
     return indptr, indices, values
 
 
-def _vocab_indices(
-    documents: list[Document], vocab: BowVocab
+def _in_vocabulary(
+    documents: TokenIds, vocab: BowVocab
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each document's number of in-vocabulary tokens, and their vocabulary
-    indices in document order: the vocabulary is a dense id map, so
-    :func:`~ppkmsent.preprocess.lookup_ids` gives them, OOV tokens dropped."""
-    lengths, indices = lookup_ids(
-        [doc.tokens for doc in documents], vocab.token_to_index, -1
-    )
+    indices in document order, OOV tokens dropped."""
+    indices = documents.lookup(vocab.token_to_index, -1)
     known = indices >= 0
-    docs = np.repeat(np.arange(len(documents)), lengths)[known]
-    return np.bincount(docs, minlength=len(documents)), indices[known]
+    n = len(documents.lengths)
+    docs = np.repeat(np.arange(n), documents.lengths)[known]
+    return np.bincount(docs, minlength=n), indices[known]
 
 
 def _pair_keys(lengths: np.ndarray, ids: np.ndarray, size: int) -> np.ndarray:
@@ -198,12 +207,8 @@ def _row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.bincount(row_ids, weights=terms, minlength=n)
 
 
-def _require_all_classes(train: list[Document], need_all: bool = True) -> set[SentimentLabel]:
-    present = set()
-    for doc in train:
-        if doc.label is None:
-            raise ValueError(f"unlabeled training document: {doc.id!r}")
-        present.add(doc.label)
+def _require_all_classes(labels: np.ndarray, need_all: bool = True) -> set[SentimentLabel]:
+    present = set(map(SentimentLabel, np.unique(labels).tolist()))
     if need_all and len(present) < NUM_CLASSES:
         missing = [lbl.name for lbl in SentimentLabel if lbl not in present]
         raise MissingClassError(f"classes absent from training data: {missing}")
@@ -222,27 +227,27 @@ class MnbModel:
     smoothing_alpha: float
 
 
-def mnb_train(train: list[Document], vocab: BowVocab, alpha: float = 1.0) -> MnbModel:
+def mnb_train(train: LabeledDocuments, vocab: BowVocab, alpha: float = 1.0) -> MnbModel:
     """Fit smoothed multinomial likelihoods.
 
     prior_c = ln(N_c / N); likelihood_ct = ln((count_ct + alpha) /
     (total_c + alpha * V)) where total_c sums vocabulary-token counts in
     class c, so each class row exp-sums to 1.
     """
-    if not train:
+    documents, labels = as_labeled_ids(train)
+    if not len(labels):
         raise ValueError("empty training set")
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    _require_all_classes(train)
+    _require_all_classes(labels)
     v = vocab.size
-    labels = np.fromiter((doc.label for doc in train), dtype=np.intp, count=len(train))
     class_counts = np.bincount(labels, minlength=NUM_CLASSES)
     # each in-vocabulary token adds one to cell c*V + i, all in one bincount;
     # the integer counts convert exactly, so the floats below equal a loop's
-    lengths, indices = _vocab_indices(train, vocab)
+    lengths, indices = _in_vocabulary(documents, vocab)
     cells = np.repeat(labels * v, lengths) + indices
     token_counts = np.bincount(cells, minlength=NUM_CLASSES * v).reshape(NUM_CLASSES, v)
-    class_log_prior = np.log(class_counts / len(train))
+    class_log_prior = np.log(class_counts / len(labels))
     if v == 0:
         token_log_likelihood = np.zeros((NUM_CLASSES, 0))
     else:
@@ -331,7 +336,7 @@ def hinge_objective(
     return 0.5 * lam * float(w @ w) + float(np.cumsum(hinge)[-1]) / len(hinge)
 
 
-def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmModel:
+def svm_train(train: LabeledDocuments, vocab: BowVocab, config: SvmConfig) -> SvmModel:
     """Train three one-vs-rest hinge separators with step size 1/(lambda*t).
 
     Pegasos starts from w = 0 and at step t shrinks w by (1 - 1/t) before
@@ -345,13 +350,13 @@ def svm_train(train: list[Document], vocab: BowVocab, config: SvmConfig) -> SvmM
     lambda drives both weights and margins toward zero.  Deterministic for
     a fixed seed.
     """
-    present = _require_all_classes(train, need_all=False)
+    documents, labels = as_labeled_ids(train)
+    present = _require_all_classes(labels, need_all=False)
     if len(present) < 2:
         raise MissingClassError("SVM training needs at least 2 classes present")
     v = vocab.size
-    matrix = feature_matrix(train, vocab, config.feature_mode)
+    matrix = feature_matrix(documents, vocab, config.feature_mode)
     rows = _row_dicts(matrix, v)
-    labels = np.array([int(doc.label) for doc in train])
     lam = config.regularization_lambda
 
     solved = []
@@ -410,7 +415,7 @@ def svm_predict(
 
 
 def predict_batch(
-    documents: list[Document], model: MnbModel | SvmModel, vocab: BowVocab
+    documents: Documents, model: MnbModel | SvmModel, vocab: BowVocab
 ) -> tuple[list[SentimentLabel], np.ndarray]:
     """Labels and (n, 3) scores offsets + W . x for every document.
 
@@ -497,10 +502,6 @@ def _shaped_array(payload: dict, key: str, shape: tuple[int, ...], path) -> np.n
     return value
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_model(path: str | Path, kind: str | None = None):
     """Load (model, vocab) from a container written by save_model.
 
@@ -530,9 +531,10 @@ def load_model(path: str | Path, kind: str | None = None):
             f"for {vocab.size} vocabulary tokens"
         )
     n = vocab.num_documents
-    if not _is_int(n) or n < 1:
+    if not artifacts.is_int(n) or n < 1:
         raise CheckpointFormatError(f"{path}: vocab.num_documents is {n!r}, expected >= 1")
-    if not all(_is_int(df) and 0 <= df <= n for df in vocab.document_frequency):
+    frequencies = vocab.document_frequency
+    if not all(artifacts.is_int(df) and 0 <= df <= n for df in frequencies):
         raise CheckpointFormatError(
             f"{path}: vocab.document_frequency holds a value outside 0..{n}"
         )

@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ppkmsent.errors import IngestError, NonMonotonicClockError, UnknownIdError
-from ppkmsent.preprocess import Document
+from ppkmsent.preprocess import Document, SentimentLabel
 
 logger = logging.getLogger("ppkmsent")
 
@@ -322,32 +323,45 @@ def _bucket_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
 
 
 def split(
-    documents: list[Document], spec: SplitSpec
-) -> tuple[list[Document], list[Document], list[Document]]:
+    documents: Sequence[Document] | np.ndarray, spec: SplitSpec
+) -> tuple[list[Document], list[Document], list[Document]] | tuple[np.ndarray, ...]:
     """Deterministic, exhaustive, disjoint train/validation/test partition.
 
+    Given label codes (an array), returns the three parts as arrays of
+    indices into it; given documents, the documents at those indices.
     Sizes are floor(fraction * N) with the remainder assigned to train.
     Stratified mode applies that rule per label group, preserving class
     proportions to within one document per class.
     """
-    if not documents:
+    if not len(documents):
         raise ValueError("cannot split an empty document list")
+    if isinstance(documents, np.ndarray):
+        return _split_rows(documents, spec)
+    # unlabeled documents form a stratum of their own, after every label
+    strata = np.fromiter(
+        (len(SentimentLabel) if doc.label is None else doc.label for doc in documents),
+        dtype=np.intp,
+        count=len(documents),
+    )
+    return tuple(
+        [documents[i] for i in rows.tolist()] for rows in _split_rows(strata, spec)
+    )
+
+
+def _split_rows(
+    strata: np.ndarray, spec: SplitSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the parts: each stratum, in ascending order (all
+    rows in one stratum when unstratified), is permuted by one draw of the
+    seeded generator and cut by :func:`_bucket_sizes`."""
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    # unstratified, every document falls in the one stratum None
-    groups: dict[object, list[int]] = {}
-    for idx, doc in enumerate(documents):
-        groups.setdefault(doc.label if spec.stratified else None, []).append(idx)
-    # fixed stratum order: label code ascending, unlabeled last
-    ordered_keys = sorted(groups, key=lambda lbl: (lbl is None, lbl))
-    train: list[Document] = []
-    val: list[Document] = []
-    test: list[Document] = []
-    for key in ordered_keys:
-        indices = groups[key]
-        order = rng.permutation(len(indices))
-        n_train, n_val, n_test = _bucket_sizes(len(indices), spec)
-        shuffled = [indices[i] for i in order]
-        train.extend(documents[i] for i in shuffled[:n_train])
-        val.extend(documents[i] for i in shuffled[n_train : n_train + n_val])
-        test.extend(documents[i] for i in shuffled[n_train + n_val : n_train + n_val + n_test])
-    return train, val, test
+    if not spec.stratified:
+        strata = np.zeros_like(strata)
+    parts: tuple[list, list, list] = ([], [], [])
+    for key in np.unique(strata):
+        rows = np.flatnonzero(strata == key)
+        shuffled = rows[rng.permutation(len(rows))]
+        n_train, n_val, _ = _bucket_sizes(len(rows), spec)
+        for part, piece in zip(parts, np.split(shuffled, [n_train, n_train + n_val])):
+            part.append(piece)
+    return tuple(np.concatenate(part) for part in parts)

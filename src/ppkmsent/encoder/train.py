@@ -24,7 +24,14 @@ from ppkmsent.errors import (
     EncoderNumericsError,
     TrainingDivergedError,
 )
-from ppkmsent.preprocess import Document, SentimentLabel
+from ppkmsent.preprocess import (
+    Document,
+    LabeledIds,
+    SentimentLabel,
+    TokenIds,
+    as_labeled_ids,
+    as_token_ids,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -96,22 +103,24 @@ def _check_weights_finite(weights: FlatTensors, epoch: int, step: int) -> None:
 
 
 def encode_documents(
-    documents: Sequence[Document], vocab: TokenVocab, config: EncoderConfig
+    documents: Sequence[Document] | TokenIds | LabeledIds,
+    vocab: TokenVocab,
+    config: EncoderConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The documents' :func:`~ppkmsent.encoder.vocab.input_rows`: (ids, mask)."""
-    if not documents:
+    """The :func:`~ppkmsent.encoder.vocab.input_rows` of documents or of
+    their token ids: (ids, mask)."""
+    documents = as_token_ids(documents)
+    if not len(documents.lengths):
         raise ConfigError("cannot encode an empty document batch")
-    return input_rows(
-        [doc.tokens for doc in documents], vocab, config.max_sequence_length
-    )
+    return input_rows(documents, vocab, config.max_sequence_length)
 
 
-def _labels(documents: Sequence[Document]) -> np.ndarray:
-    """The documents' labels as int64 class ids, for training."""
-    for doc in documents:
-        if doc.label is None:
-            raise ConfigError(f"document {doc.id!r} has no label")
-    return np.array([doc.label for doc in documents], dtype=np.int64)
+def _labeled(documents: Sequence[Document] | LabeledIds) -> LabeledIds:
+    """Training documents as labeled ids; ConfigError for an unlabeled one."""
+    try:
+        return as_labeled_ids(documents)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +183,8 @@ def _evaluate(
 
 
 def fine_tune(
-    train_documents: Sequence[Document],
-    val_documents: Sequence[Document],
+    train_documents: Sequence[Document] | LabeledIds,
+    val_documents: Sequence[Document] | LabeledIds,
     vocab: TokenVocab,
     config: EncoderConfig,
     profile: TrainProfile,
@@ -198,11 +207,14 @@ def fine_tune(
     shuffle = np.random.Generator(np.random.PCG64(shuffle_seq))
     state = _AdamState(params)
 
-    train_ids, train_mask = encode_documents(train_documents, vocab, config)
-    train_labels = _labels(train_documents)
-    if val_documents:
-        val_ids, val_mask = encode_documents(val_documents, vocab, config)
-        val_labels = _labels(val_documents)
+    train = _labeled(train_documents)
+    train_ids, train_mask = encode_documents(train, vocab, config)
+    train_labels = train.labels.astype(np.int64)
+    val = _labeled(val_documents)
+    has_validation = len(val.labels) > 0
+    if has_validation:
+        val_ids, val_mask = encode_documents(val, vocab, config)
+        val_labels = val.labels.astype(np.int64)
     history: list[EpochStats] = []
     # every non-finite value is caught below (batch loss, layer outputs and,
     # without a validation pass, the weights), so numpy's floating-point
@@ -243,7 +255,7 @@ def fine_tune(
             train_loss = loss_sum / train_ids.shape[0]
             train_acc = correct / train_ids.shape[0]
             val_loss = val_acc = float("nan")
-            if val_documents:
+            if has_validation:
                 try:
                     val_loss, val_acc = _evaluate(
                         val_ids,
@@ -277,7 +289,7 @@ def fine_tune(
 
 
 def predict_batch(
-    documents: Sequence[Document],
+    documents: Sequence[Document] | TokenIds | LabeledIds,
     params: FlatTensors,
     vocab: TokenVocab,
     config: EncoderConfig,

@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ppkmsent.errors import ConfigError
-from ppkmsent.preprocess import Document, lookup_ids, rank_tokens, token_ids
+from ppkmsent.preprocess import (
+    Document,
+    LabeledIds,
+    TokenIds,
+    as_token_ids,
+    rank_tokens,
+    sequence_ids,
+)
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -58,28 +65,32 @@ class TokenVocab:
 
 
 def build_token_vocab(
-    documents: Sequence[Document], min_count: int = 1
+    documents: Sequence[Document] | TokenIds | LabeledIds, min_count: int = 1
 ) -> TokenVocab:
-    """Build a vocabulary from document tokens.
+    """Build a vocabulary from the tokens of documents or of their ids.
 
     Content tokens follow the four reserved entries in
     :func:`~ppkmsent.preprocess.rank_tokens` order.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    _, ids, seen = token_ids(documents)
+    _, ids, seen = as_token_ids(documents)
     counts = dict(zip(seen, np.bincount(ids, minlength=len(seen)).tolist()))
     for reserved in RESERVED_TOKENS:
         counts.pop(reserved, None)
+    # a token of the id table that the documents do not use counts 0, below
+    # every min_count
     tokens = [*RESERVED_TOKENS, *rank_tokens(counts, min_count)]
     return TokenVocab(token_to_id={tok: i for i, tok in enumerate(tokens)})
 
 
 def input_rows(
-    sequences: Sequence[Sequence[str]], vocab: TokenVocab, max_sequence_length: int
+    sequences: Sequence[Sequence[str]] | TokenIds,
+    vocab: TokenVocab,
+    max_sequence_length: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-length id (int64) and mask (float64) rows, one per token
-    sequence, laid out in numpy.
+    sequence or per document of token ids, laid out in numpy.
 
     Layout: ``[CLS]``, then content tokens truncated to ``max_sequence_length
     - 2`` (``[UNK]`` for a token not in the vocabulary), then ``[SEP]``, then
@@ -90,17 +101,22 @@ def input_rows(
         raise ConfigError(
             f"max_sequence_length must be >= 3, got {max_sequence_length}"
         )
+    if not isinstance(sequences, TokenIds):
+        sequences = sequence_ids(sequences)
+    lengths = sequences.lengths
+    content = sequences.lookup(vocab.token_to_id, UNK_ID)
     kept = max_sequence_length - 2
-    lengths, content = lookup_ids(
-        [tokens[:kept] for tokens in sequences], vocab.token_to_id, UNK_ID
-    )
+    # a token's position in its document: keep the first ``kept``
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    content = content[np.arange(len(content)) - starts < kept]
+    lengths = np.minimum(lengths, kept)
     columns = np.arange(max_sequence_length)
-    ids = np.full((len(sequences), max_sequence_length), PAD_ID, dtype=np.int64)
+    ids = np.full((len(lengths), max_sequence_length), PAD_ID, dtype=np.int64)
     ids[:, 0] = CLS_ID
     # a boolean index fills in row-major order: a row's content token j
     # lands in column 1 + j
     ids[:, 1:][np.greater.outer(lengths, columns[:-1])] = content
-    ids[np.arange(len(sequences)), lengths + 1] = SEP_ID
+    ids[np.arange(len(lengths)), lengths + 1] = SEP_ID
     return ids, np.greater.outer(lengths + 2, columns).astype(np.float64)
 
 

@@ -7,9 +7,12 @@ a ``<stage>.manifest.json`` (``train_<model>.manifest.json`` for ``train``)
 recording SHA-256 hashes of the exact inputs and outputs plus a hash of the
 effective settings.  A train manifest also records the split its model was
 fitted on, and ``eval`` refuses a model whose split differs from the one the
-current config gives.  Artifacts are rendered and written by
-:mod:`ppkmsent.artifacts`, so reruns with unchanged inputs and seed are
-byte-identical.
+current config gives.  ``label`` writes the labeled documents twice: as
+``labeled.jsonl``, the record a person reads, and as token ids
+(``labeled_ids.bin``), which ``train``, ``eval`` and ``viz`` read after
+checking both files against ``label.manifest.json``.  Artifacts are
+rendered and written by :mod:`ppkmsent.artifacts`, so reruns with unchanged
+inputs and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ from ppkmsent.encoder import vocab as enc_vocab
 from ppkmsent.errors import CheckpointFormatError, ConfigError, StageOrderError
 from ppkmsent.preprocess import (
     Document,
+    LabeledIds,
     SentimentLabel,
+    TokenIds,
+    as_labeled_ids,
     label_name,
     load_stopwords,
     make_document,
     parse_label,
-    token_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -55,6 +60,8 @@ OUTPUT_DIR_ENV = "PPKMSENT_OUTPUT_DIR"
 CORPUS_FILE = "corpus.jsonl"
 INGEST_REPORT_FILE = "ingest_report.json"
 LABELED_FILE = "labeled.jsonl"
+LABELED_IDS_FILE = "labeled_ids.bin"
+LABEL_MANIFEST_FILE = "label.manifest.json"
 WORKSHEET_FILE = "worksheet.csv"
 VERDICTS_FILE = "review_verdicts.csv"
 OVERRIDES_FILE = "label_overrides.csv"
@@ -427,28 +434,54 @@ def document_to_json(doc: Document, score: int | None = None) -> dict:
     return payload
 
 
-_DOCUMENT_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "label": str}
+def _label_outputs(manifest_path: Path) -> dict:
+    """The output digests ``label.manifest.json`` records; ConfigError
+    naming the manifest and ``labeled.jsonl`` when it is missing or is not
+    a label manifest."""
+    checked = f"{LABELED_FILE} cannot be checked; run label again"
+    if not manifest_path.is_file():
+        raise ConfigError(f"{manifest_path} is missing, so {checked}")
+    try:
+        outputs = json.loads(manifest_path.read_bytes()).get("outputs")
+    except (ValueError, AttributeError):
+        outputs = None
+    if not isinstance(outputs, dict):
+        raise ConfigError(f"{manifest_path} is not a label manifest, so {checked}")
+    return outputs
 
 
-def document_from_json(payload: object) -> Document:
-    """Inverse of :func:`document_to_json`; raises ValueError on a row of
-    the wrong shape."""
-    payload = artifacts.check_row(payload, _DOCUMENT_FIELDS)
-    # positional, in field order: keyword arguments made a load about 6% slower
-    return Document(
-        payload["id"],
-        payload["raw_text"],
-        payload["clean_text"],
-        tuple(artifacts.str_list(payload, "tokens")),
-        parse_label(payload["label"]),
-    )
+def load_labeled_documents(output_dir: Path) -> tuple[LabeledIds, dict[str, str]]:
+    """The labeled documents as token ids, and the SHA-256 of
+    ``labeled.jsonl`` and of the id file they were read from, keyed by
+    file name.
 
-
-def load_labeled_documents(output_dir: Path) -> tuple[list[Document], str]:
-    """The labeled documents and the SHA-256 of the file they were read
-    from."""
-    path = artifacts.require_artifact(output_dir / LABELED_FILE, "label")
-    return artifacts.load_jsonl(path, document_from_json)
+    Both files must be the ones ``label.manifest.json`` records: a missing
+    manifest or id file, or a file whose digest differs (``labeled.jsonl``
+    edited after ``label`` ran, say), is a ConfigError naming the file and
+    the manifest.  An id file that does not decode is a
+    CheckpointFormatError naming it.  ``labeled.jsonl`` is hashed, never
+    parsed.
+    """
+    labeled_path = artifacts.require_artifact(output_dir / LABELED_FILE, "label")
+    manifest_path = output_dir / LABEL_MANIFEST_FILE
+    recorded = _label_outputs(manifest_path)
+    ids_path = output_dir / LABELED_IDS_FILE
+    if not ids_path.is_file():
+        raise ConfigError(
+            f"{ids_path} is missing, though {manifest_path} lists it; run label again"
+        )
+    data = ids_path.read_bytes()
+    digests = {
+        LABELED_FILE: artifacts.sha256_file(labeled_path),
+        LABELED_IDS_FILE: hashlib.sha256(data).hexdigest(),
+    }
+    for name, digest in digests.items():
+        if recorded.get(name) != digest:
+            raise ConfigError(
+                f"{output_dir / name} is not the file {manifest_path} records "
+                f"(changed since label ran); run label again"
+            )
+    return artifacts.decode_labeled_ids(data, ids_path), digests
 
 
 def _parse_verdict(value: str) -> str:
@@ -579,21 +612,8 @@ def run_label(config: PipelineConfig) -> list[Path]:
         inputs[OVERRIDES_FILE] = overrides_path
 
     labeled, worksheet = lexicon.label_corpus(documents, lex, overrides or None)
-    score_by_id = {row.id: row.score for row in worksheet}
-    labeled_out = artifacts.write_jsonl(
-        (document_to_json(doc, score=score_by_id[doc.id]) for doc in labeled),
-        config.output_dir / LABELED_FILE,
-    )
-    worksheet_out = artifacts.write_csv(
-        lexicon.WORKSHEET_HEADER,
-        lexicon.worksheet_csv_rows(worksheet),
-        config.output_dir / WORKSHEET_FILE,
-    )
-    outputs = [labeled_out, worksheet_out]
-    outputs.append(_write_manifest(config, "label", inputs, outputs))
-    counts = {label: 0 for label in SentimentLabel}
-    for doc in labeled:
-        counts[doc.label] += 1
+    outputs = write_label_artifacts(config, labeled, worksheet, inputs)
+    counts = viz.sentiment_distribution(labeled)
     logger.info(
         "label: %d documents -> %d negative / %d neutral / %d positive "
         "(%d overrides)",
@@ -603,6 +623,36 @@ def run_label(config: PipelineConfig) -> list[Path]:
         counts[SentimentLabel.POSITIVE],
         len(overrides),
     )
+    return outputs
+
+
+def write_label_artifacts(
+    config: PipelineConfig,
+    labeled: list[Document],
+    worksheet: list[lexicon.WorksheetRow],
+    inputs: dict[str, Path | str],
+) -> list[Path]:
+    """Write what ``label`` writes: ``labeled.jsonl`` (each row with its
+    worksheet score, when it has one), its token ids, the worksheet and
+    the label manifest, which records ``inputs``."""
+    out = config.output_dir
+    score_by_id = {row.id: row.score for row in worksheet}
+    outputs = [
+        artifacts.write_jsonl(
+            (document_to_json(doc, score=score_by_id.get(doc.id)) for doc in labeled),
+            out / LABELED_FILE,
+        ),
+        artifacts.write_bytes(
+            artifacts.encode_labeled_ids(as_labeled_ids(labeled)),
+            out / LABELED_IDS_FILE,
+        ),
+        artifacts.write_csv(
+            lexicon.WORKSHEET_HEADER,
+            lexicon.worksheet_csv_rows(worksheet),
+            out / WORKSHEET_FILE,
+        ),
+    ]
+    outputs.append(_write_manifest(config, "label", inputs, outputs))
     return outputs
 
 
@@ -616,7 +666,7 @@ def _model_path(config: PipelineConfig) -> Path:
 
 
 def _train_bert(
-    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+    config: PipelineConfig, train_docs: LabeledIds, val_docs: LabeledIds
 ) -> dict[str, Path]:
     token_vocab = enc_vocab.build_token_vocab(train_docs, min_count=config.min_count)
     encoder_config = config.encoder_config(vocab_size=token_vocab.size)
@@ -632,7 +682,7 @@ def _train_bert(
     return {}
 
 
-def _predict_bert(output_dir: Path, test_docs: list[Document]) -> list[SentimentLabel]:
+def _predict_bert(output_dir: Path, test_docs: TokenIds) -> list[SentimentLabel]:
     checkpoint_path = output_dir / MODELS["bert"].file
     vocab_path = output_dir / BERT_VOCAB_FILE
     params, encoder_config = enc_checkpoint.load_checkpoint(checkpoint_path)
@@ -651,7 +701,7 @@ def _predict_bert(output_dir: Path, test_docs: list[Document]) -> list[Sentiment
 
 
 def _train_mnb(
-    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+    config: PipelineConfig, train_docs: LabeledIds, val_docs: LabeledIds
 ) -> dict[str, Path]:
     vocab = bow.build_vocab(train_docs, min_count=config.min_count)
     model = bow.mnb_train(train_docs, vocab, alpha=config.mnb_alpha)
@@ -660,14 +710,14 @@ def _train_mnb(
 
 
 def _predict_bow(
-    kind: str, output_dir: Path, test_docs: list[Document]
+    kind: str, output_dir: Path, test_docs: TokenIds
 ) -> list[SentimentLabel]:
     model, vocab = bow.load_model(output_dir / MODELS[kind].file, kind)
     return bow.predict_batch(test_docs, model, vocab)[0]
 
 
 def _train_svm(
-    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+    config: PipelineConfig, train_docs: LabeledIds, val_docs: LabeledIds
 ) -> dict[str, Path]:
     vocab = bow.build_vocab(train_docs, min_count=config.min_count)
     svm_config = bow.SvmConfig(
@@ -682,7 +732,7 @@ def _train_svm(
 
 
 def _train_lexicon(
-    config: PipelineConfig, train_docs: list[Document], val_docs: list[Document]
+    config: PipelineConfig, train_docs: LabeledIds, val_docs: LabeledIds
 ) -> dict[str, Path]:
     pos_path, neg_path = config.resolved_lexicon_paths()
     lex = lexicon.load_lexicon(pos_path, neg_path)
@@ -696,9 +746,7 @@ def _train_lexicon(
     return {"lexicon_positive": pos_path, "lexicon_negative": neg_path}
 
 
-def _predict_lexicon(
-    output_dir: Path, test_docs: list[Document]
-) -> list[SentimentLabel]:
+def _predict_lexicon(output_dir: Path, test_docs: TokenIds) -> list[SentimentLabel]:
     path = output_dir / MODELS["lexicon"].file
     payload = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or payload.get("magic") != LEXICON_MODEL_MAGIC:
@@ -709,25 +757,26 @@ def _predict_lexicon(
         positive=frozenset(artifacts.str_list(payload, "positive")),
         negative=frozenset(artifacts.str_list(payload, "negative")),
     )
-    return [lexicon.score_document(doc.tokens, lex).label for doc in test_docs]
+    return [
+        lexicon.score_document(tokens, lex).label for tokens in test_docs.sequences()
+    ]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """How the train and eval stages handle one model.
 
-    ``train(config, train_docs, val_docs)`` writes ``file`` and
-    ``train_outputs`` into the output directory and returns the further
-    inputs it read, keyed by manifest name.  ``predict(output_dir,
-    test_docs)`` reads ``file`` and ``predict_inputs`` back and labels the
-    documents.
+    ``train(config, train_docs, val_docs)`` fits the labeled ids of the
+    training and validation splits, writes ``file`` and ``train_outputs``
+    into the output directory and returns the further inputs it read,
+    keyed by manifest name.  ``predict(output_dir, test_docs)`` reads
+    ``file`` and ``predict_inputs`` back and labels the test split's token
+    ids.
     """
 
     file: str
-    train: Callable[
-        [PipelineConfig, list[Document], list[Document]], dict[str, Path]
-    ]
-    predict: Callable[[Path, list[Document]], list[SentimentLabel]]
+    train: Callable[[PipelineConfig, LabeledIds, LabeledIds], dict[str, Path]]
+    predict: Callable[[Path, TokenIds], list[SentimentLabel]]
     train_outputs: tuple[str, ...] = ()
     predict_inputs: tuple[str, ...] = ()
 
@@ -749,13 +798,13 @@ MODELS = {
 
 def run_train(config: PipelineConfig) -> list[Path]:
     """Fit the selected model on the training split and save it."""
-    documents, labeled_sha256 = load_labeled_documents(config.output_dir)
-    train_docs, val_docs, _ = corpus.split(documents, config.split_spec())
-    if not train_docs:
+    labeled, digests = load_labeled_documents(config.output_dir)
+    train_rows, val_rows, _ = corpus.split(labeled.labels, config.split_spec())
+    if not len(train_rows):
         raise ConfigError("training split is empty; check the split fractions")
     spec = MODELS[config.model]
-    inputs: dict[str, Path | str] = {LABELED_FILE: labeled_sha256}
-    inputs.update(spec.train(config, train_docs, val_docs))
+    inputs: dict[str, Path | str] = dict(digests)
+    inputs.update(spec.train(config, labeled.take(train_rows), labeled.take(val_rows)))
     outputs = [config.output_dir / name for name in (spec.file, *spec.train_outputs)]
     # one manifest per model, so models trained into one directory keep theirs
     outputs.append(
@@ -765,23 +814,23 @@ def run_train(config: PipelineConfig) -> list[Path]:
             inputs,
             outputs,
             f"train_{config.model}",
-            split=_split_record(config, labeled_sha256),
+            split=_split_record(config, digests[LABELED_FILE]),
         )
     )
     logger.info(
         "train: fitted %s on %d documents (validation %d)",
         config.model,
-        len(train_docs),
-        len(val_docs),
+        len(train_rows),
+        len(val_rows),
     )
     return outputs
 
 
 def run_eval(config: PipelineConfig) -> list[Path]:
     """Evaluate every trained model on the test split; compare when >= 2."""
-    documents, labeled_sha256 = load_labeled_documents(config.output_dir)
-    _, _, test_docs = corpus.split(documents, config.split_spec())
-    if not test_docs:
+    labeled, digests = load_labeled_documents(config.output_dir)
+    _, _, test_rows = corpus.split(labeled.labels, config.split_spec())
+    if not len(test_rows):
         raise ConfigError("test split is empty; check the split fractions")
     available = {
         name: spec
@@ -794,12 +843,13 @@ def run_eval(config: PipelineConfig) -> list[Path]:
         )
     # every model must have been trained on the split scored here, checked
     # before any report is written
-    split = _split_record(config, labeled_sha256)
-    inputs: dict[str, Path | str] = {LABELED_FILE: labeled_sha256}
+    split = _split_record(config, digests[LABELED_FILE])
+    inputs: dict[str, Path | str] = dict(digests)
     for name in available:
         path = _check_train_split(config, name, split)
         inputs[path.name] = path
-    true_labels = [doc.label for doc in test_docs]
+    test = labeled.take(test_rows)
+    true_labels = list(map(SentimentLabel, test.labels.tolist()))
     outputs: list[Path] = []
     named_reports: list[tuple[str, evaluation.MetricsReport]] = []
     for name, spec in available.items():
@@ -809,7 +859,7 @@ def run_eval(config: PipelineConfig) -> list[Path]:
         ]
         inputs.update((path.name, path) for path in model_files)
         try:
-            predicted = spec.predict(config.output_dir, test_docs)
+            predicted = spec.predict(config.output_dir, test.documents)
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointFormatError(
                 f"{', '.join(map(str, model_files))}: unreadable {name} model "
@@ -831,7 +881,7 @@ def run_eval(config: PipelineConfig) -> list[Path]:
             name,
             report.macro_f,
             report.accuracy,
-            len(test_docs),
+            len(test_rows),
         )
 
     summary_rows = [
@@ -904,13 +954,11 @@ def run_viz(config: PipelineConfig) -> list[Path]:
     """Frequency tables, cloud weights, distribution counts, and SVGs."""
     out = config.output_dir
     grams_stem = f"ngrams_{config.ngram_n}"
-    documents, labeled_sha256 = load_labeled_documents(out)
-    inputs = {LABELED_FILE: labeled_sha256}
-    ids = token_ids(documents)
+    (ids, labels), inputs = load_labeled_documents(out)
     unigrams = viz.ngrams(ids, 1, config.top_k)
     grams = viz.ngrams(ids, config.ngram_n, config.top_k)
     cloud = viz.cloud_weights(ids, config.top_k)
-    distribution = viz.sentiment_distribution(documents)
+    distribution = viz.sentiment_distribution(labels)
 
     counts = {label_name(label): count for label, count in distribution.items()}
     outputs = [

@@ -4,7 +4,10 @@ All pattern deletion (URLs, mentions, hashtags, symbols) happens in
 ``cleanse``; ``remove_stopwords`` is a pure dictionary filter.  Every
 function here is pure and deterministic, so documents can be processed in
 parallel without coordination.  :func:`token_ids` turns documents into
-integer token ids, the one input of every token count in the package.
+integer token ids, the one input of every token count in the package;
+:func:`as_token_ids` and :func:`as_labeled_ids` accept documents or ids, so
+a stage that already holds ids (``LabeledIds``, as read from the label
+stage's id file) never builds a ``Document``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -145,47 +148,106 @@ class TokenIds(NamedTuple):
 
     ``ids`` holds every token of every document, in document order, as one
     flat ``intp`` array; document d owns the next ``lengths[d]`` of them.
-    Id i stands for ``tokens[i]``; ids run 0..U-1 in order of first
-    occurrence.
+    Id i stands for ``tokens[i]``, a table of distinct tokens.
+    :func:`token_ids` numbers the tokens 0..U-1 in order of first
+    occurrence; a subset from :meth:`take` keeps its parent's table, so
+    some of its ids may go unused.
     """
 
     lengths: np.ndarray
     ids: np.ndarray
     tokens: list[str]
 
+    def take(self, rows: np.ndarray) -> TokenIds:
+        """The documents at ``rows``, in that order, over the same table."""
+        lengths = self.lengths[rows]
+        starts = np.cumsum(self.lengths) - self.lengths
+        # the subset's flat position j of its document r reads the parent's
+        # position starts[r] + (j - the subset's start of r)
+        shifts = starts[rows] - (np.cumsum(lengths) - lengths)
+        gather = np.repeat(shifts, lengths) + np.arange(int(lengths.sum()))
+        return TokenIds(lengths, self.ids[gather], self.tokens)
 
-def token_ids(documents: Sequence[Document]) -> TokenIds:
-    """Map every token of the documents to a dense id in one C-speed pass.
+    def lookup(self, table: Mapping[str, int], default: int) -> np.ndarray:
+        """Each id's entry in ``table`` (``default`` when absent), mapped
+        in C with one lookup per token of the table, not per token."""
+        mapped = np.fromiter(
+            map(table.get, self.tokens, repeat(default)),
+            dtype=np.intp,
+            count=len(self.tokens),
+        )
+        return mapped[self.ids]
+
+    def sequences(self) -> list[tuple[str, ...]]:
+        """Each document's tokens, spelled."""
+        words = iter(np.array(self.tokens, dtype=object)[self.ids].tolist())
+        return [tuple(islice(words, n)) for n in self.lengths.tolist()]
+
+
+class LabeledIds(NamedTuple):
+    """Labeled documents as token ids: document d's label code is
+    ``labels[d]``, an ``intp`` array."""
+
+    documents: TokenIds
+    labels: np.ndarray
+
+    def take(self, rows: np.ndarray) -> LabeledIds:
+        """The documents at ``rows``, in that order, with their labels."""
+        return LabeledIds(self.documents.take(rows), self.labels[rows])
+
+
+def sequence_ids(sequences: Sequence[Sequence[str]]) -> TokenIds:
+    """Map every token of the sequences to a dense id in one C-speed pass.
 
     ``index`` is a ``defaultdict`` whose factory is its own ``len``, so
     looking up a new token stores and returns the next free id: ids come
     out dense and in order of first occurrence, and no Python code runs per
     token.
     """
-    lengths = np.fromiter(
-        (len(doc.tokens) for doc in documents), dtype=np.intp, count=len(documents)
-    )
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
-    tokens = chain.from_iterable(doc.tokens for doc in documents)
     ids = np.fromiter(
-        map(index.__getitem__, tokens), dtype=np.intp, count=int(lengths.sum())
+        map(index.__getitem__, chain.from_iterable(sequences)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
     )
     return TokenIds(lengths, ids, list(index))
 
 
-def lookup_ids(
-    sequences: Sequence[Sequence[str]], table: Mapping[str, int], default: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each sequence's length, and the ``table`` id of every token in order
-    (``default`` when absent) as one flat ``intp`` array, mapped in C."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
-    ids = np.fromiter(
-        map(table.get, chain.from_iterable(sequences), repeat(default)),
-        dtype=np.intp,
-        count=int(lengths.sum()),
+def token_ids(documents: Sequence[Document]) -> TokenIds:
+    """The :func:`sequence_ids` of the documents' tokens."""
+    return sequence_ids([doc.tokens for doc in documents])
+
+
+def label_codes(documents: Sequence[Document]) -> np.ndarray:
+    """The documents' label codes; ValueError naming an unlabeled one."""
+    for doc in documents:
+        if doc.label is None:
+            raise ValueError(
+                f"document {doc.id!r} has no label (unlabeled documents "
+                f"cannot be trained on or counted)"
+            )
+    return np.fromiter(
+        (doc.label for doc in documents), dtype=np.intp, count=len(documents)
     )
-    return lengths, ids
+
+
+def as_token_ids(documents: Sequence[Document] | TokenIds | LabeledIds) -> TokenIds:
+    """Token ids as given, those of labeled ids, or the documents'
+    :func:`token_ids`: the one input form of every token consumer."""
+    if isinstance(documents, LabeledIds):
+        return documents.documents
+    if isinstance(documents, TokenIds):
+        return documents
+    return token_ids(documents)
+
+
+def as_labeled_ids(documents: Sequence[Document] | LabeledIds) -> LabeledIds:
+    """Labeled ids as given, or the documents' token ids and label codes."""
+    if isinstance(documents, LabeledIds):
+        return documents
+    return LabeledIds(token_ids(documents), label_codes(documents))
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:

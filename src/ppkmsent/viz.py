@@ -1,8 +1,9 @@
 """Frequency analytics: n-gram tables, word-cloud weights, label counts.
 
-Every count starts from :func:`~ppkmsent.preprocess.token_ids`, one pass
-that turns the documents' tokens into dense integer ids; the functions take
-documents or that pass, so one pass can serve several counts.  Unigrams are
+Every count starts from token ids: the functions take documents or their
+:class:`~ppkmsent.preprocess.TokenIds`, so one
+:func:`~ppkmsent.preprocess.token_ids` pass, or the ids the label stage
+wrote, serves several counts; label counts take label codes.  Unigrams are
 counted by ``np.bincount``.  An n-gram's key is built in place, one token at
 a time, as key * U + next id for U distinct tokens.  Before a round whose
 keys could overflow the integer type, the keys are renumbered densely and
@@ -33,10 +34,11 @@ from ppkmsent.preprocess import (
     Document,
     SentimentLabel,
     TokenIds,
+    as_token_ids,
+    label_codes,
     label_name,
     rank_tokens,
     run_starts,
-    token_ids,
 )
 
 
@@ -62,7 +64,7 @@ def ngrams(
     of them (all with ``None``) in ``rank_tokens`` order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lengths, ids, tokens = _as_token_ids(documents)
+    lengths, ids, tokens = as_token_ids(documents)
     base = max(len(tokens), 1)
     if n == 1:
         grams = np.arange(len(tokens))
@@ -133,17 +135,13 @@ def cloud_weights(
 ) -> CloudWeights:
     """Unigram counts minus extra stopwords, the top ``top_k`` of them in
     ``rank_tokens`` order."""
-    _, ids, tokens = _as_token_ids(documents)
+    _, ids, tokens = as_token_ids(documents)
     counts = np.bincount(ids, minlength=len(tokens))
     if extra_stopwords:
         counts[[i for i, word in enumerate(tokens) if word in extra_stopwords]] = 0
     words = np.array(tokens, dtype=object)
     ranked = _top_counts(counts, lambda labels: words[labels].tolist(), top_k)
     return CloudWeights(entries=dict(ranked))
-
-
-def _as_token_ids(documents: Sequence[Document] | TokenIds) -> TokenIds:
-    return documents if isinstance(documents, TokenIds) else token_ids(documents)
 
 
 def _top_counts(
@@ -166,14 +164,15 @@ def _top_counts(
     return [(key, keyed[key]) for key in rank_tokens(keyed, top_k=top_k)]
 
 
-def sentiment_distribution(documents: Sequence[Document]) -> dict[SentimentLabel, int]:
-    """Per-class document counts; every document must carry a label."""
-    counts = {label: 0 for label in SentimentLabel}
-    for doc in documents:
-        if doc.label is None:
-            raise ValueError(f"unlabeled document: {doc.id!r}")
-        counts[doc.label] += 1
-    return counts
+def sentiment_distribution(
+    labels: Sequence[Document] | np.ndarray,
+) -> dict[SentimentLabel, int]:
+    """Per-class counts of label codes, or of documents, every one of which
+    must carry a label."""
+    if not isinstance(labels, np.ndarray):
+        labels = label_codes(labels)
+    counts = np.bincount(labels, minlength=len(SentimentLabel)).tolist()
+    return {label: counts[label] for label in SentimentLabel}
 
 
 def ngram_csv(table: NgramTable) -> str:

@@ -2,9 +2,33 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from ppkmsent.preprocess import Document, SentimentLabel
+from ppkmsent import artifacts
+from ppkmsent.preprocess import Document, SentimentLabel, parse_label
+
+_LABELED_ROW_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "label": str}
+
+
+def document_from_row(payload: object) -> Document:
+    """The Document a ``labeled.jsonl`` row spells; ValueError on a row of
+    the wrong shape."""
+    payload = artifacts.check_row(payload, _LABELED_ROW_FIELDS)
+    return Document(
+        payload["id"],
+        payload["raw_text"],
+        payload["clean_text"],
+        tuple(artifacts.str_list(payload, "tokens")),
+        parse_label(payload["label"]),
+    )
+
+
+def labeled_documents(output_dir: Path) -> list[Document]:
+    """The documents of the ``labeled.jsonl`` in ``output_dir``, parsed row
+    by row; no stage reads them this way."""
+    return artifacts.load_jsonl(output_dir / "labeled.jsonl", document_from_row)[0]
 
 
 def make_doc(

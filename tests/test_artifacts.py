@@ -9,12 +9,16 @@ import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ppkmsent
+from conftest import document_from_row, make_doc
 from ppkmsent import artifacts, pipeline
-from ppkmsent.errors import ConfigError
-from ppkmsent.preprocess import SentimentLabel
+from ppkmsent.errors import CheckpointFormatError, ConfigError
+from ppkmsent.preprocess import SentimentLabel, as_labeled_ids, token_ids
 
 PACKAGE_DIR = Path(ppkmsent.__file__).parent
 
@@ -116,7 +120,7 @@ def row(**changes) -> bytes:
 class TestLoadJsonl:
     def test_rows_and_the_digest_of_the_parsed_bytes(self, tmp_path):
         path = labeled_file(tmp_path, row(id="t2", label="Positive"))
-        docs, digest = artifacts.load_jsonl(path, pipeline.document_from_json)
+        docs, digest = artifacts.load_jsonl(path, document_from_row)
         assert [d.id for d in docs] == ["t1", "t2", "t1"]
         assert docs[1].label is SentimentLabel.POSITIVE
         assert docs[1].tokens == ("ppkm", "rugi")
@@ -162,7 +166,7 @@ class TestLoadJsonl:
     def test_malformed_row_names_path_and_line(self, tmp_path, bad_line, message):
         path = labeled_file(tmp_path, bad_line)
         with pytest.raises(ConfigError) as caught:
-            artifacts.load_jsonl(path, pipeline.document_from_json)
+            artifacts.load_jsonl(path, document_from_row)
         assert str(caught.value) == f"{path}:3: {message}"
 
     @pytest.mark.parametrize(
@@ -204,7 +208,7 @@ class TestLoadJsonl:
 
         def parse(payload):
             seen.append(gc.isenabled())
-            return pipeline.document_from_json(payload)
+            return document_from_row(payload)
 
         was_enabled = gc.isenabled()
         try:
@@ -293,3 +297,152 @@ class TestWriteJsonl:
             artifacts.write_jsonl(make_rows(), path)
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+# tokens as the label stage never makes them, to show the format does not
+# rely on cleansing: non-ASCII, quotes, backslashes, newlines and spaces
+TOKENS = st.text(
+    alphabet=st.sampled_from(['a', 'b', 'é', '😷', '"', "'", '\\', '\n', ' ', '\x00']),
+    min_size=1,
+    max_size=3,
+)
+LABELED_DOCS = st.lists(
+    st.tuples(st.lists(TOKENS, max_size=5), st.sampled_from(list(SentimentLabel))),
+    max_size=8,
+)
+
+
+def labeled_docs(rows) -> list:
+    return [make_doc(tokens, label, str(i)) for i, (tokens, label) in enumerate(rows)]
+
+
+class TestLabeledIds:
+    @given(LABELED_DOCS)
+    @settings(max_examples=200)
+    @example([])
+    @example([([], SentimentLabel.NEUTRAL)])
+    @example([(["\n", '"'], SentimentLabel.NEGATIVE), ([], SentimentLabel.POSITIVE)])
+    def test_the_file_round_trips_token_ids_and_labels(self, rows):
+        docs = labeled_docs(rows)
+        data = artifacts.encode_labeled_ids(as_labeled_ids(docs))
+        (lengths, ids, tokens), labels = artifacts.decode_labeled_ids(data, Path("f"))
+        want = token_ids(docs)
+        assert lengths.dtype == ids.dtype == labels.dtype == np.intp
+        assert lengths.tolist() == want.lengths.tolist()
+        assert ids.tolist() == want.ids.tolist()
+        assert tokens == want.tokens
+        assert labels.tolist() == [int(label) for _, label in rows]
+        # one ASCII header line, then 1 + 4 bytes per document and 4 per id
+        header, _, body = data.partition(b"\n")
+        assert header.isascii()
+        assert len(body) == 5 * len(docs) + 4 * len(want.ids)
+
+    def test_the_bytes_are_little_endian_after_one_header_line(self):
+        docs = [
+            make_doc(["b", "a", "b"], SentimentLabel.POSITIVE, "x"),
+            make_doc([], SentimentLabel.NEGATIVE, "y"),
+        ]
+        data = artifacts.encode_labeled_ids(as_labeled_ids(docs))
+        assert data == (
+            b'{"documents":2,"ids":3,"magic":"ppkmsent/labeled-ids",'
+            b'"tokens":["b","a"],"version":1}\n'
+            b"\x02\x00"
+            b"\x03\x00\x00\x00\x00\x00\x00\x00"
+            b"\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+        )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"", "not a labeled-ids file"),
+            (b'{"magic": "ppkmsent/labeled-ids"}', "not a labeled-ids file"),
+            (b"\xff\n", "not a labeled-ids file"),
+            (b"[]\n", "not a labeled-ids file"),
+            (b'{"magic": "other"}\n', "not a labeled-ids file"),
+            (b'{"magic": "ppkmsent/labeled-ids", "version": 2}\n', "unsupported version 2"),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":-1,'
+                b'"ids":0,"tokens":[]}\n',
+                "malformed header",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":true,'
+                b'"ids":0,"tokens":[]}\n',
+                "malformed header",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":0,'
+                b'"ids":0,"tokens":[1]}\n',
+                "malformed header",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":0,'
+                b'"ids":0,"tokens":["a","a"]}\n',
+                "the token table repeats a token",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":1,'
+                b'"ids":0,"tokens":[]}\n\x00\x00\x00\x00',
+                "4 bytes follow the header, but 1 documents of 0 ids take 5",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":0,'
+                b'"ids":0,"tokens":[]}\n\x00',
+                "1 bytes follow the header, but 0 documents of 0 ids take 0",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":1,'
+                b'"ids":0,"tokens":[]}\n\x03\x00\x00\x00\x00',
+                "a label code is not a label",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":1,'
+                b'"ids":0,"tokens":[]}\n\xff\x00\x00\x00\x00',
+                "a label code is not a label",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":2,'
+                b'"ids":0,"tokens":[]}\n\x00\x00\xff\xff\xff\xff\x01\x00\x00\x00',
+                "a document length is negative",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":1,'
+                b'"ids":1,"tokens":["a"]}\n\x00\x02\x00\x00\x00\x00\x00\x00\x00',
+                "the document lengths sum to 2, not to the 1 ids",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":1,'
+                b'"ids":1,"tokens":["a"]}\n\x00\x01\x00\x00\x00\x01\x00\x00\x00',
+                "an id is outside the token table",
+            ),
+            (
+                b'{"magic":"ppkmsent/labeled-ids","version":1,"documents":1,'
+                b'"ids":1,"tokens":["a"]}\n\x00\x01\x00\x00\x00\xff\xff\xff\xff',
+                "an id is outside the token table",
+            ),
+        ],
+        ids=[
+            "empty",
+            "no-header-line",
+            "header-not-utf-8",
+            "header-not-an-object",
+            "wrong-magic",
+            "other-version",
+            "negative-count",
+            "bool-count",
+            "token-not-a-string",
+            "repeated-token",
+            "short-body",
+            "long-body",
+            "label-above-range",
+            "label-negative",
+            "negative-length",
+            "lengths-do-not-sum",
+            "id-past-the-table",
+            "negative-id",
+        ],
+    )
+    def test_a_malformed_file_names_its_path(self, data, message):
+        with pytest.raises(CheckpointFormatError) as caught:
+            artifacts.decode_labeled_ids(data, Path("out/labeled_ids.bin"))
+        assert str(caught.value) == f"out/labeled_ids.bin: {message}"

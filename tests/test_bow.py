@@ -33,7 +33,7 @@ from ppkmsent.bow import (
     vectorize,
 )
 from ppkmsent.errors import CheckpointFormatError, MissingClassError
-from ppkmsent.preprocess import SentimentLabel, rank_tokens
+from ppkmsent.preprocess import SentimentLabel, as_labeled_ids, rank_tokens
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -762,6 +762,67 @@ class TestPredictBatch:
         vocab = build_vocab([make_doc(["x"], doc_id="a")])
         with pytest.raises(TypeError, match="unsupported model"):
             predict_batch([make_doc(["x"], doc_id="q")], object(), vocab)
+
+
+def split_corpus(words: list[list[str]], seed: int):
+    """A labeled corpus (all three classes, some empty documents), its
+    labeled ids, and a shuffled training and probe half of each: documents,
+    and ids taken from the whole corpus's id table."""
+    docs = [
+        make_doc(tokens, SentimentLabel(i % 3), f"d{i}") for i, tokens in enumerate(words)
+    ]
+    labeled = as_labeled_ids(docs)
+    rng = np.random.default_rng(seed)
+    rest = rng.permutation(np.arange(3, len(docs)))
+    # documents 0, 1 and 2 hold the three classes
+    train_rows = rng.permutation(np.concatenate([[0, 1, 2], rest[: len(rest) // 2]]))
+    probe_rows = rest[len(rest) // 2 :]
+    return (
+        [docs[i] for i in train_rows.tolist()],
+        labeled.take(train_rows),
+        [docs[i] for i in probe_rows.tolist()],
+        labeled.take(probe_rows).documents,
+    )
+
+
+def assert_models_equal(got, want):
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(got, name), value), name
+        else:
+            assert getattr(got, name) == value, name
+
+
+class TestTokenIdsInput:
+    """Token ids, taken from a larger corpus's id table so that some ids go
+    unused, give what the same documents give, element for element."""
+
+    @given(
+        st.lists(st.lists(WORDS, max_size=6), min_size=6, max_size=24),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_bow_function_gives_the_document_result(self, words, seed, min_count):
+        train_docs, train_ids, probe_docs, probe_ids = split_corpus(words, seed)
+        vocab = build_vocab(train_docs, min_count=min_count)
+        assert build_vocab(train_ids, min_count=min_count) == vocab
+        for docs, ids in ((train_docs, train_ids), (probe_docs, probe_ids)):
+            for mode in ("tf", "tfidf"):
+                for got, want in zip(
+                    feature_matrix(ids, vocab, mode), feature_matrix(docs, vocab, mode)
+                ):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+        models = list(trained_models(train_docs, vocab))
+        assert len(models) == len(list(trained_models(train_ids, vocab)))
+        for got, want in zip(trained_models(train_ids, vocab), models):
+            assert_models_equal(got, want)
+            got_labels, got_scores = predict_batch(probe_ids, want, vocab)
+            want_labels, want_scores = predict_batch(probe_docs, want, vocab)
+            assert got_labels == want_labels
+            assert np.array_equal(got_scores, want_scores)
 
 
 class TestModelPersistence:

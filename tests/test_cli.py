@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppkmsent import cli, pipeline
+from ppkmsent import artifacts, cli, pipeline
 from ppkmsent.encoder import train as enc_train
 from ppkmsent.encoder.checkpoint import load_checkpoint
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
@@ -86,18 +87,12 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "corrupt, message",
+        "corrupt",
         [
-            (
-                lambda row: {k: v for k, v in row.items() if k != "tokens"},
-                "'tokens'",
-            ),
-            (lambda row: [row], "not a JSON object"),
-            (lambda row: {**row, "tokens": [1, 2]}, "'tokens'"),
-            (
-                lambda row: {k: v for k, v in row.items() if k != "label"},
-                "'label'",
-            ),
+            lambda row: {k: v for k, v in row.items() if k != "tokens"},
+            lambda row: [row],
+            lambda row: {**row, "tokens": [1, 2]},
+            lambda row: {k: v for k, v in row.items() if k != "label"},
         ],
         ids=[
             "missing-tokens",
@@ -106,9 +101,10 @@ class TestExitCodes:
             "missing-label",
         ],
     )
-    def test_corrupt_labeled_row_exits_one(
-        self, tmp_path, capsys, corrupt, message
-    ):
+    def test_corrupt_labeled_row_exits_one(self, tmp_path, capsys, corrupt):
+        # no stage parses labeled.jsonl: a row edited after label, well
+        # formed or not, is refused because the file no longer matches the
+        # label manifest
         config_path = write_setup(tmp_path)
         for stage in ("ingest", "label", "train"):
             assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
@@ -117,12 +113,12 @@ class TestExitCodes:
         lines[1] = json.dumps(corrupt(json.loads(lines[1])))
         labeled.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
-        for stage in ("train", "eval"):
+        for stage in ("train", "eval", "viz"):
             assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_VALIDATION
             err = capsys.readouterr().err
             assert err.startswith("error: "), stage
-            assert f"{pipeline.LABELED_FILE}:2: " in err, stage
-            assert message in err, stage
+            assert f"{pipeline.LABELED_FILE} is not the file " in err, stage
+            assert pipeline.LABEL_MANIFEST_FILE in err, stage
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -397,6 +393,118 @@ class TestExitCodes:
     def test_config_flag_is_required(self):
         with pytest.raises(SystemExit):
             cli.main(["ingest"])
+
+
+def flip_last_byte(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def truncate_half(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def edit_a_token(path: Path) -> None:
+    path.write_text(path.read_text(encoding="utf-8").replace('"ppkm"', '"ppkn"', 1))
+
+
+def write_recorded(out: Path, data: bytes) -> None:
+    """Write ``data`` as the id file and record its digest in the label
+    manifest, as if label had written it."""
+    path = out / pipeline.LABELED_IDS_FILE
+    path.write_bytes(data)
+    manifest_path = out / pipeline.LABEL_MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["outputs"][path.name] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def recoded(out: Path, change) -> bytes:
+    """The id file's bytes after ``change`` edits its decoded arrays."""
+    path = out / pipeline.LABELED_IDS_FILE
+    labeled = artifacts.decode_labeled_ids(path.read_bytes(), path)
+    change(labeled)
+    return artifacts.encode_labeled_ids(labeled)
+
+
+def set_first(array: np.ndarray, value: int) -> None:
+    array[0] = value
+
+
+class TestLabeledIdsContract:
+    """train, eval and viz read the labeled documents from the id file that
+    label writes, after checking it and labeled.jsonl against the label
+    manifest; a missing, stale or malformed file exits 1 or 2 naming it."""
+
+    STAGES = ("train", "eval", "viz")
+
+    def labeled_run(self, tmp_path: Path) -> Path:
+        config_path = write_setup(tmp_path)
+        for stage in ("ingest", "label", "train", "eval"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        return config_path
+
+    def assert_refused(self, config_path, capsys, code, *names) -> None:
+        capsys.readouterr()
+        for stage in self.STAGES:
+            assert cli.main([stage, "-c", str(config_path)]) == code, stage
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), stage
+            assert "Traceback" not in err, stage
+            for name in names:
+                assert name in err, (stage, name)
+
+    @pytest.mark.parametrize(
+        "filename, damage, named",
+        [
+            (pipeline.LABELED_IDS_FILE, Path.unlink, pipeline.LABEL_MANIFEST_FILE),
+            (pipeline.LABELED_IDS_FILE, truncate_half, pipeline.LABEL_MANIFEST_FILE),
+            (pipeline.LABELED_IDS_FILE, flip_last_byte, pipeline.LABEL_MANIFEST_FILE),
+            (pipeline.LABELED_FILE, edit_a_token, pipeline.LABEL_MANIFEST_FILE),
+            (pipeline.LABEL_MANIFEST_FILE, Path.unlink, pipeline.LABELED_FILE),
+        ],
+        ids=[
+            "ids-deleted",
+            "ids-truncated",
+            "ids-byte-flipped",
+            "labeled-edited",
+            "manifest-deleted",
+        ],
+    )
+    def test_a_file_that_label_did_not_write_exits_one(
+        self, tmp_path, capsys, filename, damage, named
+    ):
+        config_path = self.labeled_run(tmp_path)
+        damage(tmp_path / "out" / filename)
+        self.assert_refused(config_path, capsys, cli.EXIT_VALIDATION, filename, named)
+
+    @pytest.mark.parametrize(
+        "make_bytes",
+        [
+            lambda out: b"{}\n",
+            lambda out: b"no header line",
+            lambda out: (out / pipeline.LABELED_IDS_FILE).read_bytes()[:-1],
+            lambda out: recoded(out, lambda l: set_first(l.documents.lengths, 0)),
+            lambda out: recoded(out, lambda l: set_first(l.documents.ids, 10**6)),
+            lambda out: recoded(out, lambda l: set_first(l.labels, 3)),
+        ],
+        ids=[
+            "not-a-header",
+            "no-header-line",
+            "short-body",
+            "lengths-do-not-sum",
+            "id-outside-the-table",
+            "label-out-of-range",
+        ],
+    )
+    def test_a_malformed_recorded_file_exits_two(self, tmp_path, capsys, make_bytes):
+        config_path = self.labeled_run(tmp_path)
+        out = tmp_path / "out"
+        write_recorded(out, make_bytes(out))
+        self.assert_refused(
+            config_path, capsys, cli.EXIT_RUNTIME, pipeline.LABELED_IDS_FILE
+        )
 
 
 class TestFullRun:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc
@@ -377,6 +377,44 @@ def reference_unstratified_split(documents, spec):
     )
 
 
+def reference_document_split(documents, spec):
+    """The Document split as it was written before it worked on label
+    codes: documents grouped by label (or all in one group), groups in
+    label order with the unlabeled last, each group permuted by one draw
+    and cut at floor(fraction * n) with the remainder in train."""
+    rng = np.random.default_rng(np.random.PCG64(spec.seed))
+    groups: dict = {}
+    for idx, doc in enumerate(documents):
+        groups.setdefault(doc.label if spec.stratified else None, []).append(idx)
+    parts = ([], [], [])
+    for key in sorted(groups, key=lambda lbl: (lbl is None, lbl)):
+        indices = groups[key]
+        shuffled = [indices[i] for i in rng.permutation(len(indices))]
+        n = len(indices)
+        n_val = math.floor(spec.validation_fraction * n)
+        n_test = math.floor(spec.test_fraction * n)
+        n_train = n - n_val - n_test
+        cuts = (0, n_train, n_train + n_val, n)
+        for part, start, stop in zip(parts, cuts, cuts[1:]):
+            part.extend(documents[i] for i in shuffled[start:stop])
+    return parts
+
+
+SPLIT_CASES = st.tuples(
+    st.lists(st.sampled_from(list(SentimentLabel)), min_size=1, max_size=80),
+    st.sampled_from(
+        [
+            ("6/10", "2/10", "2/10"),
+            PAPER_SPLIT_FRACTIONS,
+            ("1", "0", "0"),
+            ("0", "1/2", "1/2"),
+        ]
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+
+
 class TestSplit:
     def test_corpus_scale_bucket_sizes(self):
         docs = [make_doc(["w"], doc_id=str(i)) for i in range(5315)]
@@ -420,6 +458,35 @@ class TestSplit:
         train_b = sum(1 for d in train if d.label is SentimentLabel.NEGATIVE)
         assert (train_a, train_b) == (72, 8)
         assert len(val) == 10 and len(test) == 10
+
+    @given(SPLIT_CASES)
+    @settings(max_examples=150)
+    @example((list(SentimentLabel) * 7, ("6/10", "2/10", "2/10"), 0, True))
+    @example((list(SentimentLabel) * 7, ("6/10", "2/10", "2/10"), 1, False))
+    def test_label_codes_split_into_the_documents_split(self, case):
+        labels, fractions, seed, stratified = case
+        docs = [
+            make_doc([f"w{i}"], label=label, doc_id=str(i))
+            for i, label in enumerate(labels)
+        ]
+        spec = SplitSpec(*fractions, seed=seed, stratified=stratified)
+        codes = np.array(labels, dtype=np.intp)
+        rows = split(codes, spec)
+        assert all(part.dtype == np.intp for part in rows)
+        want = reference_document_split(docs, spec)
+        assert [[docs[i] for i in part.tolist()] for part in rows] == list(want)
+        assert split(docs, spec) == tuple(want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_unlabeled_documents_split_as_before(self, seed, stratified):
+        labels = [SentimentLabel(i % 3) if i % 4 else None for i in range(50)]
+        docs = [
+            make_doc([f"w{i}"], label=label, doc_id=str(i))
+            for i, label in enumerate(labels)
+        ]
+        spec = SplitSpec("7/10", "2/10", "1/10", seed=seed, stratified=stratified)
+        assert split(docs, spec) == tuple(reference_document_split(docs, spec))
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -65,7 +65,7 @@ from ppkmsent.errors import (
     EncoderNumericsError,
     TrainingDivergedError,
 )
-from ppkmsent.preprocess import SentimentLabel
+from ppkmsent.preprocess import SentimentLabel, token_ids
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -330,6 +330,40 @@ def test_input_rows_match_the_reference(sequences, seq_len):
             assert (got_ids.dtype, got_mask.dtype) == (np.int64, np.float64)
             assert np.array_equal(got_ids, ref_ids)
             assert np.array_equal(got_mask, ref_mask)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from(["jualan", "saya", "rugi", "oov1", "oov2"]),
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(min_value=3, max_value=10),
+    st.integers(min_value=1, max_value=2),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200)
+def test_token_ids_give_the_document_rows_and_vocabulary(
+    sequences, seq_len, min_count, random
+):
+    # ids taken from the whole batch's id table, so some go unused
+    docs = [make_doc(tokens, doc_id=str(i)) for i, tokens in enumerate(sequences)]
+    rows = np.array(random.sample(range(len(docs)), random.randint(1, len(docs))))
+    subset = [docs[i] for i in rows.tolist()]
+    ids = token_ids(docs).take(rows)
+    vocab = build_token_vocab(subset, min_count=min_count)
+    assert build_token_vocab(ids, min_count=min_count) == vocab
+    config = desk_config(vocab_size=vocab.size)
+    config = replace(config, max_sequence_length=seq_len)
+    for got, want in zip(
+        encode_documents(ids, vocab, config),
+        input_rows([doc.tokens for doc in subset], vocab, seq_len),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def assert_views_of_one_buffer(tensors, config, role):
@@ -1085,7 +1119,7 @@ class TestTrainingStep:
         # float32 params, every later product would run in float64
         docs, vocab, config, profile = self.setup_training()
         ids, mask = _trim(*encode_documents(docs[:5], vocab, config))
-        labels = encoder_train._labels(docs[:5])
+        labels = encoder_train._labeled(docs[:5]).labels
         assert mask.dtype == np.float64
 
         def cache_arrays(node):
@@ -1172,7 +1206,7 @@ class TestTrainingStep:
     def test_adam_updates_views_of_one_buffer_per_role(self):
         docs, vocab, config, profile = self.setup_training()
         ids, mask = encode_documents(docs[:5], vocab, config)
-        labels = encoder_train._labels(docs[:5])
+        labels = encoder_train._labeled(docs[:5]).labels
         params = init_params(config, seed=0)
         state = encoder_train._AdamState(params)
         # Adam updates the params themselves, not a copy
@@ -1203,7 +1237,7 @@ class TestEncodeAndPredict:
         ids, mask = encode_documents(docs, vocab, config)
         assert ids.shape == (3, 6)
         assert mask.shape == (3, 6)
-        labels = encoder_train._labels(docs)
+        labels = encoder_train._labeled(docs).labels
         assert labels.dtype == np.int64
         assert labels.tolist() == [0, 1, 2]
 
@@ -1257,7 +1291,7 @@ class TestBatchTrimming:
             if not name.endswith(("_gain", "_bias", "head_b")):
                 tensor *= 25.0
         ids, mask = encode_documents(docs, vocab, config)
-        labels = encoder_train._labels(docs)
+        labels = encoder_train._labeled(docs).labels
         trimmed = _trim(ids, mask)
         # the longest document is [CLS] + 4 tokens + [SEP]
         assert trimmed[0].shape == trimmed[1].shape == (4, 6)

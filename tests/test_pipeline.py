@@ -6,15 +6,17 @@ import builtins
 import hashlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import labeled_documents
 from ppkmsent import bow, corpus, evaluation, lexicon, pipeline
 from ppkmsent.errors import ConfigError, StageOrderError
 from ppkmsent.fixtures import synthetic_documents, synthetic_tweets, write_jsonl
-from ppkmsent.preprocess import SentimentLabel
+from ppkmsent.preprocess import SentimentLabel, parse_label, token_ids
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -54,14 +56,12 @@ def write_raw_corpus(tmp_path: Path, n: int = 80, seed: int = 1) -> Path:
 
 
 def write_labeled_corpus(output_dir: Path, n: int = 60, seed: int = 0) -> None:
-    """Drop a labeled.jsonl artifact without running ingest/label."""
+    """Write what the label stage writes for ``synthetic_documents(n,
+    seed)``, through its writer, without running ingest or label."""
     output_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        json.dumps(pipeline.document_to_json(doc), sort_keys=True)
-        for doc in synthetic_documents(n, seed=seed)
-    ]
-    (output_dir / pipeline.LABELED_FILE).write_text(
-        "\n".join(rows) + "\n", encoding="utf-8"
+    config = pipeline.PipelineConfig(output_dir=output_dir)
+    pipeline.write_label_artifacts(
+        config, synthetic_documents(n, seed=seed), [], {}
     )
 
 
@@ -518,7 +518,7 @@ class TestLabelStage:
 
     def test_documents_round_trip_through_the_artifact(self, tmp_path):
         config = self.run_both(tmp_path)
-        documents, _ = pipeline.load_labeled_documents(config.output_dir)
+        documents = labeled_documents(config.output_dir)
         assert all(doc.label is not None for doc in documents)
         assert all(doc.tokens for doc in documents)
         # tokens were stopword-filtered during labeling
@@ -527,15 +527,29 @@ class TestLabelStage:
         stop = default_stopwords().words
         assert all(not set(doc.tokens) & stop for doc in documents)
 
+    def test_the_id_file_holds_the_labeled_documents(self, tmp_path):
+        config = self.run_both(tmp_path)
+        labeled, digests = pipeline.load_labeled_documents(config.output_dir)
+        documents = labeled_documents(config.output_dir)
+        want = token_ids(documents)
+        assert labeled.documents.lengths.tolist() == want.lengths.tolist()
+        assert labeled.documents.ids.tolist() == want.ids.tolist()
+        assert labeled.documents.tokens == want.tokens
+        assert labeled.labels.tolist() == [int(doc.label) for doc in documents]
+        manifest = json.loads(
+            (config.output_dir / pipeline.LABEL_MANIFEST_FILE).read_text()
+        )
+        assert {name: manifest["outputs"][name] for name in digests} == digests
+
     def test_label_overrides_replace_proposals(self, tmp_path):
         config = self.run_both(tmp_path)
-        labeled_before, _ = pipeline.load_labeled_documents(config.output_dir)
+        labeled_before = labeled_documents(config.output_dir)
         target = next(doc for doc in labeled_before if doc.label is not POS)
         pipeline.write_label_overrides(
             {target.id: POS}, config.output_dir / pipeline.OVERRIDES_FILE
         )
         pipeline.run_label(config)
-        labeled_after, _ = pipeline.load_labeled_documents(config.output_dir)
+        labeled_after = labeled_documents(config.output_dir)
         by_id = {doc.id: doc for doc in labeled_after}
         assert by_id[target.id].label is POS
         unchanged = [
@@ -570,7 +584,7 @@ class TestTrainStage:
         model_path = config.output_dir / "mnb_model.json"
         assert model_path in outputs
         model, vocab = bow.load_model(model_path)
-        documents, _ = pipeline.load_labeled_documents(config.output_dir)
+        documents = labeled_documents(config.output_dir)
         train_docs, _, _ = corpus.split(documents, config.split_spec())
         rebuilt_vocab = bow.build_vocab(train_docs, min_count=config.min_count)
         rebuilt = bow.mnb_train(train_docs, rebuilt_vocab, alpha=config.mnb_alpha)
@@ -654,7 +668,7 @@ class TestEvalStage:
             (config.output_dir / "metrics_mnb.json").read_text()
         )
 
-        documents, _ = pipeline.load_labeled_documents(config.output_dir)
+        documents = labeled_documents(config.output_dir)
         _, _, test_docs = corpus.split(documents, config.split_spec())
         model, vocab = bow.load_model(config.output_dir / "mnb_model.json")
         predicted = [bow.mnb_predict(doc, model, vocab)[0] for doc in test_docs]
@@ -707,15 +721,15 @@ class TestEvalStage:
         predict_batch = bow.predict_batch
 
         def spy(documents, model, vocab):
-            calls.append((type(model), [doc.id for doc in documents]))
+            calls.append((type(model), documents.sequences()))
             return predict_batch(documents, model, vocab)
 
         monkeypatch.setattr(bow, "predict_batch", spy)
         pipeline.run_eval(config)
-        documents, _ = pipeline.load_labeled_documents(config.output_dir)
+        documents = labeled_documents(config.output_dir)
         _, _, test_docs = corpus.split(documents, config.split_spec())
-        test_ids = [doc.id for doc in test_docs]
-        assert calls == [(bow.MnbModel, test_ids), (bow.SvmModel, test_ids)]
+        test_tokens = [doc.tokens for doc in test_docs]
+        assert calls == [(bow.MnbModel, test_tokens), (bow.SvmModel, test_tokens)]
 
     def test_compare_stage_rebuilds_identical_tables(self, tmp_path):
         config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
@@ -819,9 +833,22 @@ class TestSplitFingerprint:
     def test_relabelled_documents_are_refused(self, tmp_path):
         config = self.train_mnb(tmp_path)
         path = config.output_dir / pipeline.LABELED_FILE
+        documents = labeled_documents(config.output_dir)
+        relabelled = "positive" if documents[0].label is not POS else "negative"
+        # a label edited into labeled.jsonl by hand: no stage reads the file
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        rows[0]["label"] = "positive" if rows[0]["label"] != "positive" else "negative"
+        rows[0]["label"] = relabelled
         path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+        for run in (pipeline.run_train, pipeline.run_eval, pipeline.run_viz):
+            with pytest.raises(
+                ConfigError,
+                match=r"labeled\.jsonl is not the file .*label\.manifest\.json records",
+            ):
+                run(config)
+        # relabelled by the label stage's writer, as overrides and a rerun
+        # of label do, the documents no longer match the trained model
+        documents[0] = replace(documents[0], label=parse_label(relabelled))
+        pipeline.write_label_artifacts(config, documents, [], {})
         with pytest.raises(ConfigError, match=r"^mnb .*labeled\.jsonl has changed"):
             pipeline.run_eval(config)
 
@@ -868,7 +895,7 @@ class TestVizStage:
         distribution = json.loads(
             (config.output_dir / "sentiment_distribution.json").read_text()
         )
-        documents, _ = pipeline.load_labeled_documents(config.output_dir)
+        documents = labeled_documents(config.output_dir)
         assert sum(distribution.values()) == len(documents)
         assert distribution == {"negative": 41, "neutral": 10, "positive": 9}
         unigram_lines = (

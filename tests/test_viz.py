@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import labeled_documents, make_doc
 from ppkmsent import pipeline
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
 from ppkmsent.preprocess import SentimentLabel, token_ids
@@ -72,7 +72,7 @@ def labeled_fixture_documents(tmp_path_factory):
     config = pipeline.PipelineConfig(output_dir=tmp / "out", corpus_path=tmp / "raw.jsonl")
     pipeline.run_ingest(config)
     pipeline.run_label(config)
-    return pipeline.load_labeled_documents(config.output_dir)[0]
+    return labeled_documents(config.output_dir)
 
 
 class TestNgrams:
