@@ -1,10 +1,10 @@
 """Bag-of-words baselines: Multinomial Naive Bayes and a linear SVM.
 
 Tokens are counted as integer ids, never as Python objects per document.
-Every function takes documents or their token ids
-(:func:`~ppkmsent.preprocess.as_token_ids`; the training functions take
-labeled ids, :func:`~ppkmsent.preprocess.as_labeled_ids`), so a stage that
-holds ids makes no token pass at all.  :func:`build_vocab` takes each
+Every function takes documents as :class:`~ppkmsent.preprocess.TokenIds`,
+the training functions as :class:`~ppkmsent.preprocess.LabeledIds`; only
+the one-document views (:func:`vectorize`, :func:`mnb_predict`,
+:func:`svm_predict`) take a ``Document``.  :func:`build_vocab` takes each
 token's total and document frequency by ``np.bincount``, the latter over
 the distinct (document, id) keys left by one sort.  The featurizer,
 :func:`feature_matrix`, and :func:`mnb_train` map ids to vocabulary
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -52,15 +51,10 @@ from ppkmsent.preprocess import (
     LabeledIds,
     SentimentLabel,
     TokenIds,
-    as_labeled_ids,
-    as_token_ids,
     rank_tokens,
     run_starts,
+    token_ids,
 )
-
-# what the functions below take: documents, or their (labeled) token ids
-Documents = Sequence[Document] | TokenIds | LabeledIds
-LabeledDocuments = Sequence[Document] | LabeledIds
 
 MODEL_MAGIC = "ppkmsent/bow-model"
 MODEL_VERSION = 1
@@ -97,9 +91,9 @@ class BowVocab:
         )
 
 
-def build_vocab(documents: Documents, min_count: int = 1) -> BowVocab:
+def build_vocab(documents: TokenIds, min_count: int = 1) -> BowVocab:
     """Count tokens over the training documents and assign dense indices."""
-    lengths, ids, tokens = as_token_ids(documents)
+    lengths, ids, tokens = documents
     if not len(lengths):
         raise ValueError("cannot build a vocabulary from an empty training set")
     if min_count < 1:
@@ -124,7 +118,7 @@ def build_vocab(documents: Documents, min_count: int = 1) -> BowVocab:
 
 
 def feature_matrix(
-    documents: Documents, vocab: BowVocab, mode: str = "tf"
+    documents: TokenIds, vocab: BowVocab, mode: str = "tf"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR triple (indptr, indices, values) of the documents' features.
 
@@ -136,7 +130,7 @@ def feature_matrix(
     """
     if mode not in ("tf", "tfidf"):
         raise ValueError(f"unsupported feature mode: {mode!r}")
-    lengths, indices = _in_vocabulary(as_token_ids(documents), vocab)
+    lengths, indices = _in_vocabulary(documents, vocab)
     lengths, indices, counts = _row_counts(lengths, indices, vocab.size)
     values = counts.astype(float)
     indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
@@ -192,7 +186,7 @@ def _row_counts(
 
 def vectorize(document: Document, vocab: BowVocab, mode: str = "tf") -> dict[int, float]:
     """The document's :func:`feature_matrix` row as {index: value}."""
-    _, indices, values = feature_matrix([document], vocab, mode)
+    _, indices, values = feature_matrix(token_ids([document]), vocab, mode)
     return dict(zip(indices.tolist(), values.tolist()))
 
 
@@ -227,14 +221,14 @@ class MnbModel:
     smoothing_alpha: float
 
 
-def mnb_train(train: LabeledDocuments, vocab: BowVocab, alpha: float = 1.0) -> MnbModel:
+def mnb_train(train: LabeledIds, vocab: BowVocab, alpha: float = 1.0) -> MnbModel:
     """Fit smoothed multinomial likelihoods.
 
     prior_c = ln(N_c / N); likelihood_ct = ln((count_ct + alpha) /
     (total_c + alpha * V)) where total_c sums vocabulary-token counts in
     class c, so each class row exp-sums to 1.
     """
-    documents, labels = as_labeled_ids(train)
+    documents, labels = train
     if not len(labels):
         raise ValueError("empty training set")
     if not 0 < alpha < math.inf:
@@ -264,7 +258,7 @@ def mnb_predict(
     document: Document, model: MnbModel, vocab: BowVocab
 ) -> tuple[SentimentLabel, np.ndarray]:
     """Argmax of prior + sum of count-weighted log likelihoods."""
-    labels, scores = predict_batch([document], model, vocab)
+    labels, scores = predict_batch(token_ids([document]), model, vocab)
     return labels[0], scores[0]
 
 
@@ -336,7 +330,7 @@ def hinge_objective(
     return 0.5 * lam * float(w @ w) + float(np.cumsum(hinge)[-1]) / len(hinge)
 
 
-def svm_train(train: LabeledDocuments, vocab: BowVocab, config: SvmConfig) -> SvmModel:
+def svm_train(train: LabeledIds, vocab: BowVocab, config: SvmConfig) -> SvmModel:
     """Train three one-vs-rest hinge separators with step size 1/(lambda*t).
 
     Pegasos starts from w = 0 and at step t shrinks w by (1 - 1/t) before
@@ -350,7 +344,7 @@ def svm_train(train: LabeledDocuments, vocab: BowVocab, config: SvmConfig) -> Sv
     lambda drives both weights and margins toward zero.  Deterministic for
     a fixed seed.
     """
-    documents, labels = as_labeled_ids(train)
+    documents, labels = train
     present = _require_all_classes(labels, need_all=False)
     if len(present) < 2:
         raise MissingClassError("SVM training needs at least 2 classes present")
@@ -405,7 +399,7 @@ def svm_predict(
     document: Document, model: SvmModel, vocab: BowVocab
 ) -> tuple[SentimentLabel, np.ndarray]:
     """Argmax of per-class margins w_c . x + b_c."""
-    labels, margins = predict_batch([document], model, vocab)
+    labels, margins = predict_batch(token_ids([document]), model, vocab)
     return labels[0], margins[0]
 
 
@@ -415,7 +409,7 @@ def svm_predict(
 
 
 def predict_batch(
-    documents: Documents, model: MnbModel | SvmModel, vocab: BowVocab
+    documents: TokenIds, model: MnbModel | SvmModel, vocab: BowVocab
 ) -> tuple[list[SentimentLabel], np.ndarray]:
     """Labels and (n, 3) scores offsets + W . x for every document.
 
@@ -457,10 +451,16 @@ def _vocab_to_payload(vocab: BowVocab) -> dict:
     }
 
 
-def _vocab_from_payload(payload: dict) -> BowVocab:
-    tokens = payload["tokens"]
+def _vocab_from_payload(payload: dict, path) -> BowVocab:
+    try:
+        tokens = artifacts.str_list(payload, "tokens")
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: vocab {exc}") from exc
+    token_to_index = {t: i for i, t in enumerate(tokens)}
+    if len(token_to_index) != len(tokens):
+        raise CheckpointFormatError(f"{path}: vocab.tokens repeats a token")
     return BowVocab(
-        token_to_index={t: i for i, t in enumerate(tokens)},
+        token_to_index=token_to_index,
         document_frequency=tuple(payload["document_frequency"]),
         num_documents=payload["num_documents"],
     )
@@ -507,10 +507,11 @@ def load_model(path: str | Path, kind: str | None = None):
 
     A CheckpointFormatError names the file and the field when the file
     holds another kind of model than ``kind`` ("mnb" or "svm", when
-    given), when a weight, offset or document-frequency array does not
-    match the vocabulary's shape, when a weight or offset is not finite,
-    when the document count N is below 1, and when a document frequency is
-    not an integer in 0..N.
+    given), when a vocabulary token is not a string or repeats, when a
+    weight, offset or document-frequency array does not match the
+    vocabulary's shape, when a weight or offset is not finite, when the
+    document count N is below 1, and when a document frequency is not an
+    integer in 0..N.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -524,7 +525,7 @@ def load_model(path: str | Path, kind: str | None = None):
         raise CheckpointFormatError(
             f"{path}: holds a {payload.get('kind')!r} model, expected {kind!r}"
         )
-    vocab = _vocab_from_payload(payload["vocab"])
+    vocab = _vocab_from_payload(payload["vocab"], path)
     if len(vocab.document_frequency) != vocab.size:
         raise CheckpointFormatError(
             f"{path}: {len(vocab.document_frequency)} document frequencies "

@@ -4,8 +4,8 @@ Raw records arrive from JSONL or CSV files (the offline stand-in for an API
 pull).  ``acquire_permit`` models the collection budget of 900 requests per
 15-minute window against an injected clock, so the constraint is testable
 without credentials.  Triage is dedupe plus keyword relevance with optional
-human verdicts, and ``split`` produces deterministic train/validation/test
-partitions.
+human verdicts, and ``split`` cuts label codes into deterministic
+train/validation/test index arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import json
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -23,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from ppkmsent.errors import IngestError, NonMonotonicClockError, UnknownIdError
-from ppkmsent.preprocess import Document, SentimentLabel
 
 logger = logging.getLogger("ppkmsent")
 
@@ -323,40 +321,21 @@ def _bucket_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
 
 
 def split(
-    documents: Sequence[Document] | np.ndarray, spec: SplitSpec
-) -> tuple[list[Document], list[Document], list[Document]] | tuple[np.ndarray, ...]:
-    """Deterministic, exhaustive, disjoint train/validation/test partition.
-
-    Given label codes (an array), returns the three parts as arrays of
-    indices into it; given documents, the documents at those indices.
-    Sizes are floor(fraction * N) with the remainder assigned to train.
-    Stratified mode applies that rule per label group, preserving class
-    proportions to within one document per class.
-    """
-    if not len(documents):
-        raise ValueError("cannot split an empty document list")
-    if isinstance(documents, np.ndarray):
-        return _split_rows(documents, spec)
-    # unlabeled documents form a stratum of their own, after every label
-    strata = np.fromiter(
-        (len(SentimentLabel) if doc.label is None else doc.label for doc in documents),
-        dtype=np.intp,
-        count=len(documents),
-    )
-    return tuple(
-        [documents[i] for i in rows.tolist()] for rows in _split_rows(strata, spec)
-    )
-
-
-def _split_rows(
-    strata: np.ndarray, spec: SplitSpec
+    labels: np.ndarray, spec: SplitSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of the parts: each stratum, in ascending order (all
-    rows in one stratum when unstratified), is permuted by one draw of the
-    seeded generator and cut by :func:`_bucket_sizes`."""
+    """Deterministic, exhaustive, disjoint train/validation/test partition
+    of label codes, as three arrays of indices into them.
+
+    Each stratum, the rows of one label in ascending order (all rows in one
+    stratum when unstratified), is permuted by one draw of the seeded
+    generator.  Its sizes are floor(fraction * n) with the remainder
+    assigned to train, so stratified mode keeps class proportions to within
+    one document per class.
+    """
+    if not len(labels):
+        raise ValueError("cannot split an empty document list")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    if not spec.stratified:
-        strata = np.zeros_like(strata)
+    strata = labels if spec.stratified else np.zeros_like(labels)
     parts: tuple[list, list, list] = ([], [], [])
     for key in np.unique(strata):
         rows = np.flatnonzero(strata == key)

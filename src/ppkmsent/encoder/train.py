@@ -1,4 +1,10 @@
-"""Fine-tuning loop, prediction helpers and training-history serialisation."""
+"""Fine-tuning loop, prediction helpers and training-history serialisation.
+
+Documents arrive as token ids: :func:`fine_tune` takes the training and
+validation splits as :class:`~ppkmsent.preprocess.LabeledIds`, and
+:func:`encode_documents` and :func:`predict_batch` take
+:class:`~ppkmsent.preprocess.TokenIds`.
+"""
 
 from __future__ import annotations
 
@@ -24,14 +30,7 @@ from ppkmsent.errors import (
     EncoderNumericsError,
     TrainingDivergedError,
 )
-from ppkmsent.preprocess import (
-    Document,
-    LabeledIds,
-    SentimentLabel,
-    TokenIds,
-    as_labeled_ids,
-    as_token_ids,
-)
+from ppkmsent.preprocess import LabeledIds, SentimentLabel, TokenIds
 
 logger = logging.getLogger(__name__)
 
@@ -103,24 +102,13 @@ def _check_weights_finite(weights: FlatTensors, epoch: int, step: int) -> None:
 
 
 def encode_documents(
-    documents: Sequence[Document] | TokenIds | LabeledIds,
-    vocab: TokenVocab,
-    config: EncoderConfig,
+    documents: TokenIds, vocab: TokenVocab, config: EncoderConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`~ppkmsent.encoder.vocab.input_rows` of documents or of
-    their token ids: (ids, mask)."""
-    documents = as_token_ids(documents)
+    """The documents' :func:`~ppkmsent.encoder.vocab.input_rows`: (ids,
+    mask)."""
     if not len(documents.lengths):
         raise ConfigError("cannot encode an empty document batch")
     return input_rows(documents, vocab, config.max_sequence_length)
-
-
-def _labeled(documents: Sequence[Document] | LabeledIds) -> LabeledIds:
-    """Training documents as labeled ids; ConfigError for an unlabeled one."""
-    try:
-        return as_labeled_ids(documents)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +171,8 @@ def _evaluate(
 
 
 def fine_tune(
-    train_documents: Sequence[Document] | LabeledIds,
-    val_documents: Sequence[Document] | LabeledIds,
+    train: LabeledIds,
+    val: LabeledIds,
     vocab: TokenVocab,
     config: EncoderConfig,
     profile: TrainProfile,
@@ -207,13 +195,11 @@ def fine_tune(
     shuffle = np.random.Generator(np.random.PCG64(shuffle_seq))
     state = _AdamState(params)
 
-    train = _labeled(train_documents)
-    train_ids, train_mask = encode_documents(train, vocab, config)
+    train_ids, train_mask = encode_documents(train.documents, vocab, config)
     train_labels = train.labels.astype(np.int64)
-    val = _labeled(val_documents)
     has_validation = len(val.labels) > 0
     if has_validation:
-        val_ids, val_mask = encode_documents(val, vocab, config)
+        val_ids, val_mask = encode_documents(val.documents, vocab, config)
         val_labels = val.labels.astype(np.int64)
     history: list[EpochStats] = []
     # every non-finite value is caught below (batch loss, layer outputs and,
@@ -289,7 +275,7 @@ def fine_tune(
 
 
 def predict_batch(
-    documents: Sequence[Document] | TokenIds | LabeledIds,
+    documents: TokenIds,
     params: FlatTensors,
     vocab: TokenVocab,
     config: EncoderConfig,

@@ -8,14 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ppkmsent.errors import ConfigError
-from ppkmsent.preprocess import (
-    Document,
-    LabeledIds,
-    TokenIds,
-    as_token_ids,
-    rank_tokens,
-    sequence_ids,
-)
+from ppkmsent.preprocess import TokenIds, rank_tokens, sequence_ids
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -64,17 +57,15 @@ class TokenVocab:
         return cls(token_to_id={tok: i for i, tok in enumerate(tokens)})
 
 
-def build_token_vocab(
-    documents: Sequence[Document] | TokenIds | LabeledIds, min_count: int = 1
-) -> TokenVocab:
-    """Build a vocabulary from the tokens of documents or of their ids.
+def build_token_vocab(documents: TokenIds, min_count: int = 1) -> TokenVocab:
+    """Build a vocabulary from the documents' token ids.
 
     Content tokens follow the four reserved entries in
     :func:`~ppkmsent.preprocess.rank_tokens` order.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    _, ids, seen = as_token_ids(documents)
+    _, ids, seen = documents
     counts = dict(zip(seen, np.bincount(ids, minlength=len(seen)).tolist()))
     for reserved in RESERVED_TOKENS:
         counts.pop(reserved, None)
@@ -85,12 +76,10 @@ def build_token_vocab(
 
 
 def input_rows(
-    sequences: Sequence[Sequence[str]] | TokenIds,
-    vocab: TokenVocab,
-    max_sequence_length: int,
+    documents: TokenIds, vocab: TokenVocab, max_sequence_length: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-length id (int64) and mask (float64) rows, one per token
-    sequence or per document of token ids, laid out in numpy.
+    """Fixed-length id (int64) and mask (float64) rows, one per document,
+    laid out in numpy.
 
     Layout: ``[CLS]``, then content tokens truncated to ``max_sequence_length
     - 2`` (``[UNK]`` for a token not in the vocabulary), then ``[SEP]``, then
@@ -101,10 +90,8 @@ def input_rows(
         raise ConfigError(
             f"max_sequence_length must be >= 3, got {max_sequence_length}"
         )
-    if not isinstance(sequences, TokenIds):
-        sequences = sequence_ids(sequences)
-    lengths = sequences.lengths
-    content = sequences.lookup(vocab.token_to_id, UNK_ID)
+    lengths = documents.lengths
+    content = documents.lookup(vocab.token_to_id, UNK_ID)
     kept = max_sequence_length - 2
     # a token's position in its document: keep the first ``kept``
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -125,5 +112,5 @@ def format_input(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One token sequence's id and mask arrays: the one row of
     :func:`input_rows`."""
-    ids, mask = input_rows([tokens], vocab, max_sequence_length)
+    ids, mask = input_rows(sequence_ids([tokens]), vocab, max_sequence_length)
     return ids[0], mask[0]

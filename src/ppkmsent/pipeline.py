@@ -7,7 +7,8 @@ a ``<stage>.manifest.json`` (``train_<model>.manifest.json`` for ``train``)
 recording SHA-256 hashes of the exact inputs and outputs plus a hash of the
 effective settings.  A train manifest also records the split its model was
 fitted on, and ``eval`` refuses a model whose split differs from the one the
-current config gives.  ``label`` writes the labeled documents twice: as
+current config gives.  ``label`` checks ``corpus.jsonl`` against
+``ingest.manifest.json`` and writes the labeled documents twice: as
 ``labeled.jsonl``, the record a person reads, and as token ids
 (``labeled_ids.bin``), which ``train``, ``eval`` and ``viz`` read after
 checking both files against ``label.manifest.json``.  Artifacts are
@@ -46,8 +47,9 @@ from ppkmsent.preprocess import (
     LabeledIds,
     SentimentLabel,
     TokenIds,
-    as_labeled_ids,
+    label_codes,
     label_name,
+    labeled_ids,
     load_stopwords,
     make_document,
     parse_label,
@@ -58,6 +60,7 @@ logger = logging.getLogger(__name__)
 OUTPUT_DIR_ENV = "PPKMSENT_OUTPUT_DIR"
 
 CORPUS_FILE = "corpus.jsonl"
+INGEST_MANIFEST_FILE = "ingest.manifest.json"
 INGEST_REPORT_FILE = "ingest_report.json"
 LABELED_FILE = "labeled.jsonl"
 LABELED_IDS_FILE = "labeled_ids.bin"
@@ -434,20 +437,34 @@ def document_to_json(doc: Document, score: int | None = None) -> dict:
     return payload
 
 
-def _label_outputs(manifest_path: Path) -> dict:
-    """The output digests ``label.manifest.json`` records; ConfigError
-    naming the manifest and ``labeled.jsonl`` when it is missing or is not
-    a label manifest."""
-    checked = f"{LABELED_FILE} cannot be checked; run label again"
+def _check_outputs(manifest_path: Path, digests: dict[Path, str | None]) -> None:
+    """Check each file against the output digest that a stage's manifest
+    records; a digest of None stands for a missing file.
+
+    A missing manifest, a file that is not a manifest, a missing file or a
+    digest that differs is a ConfigError naming the file and the manifest.
+    """
+    stage = manifest_path.name.removesuffix(".manifest.json")
+    rerun = f"run {stage} again"
+    checked = f"{next(iter(digests)).name} cannot be checked; {rerun}"
     if not manifest_path.is_file():
         raise ConfigError(f"{manifest_path} is missing, so {checked}")
     try:
-        outputs = json.loads(manifest_path.read_bytes()).get("outputs")
+        recorded = json.loads(manifest_path.read_bytes()).get("outputs")
     except (ValueError, AttributeError):
-        outputs = None
-    if not isinstance(outputs, dict):
-        raise ConfigError(f"{manifest_path} is not a label manifest, so {checked}")
-    return outputs
+        recorded = None
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{manifest_path} is not a {stage} manifest, so {checked}")
+    for path, digest in digests.items():
+        if digest is None:
+            raise ConfigError(
+                f"{path} is missing, though {manifest_path} lists it; {rerun}"
+            )
+        if recorded.get(path.name) != digest:
+            raise ConfigError(
+                f"{path} is not the file {manifest_path} records "
+                f"(changed since {stage} ran); {rerun}"
+            )
 
 
 def load_labeled_documents(output_dir: Path) -> tuple[LabeledIds, dict[str, str]]:
@@ -463,25 +480,17 @@ def load_labeled_documents(output_dir: Path) -> tuple[LabeledIds, dict[str, str]
     parsed.
     """
     labeled_path = artifacts.require_artifact(output_dir / LABELED_FILE, "label")
-    manifest_path = output_dir / LABEL_MANIFEST_FILE
-    recorded = _label_outputs(manifest_path)
     ids_path = output_dir / LABELED_IDS_FILE
-    if not ids_path.is_file():
-        raise ConfigError(
-            f"{ids_path} is missing, though {manifest_path} lists it; run label again"
-        )
-    data = ids_path.read_bytes()
+    data = ids_path.read_bytes() if ids_path.is_file() else None
     digests = {
-        LABELED_FILE: artifacts.sha256_file(labeled_path),
-        LABELED_IDS_FILE: hashlib.sha256(data).hexdigest(),
+        labeled_path: artifacts.sha256_file(labeled_path),
+        ids_path: None if data is None else hashlib.sha256(data).hexdigest(),
     }
-    for name, digest in digests.items():
-        if recorded.get(name) != digest:
-            raise ConfigError(
-                f"{output_dir / name} is not the file {manifest_path} records "
-                f"(changed since label ran); run label again"
-            )
-    return artifacts.decode_labeled_ids(data, ids_path), digests
+    _check_outputs(output_dir / LABEL_MANIFEST_FILE, digests)
+    return (
+        artifacts.decode_labeled_ids(data, ids_path),
+        {path.name: digest for path, digest in digests.items()},
+    )
 
 
 def _parse_verdict(value: str) -> str:
@@ -597,6 +606,8 @@ def run_label(config: PipelineConfig) -> list[Path]:
     lex = lexicon.load_lexicon(pos_path, neg_path)
 
     rows, corpus_sha256 = artifacts.load_jsonl(corpus_path, artifacts.corpus_row)
+    ingest_manifest = config.output_dir / INGEST_MANIFEST_FILE
+    _check_outputs(ingest_manifest, {corpus_path: corpus_sha256})
     documents = [make_document(doc_id, text, stopwords) for doc_id, text in rows]
     del rows
     overrides: dict[str, SentimentLabel] = {}
@@ -613,7 +624,7 @@ def run_label(config: PipelineConfig) -> list[Path]:
 
     labeled, worksheet = lexicon.label_corpus(documents, lex, overrides or None)
     outputs = write_label_artifacts(config, labeled, worksheet, inputs)
-    counts = viz.sentiment_distribution(labeled)
+    counts = viz.sentiment_distribution(label_codes(labeled))
     logger.info(
         "label: %d documents -> %d negative / %d neutral / %d positive "
         "(%d overrides)",
@@ -643,7 +654,7 @@ def write_label_artifacts(
             out / LABELED_FILE,
         ),
         artifacts.write_bytes(
-            artifacts.encode_labeled_ids(as_labeled_ids(labeled)),
+            artifacts.encode_labeled_ids(labeled_ids(labeled)),
             out / LABELED_IDS_FILE,
         ),
         artifacts.write_csv(
@@ -668,7 +679,9 @@ def _model_path(config: PipelineConfig) -> Path:
 def _train_bert(
     config: PipelineConfig, train_docs: LabeledIds, val_docs: LabeledIds
 ) -> dict[str, Path]:
-    token_vocab = enc_vocab.build_token_vocab(train_docs, min_count=config.min_count)
+    token_vocab = enc_vocab.build_token_vocab(
+        train_docs.documents, min_count=config.min_count
+    )
     encoder_config = config.encoder_config(vocab_size=token_vocab.size)
     profile = config.train_profile()
     params, history = enc_train.fine_tune(
@@ -703,7 +716,7 @@ def _predict_bert(output_dir: Path, test_docs: TokenIds) -> list[SentimentLabel]
 def _train_mnb(
     config: PipelineConfig, train_docs: LabeledIds, val_docs: LabeledIds
 ) -> dict[str, Path]:
-    vocab = bow.build_vocab(train_docs, min_count=config.min_count)
+    vocab = bow.build_vocab(train_docs.documents, min_count=config.min_count)
     model = bow.mnb_train(train_docs, vocab, alpha=config.mnb_alpha)
     bow.save_model(model, vocab, _model_path(config))
     return {}
@@ -719,7 +732,7 @@ def _predict_bow(
 def _train_svm(
     config: PipelineConfig, train_docs: LabeledIds, val_docs: LabeledIds
 ) -> dict[str, Path]:
-    vocab = bow.build_vocab(train_docs, min_count=config.min_count)
+    vocab = bow.build_vocab(train_docs.documents, min_count=config.min_count)
     svm_config = bow.SvmConfig(
         regularization_lambda=config.svm_lambda,
         epochs=config.svm_epochs,

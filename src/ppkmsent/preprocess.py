@@ -4,10 +4,11 @@ All pattern deletion (URLs, mentions, hashtags, symbols) happens in
 ``cleanse``; ``remove_stopwords`` is a pure dictionary filter.  Every
 function here is pure and deterministic, so documents can be processed in
 parallel without coordination.  :func:`token_ids` turns documents into
-integer token ids, the one input of every token count in the package;
-:func:`as_token_ids` and :func:`as_labeled_ids` accept documents or ids, so
-a stage that already holds ids (``LabeledIds``, as read from the label
-stage's id file) never builds a ``Document``.
+integer token ids, the one input of every token consumer, and
+:func:`labeled_ids` adds their label codes, the one input of every
+trainer.  The label stage converts its ``Document`` objects once, and the
+later stages read the ids it wrote; only ``bow``'s one-document views
+still take a ``Document``.
 """
 
 from __future__ import annotations
@@ -233,20 +234,9 @@ def label_codes(documents: Sequence[Document]) -> np.ndarray:
     )
 
 
-def as_token_ids(documents: Sequence[Document] | TokenIds | LabeledIds) -> TokenIds:
-    """Token ids as given, those of labeled ids, or the documents'
-    :func:`token_ids`: the one input form of every token consumer."""
-    if isinstance(documents, LabeledIds):
-        return documents.documents
-    if isinstance(documents, TokenIds):
-        return documents
-    return token_ids(documents)
-
-
-def as_labeled_ids(documents: Sequence[Document] | LabeledIds) -> LabeledIds:
-    """Labeled ids as given, or the documents' token ids and label codes."""
-    if isinstance(documents, LabeledIds):
-        return documents
+def labeled_ids(documents: Sequence[Document]) -> LabeledIds:
+    """The documents' token ids and label codes; ValueError naming an
+    unlabeled one."""
     return LabeledIds(token_ids(documents), label_codes(documents))
 
 

@@ -1,9 +1,8 @@
 """Frequency analytics: n-gram tables, word-cloud weights, label counts.
 
-Every count starts from token ids: the functions take documents or their
-:class:`~ppkmsent.preprocess.TokenIds`, so one
-:func:`~ppkmsent.preprocess.token_ids` pass, or the ids the label stage
-wrote, serves several counts; label counts take label codes.  Unigrams are
+Every count starts from token ids: the functions take
+:class:`~ppkmsent.preprocess.TokenIds`, so the ids the label stage wrote
+serve several counts; label counts take label codes.  Unigrams are
 counted by ``np.bincount``.  An n-gram's key is built in place, one token at
 a time, as key * U + next id for U distinct tokens.  Before a round whose
 keys could overflow the integer type, the keys are renumbered densely and
@@ -25,17 +24,14 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ppkmsent import artifacts
 from ppkmsent.preprocess import (
-    Document,
     SentimentLabel,
     TokenIds,
-    as_token_ids,
-    label_codes,
     label_name,
     rank_tokens,
     run_starts,
@@ -57,14 +53,12 @@ class CloudWeights:
     entries: dict[str, int]
 
 
-def ngrams(
-    documents: Sequence[Document] | TokenIds, n: int, top_k: int | None = None
-) -> NgramTable:
+def ngrams(documents: TokenIds, n: int, top_k: int | None = None) -> NgramTable:
     """Sliding-window gram counts within each document, the top ``top_k``
     of them (all with ``None``) in ``rank_tokens`` order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lengths, ids, tokens = as_token_ids(documents)
+    lengths, ids, tokens = documents
     base = max(len(tokens), 1)
     if n == 1:
         grams = np.arange(len(tokens))
@@ -129,13 +123,13 @@ def _count_grams(
 
 
 def cloud_weights(
-    documents: Sequence[Document] | TokenIds,
+    documents: TokenIds,
     top_k: int,
     extra_stopwords: frozenset[str] | set[str] = frozenset(),
 ) -> CloudWeights:
     """Unigram counts minus extra stopwords, the top ``top_k`` of them in
     ``rank_tokens`` order."""
-    _, ids, tokens = as_token_ids(documents)
+    _, ids, tokens = documents
     counts = np.bincount(ids, minlength=len(tokens))
     if extra_stopwords:
         counts[[i for i, word in enumerate(tokens) if word in extra_stopwords]] = 0
@@ -164,13 +158,8 @@ def _top_counts(
     return [(key, keyed[key]) for key in rank_tokens(keyed, top_k=top_k)]
 
 
-def sentiment_distribution(
-    labels: Sequence[Document] | np.ndarray,
-) -> dict[SentimentLabel, int]:
-    """Per-class counts of label codes, or of documents, every one of which
-    must carry a label."""
-    if not isinstance(labels, np.ndarray):
-        labels = label_codes(labels)
+def sentiment_distribution(labels: np.ndarray) -> dict[SentimentLabel, int]:
+    """Per-class counts of label codes."""
     counts = np.bincount(labels, minlength=len(SentimentLabel)).tolist()
     return {label: counts[label] for label in SentimentLabel}
 

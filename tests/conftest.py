@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ppkmsent import artifacts
-from ppkmsent.preprocess import Document, SentimentLabel, parse_label
+from ppkmsent import artifacts, corpus
+from ppkmsent.preprocess import Document, SentimentLabel, label_codes, parse_label
 
 _LABELED_ROW_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "label": str}
 
@@ -29,6 +29,15 @@ def labeled_documents(output_dir: Path) -> list[Document]:
     """The documents of the ``labeled.jsonl`` in ``output_dir``, parsed row
     by row; no stage reads them this way."""
     return artifacts.load_jsonl(output_dir / "labeled.jsonl", document_from_row)[0]
+
+
+def split_documents(
+    documents: list[Document], spec: corpus.SplitSpec
+) -> list[list[Document]]:
+    """The documents of each part that ``corpus.split`` gives for their
+    label codes."""
+    parts = corpus.split(label_codes(documents), spec)
+    return [[documents[i] for i in part.tolist()] for part in parts]
 
 
 def make_doc(

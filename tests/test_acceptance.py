@@ -23,7 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import encoder_gradient_check, make_doc, separable_fixture
+from conftest import (
+    encoder_gradient_check,
+    make_doc,
+    separable_fixture,
+    split_documents,
+)
 from ppkmsent import bow, cli, corpus, evaluation, lexicon, pipeline
 from ppkmsent.data import default_lexicon
 from ppkmsent.encoder import config as enc_config
@@ -31,7 +36,7 @@ from ppkmsent.encoder import model as enc_model
 from ppkmsent.encoder import train as enc_train
 from ppkmsent.encoder import vocab as enc_vocab
 from ppkmsent.fixtures import synthetic_documents, synthetic_tweets, write_jsonl
-from ppkmsent.preprocess import SentimentLabel
+from ppkmsent.preprocess import SentimentLabel, labeled_ids, token_ids
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -162,9 +167,10 @@ def test_04_mnb_bayes_oracle(capsys):
                 )
                 for i, label in enumerate(labels)
             ]
-            vocab = bow.build_vocab(docs)
+            labeled = labeled_ids(docs)
+            vocab = bow.build_vocab(labeled.documents)
             assert vocab.size <= 6
-            model = bow.mnb_train(docs, vocab, alpha=1.0)
+            model = bow.mnb_train(labeled, vocab, alpha=1.0)
             query = make_doc(
                 [rng.choice(universe) for _ in range(rng.randint(0, 6))],
                 None,
@@ -197,9 +203,10 @@ def test_05_svm_sanity(capsys):
     increases the converged weight norm."""
     with criterion(capsys, 5, "svm-sanity"):
         docs = separable_fixture()
-        vocab = bow.build_vocab(docs)
+        labeled = labeled_ids(docs)
+        vocab = bow.build_vocab(labeled.documents)
         model = bow.svm_train(
-            docs,
+            labeled,
             vocab,
             bow.SvmConfig(
                 regularization_lambda=0.01, epochs=50, seed=0, feature_mode="tf"
@@ -211,7 +218,7 @@ def test_05_svm_sanity(capsys):
         norms = []
         for lam in (0.01, 0.02, 0.04, 0.08):
             fitted = bow.svm_train(
-                docs,
+                labeled,
                 vocab,
                 bow.SvmConfig(
                     regularization_lambda=lam,
@@ -297,28 +304,28 @@ def test_08_desk_scale_training(capsys):
             seed=0,
             stratified=True,
         )
-        train_docs, val_docs, test_docs = corpus.split(docs, spec)
+        train_docs, val_docs, test_docs = split_documents(docs, spec)
         assert len(train_docs) + len(val_docs) + len(test_docs) == 600
         true_labels = [doc.label for doc in test_docs]
+        train, val = labeled_ids(train_docs), labeled_ids(val_docs)
 
-        token_vocab = enc_vocab.build_token_vocab(train_docs)
+        token_vocab = enc_vocab.build_token_vocab(train.documents)
         encoder_config = enc_config.desk_config(vocab_size=token_vocab.size)
         params, history = enc_train.fine_tune(
-            train_docs, val_docs, token_vocab, encoder_config,
-            enc_config.DESK_PROFILE,
+            train, val, token_vocab, encoder_config, enc_config.DESK_PROFILE,
         )
         assert len(history) == 10
         assert history[-1].train_acc >= 0.95
         predicted = enc_train.predict_batch(
-            test_docs, params, token_vocab, encoder_config
+            token_ids(test_docs), params, token_vocab, encoder_config
         )
         encoder_report = evaluation.metrics(
             evaluation.confusion(true_labels, predicted)
         )
         assert encoder_report.macro_f >= 0.90
 
-        bow_vocab = bow.build_vocab(train_docs)
-        mnb_model = bow.mnb_train(train_docs, bow_vocab)
+        bow_vocab = bow.build_vocab(train.documents)
+        mnb_model = bow.mnb_train(train, bow_vocab)
         mnb_report = evaluation.metrics(
             evaluation.confusion(
                 true_labels,
@@ -327,7 +334,7 @@ def test_08_desk_scale_training(capsys):
         )
         assert mnb_report.macro_f >= 0.90
 
-        svm_model = bow.svm_train(train_docs, bow_vocab, bow.SvmConfig())
+        svm_model = bow.svm_train(train, bow_vocab, bow.SvmConfig())
         svm_report = evaluation.metrics(
             evaluation.confusion(
                 true_labels,
@@ -349,7 +356,7 @@ def test_09_input_format_contract(capsys):
         base_docs = [
             make_doc([f"w{i}" for i in range(20)], doc_id="vocab-source")
         ]
-        vocab = enc_vocab.build_token_vocab(base_docs)
+        vocab = enc_vocab.build_token_vocab(token_ids(base_docs))
         universe = [f"w{i}" for i in range(20)] + ["oov-a", "oov-b"]
         for _ in range(1000):
             tokens = [

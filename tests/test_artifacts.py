@@ -18,7 +18,7 @@ import ppkmsent
 from conftest import document_from_row, make_doc
 from ppkmsent import artifacts, pipeline
 from ppkmsent.errors import CheckpointFormatError, ConfigError
-from ppkmsent.preprocess import SentimentLabel, as_labeled_ids, token_ids
+from ppkmsent.preprocess import SentimentLabel, labeled_ids, token_ids
 
 PACKAGE_DIR = Path(ppkmsent.__file__).parent
 
@@ -324,7 +324,7 @@ class TestLabeledIds:
     @example([(["\n", '"'], SentimentLabel.NEGATIVE), ([], SentimentLabel.POSITIVE)])
     def test_the_file_round_trips_token_ids_and_labels(self, rows):
         docs = labeled_docs(rows)
-        data = artifacts.encode_labeled_ids(as_labeled_ids(docs))
+        data = artifacts.encode_labeled_ids(labeled_ids(docs))
         (lengths, ids, tokens), labels = artifacts.decode_labeled_ids(data, Path("f"))
         want = token_ids(docs)
         assert lengths.dtype == ids.dtype == labels.dtype == np.intp
@@ -342,7 +342,7 @@ class TestLabeledIds:
             make_doc(["b", "a", "b"], SentimentLabel.POSITIVE, "x"),
             make_doc([], SentimentLabel.NEGATIVE, "y"),
         ]
-        data = artifacts.encode_labeled_ids(as_labeled_ids(docs))
+        data = artifacts.encode_labeled_ids(labeled_ids(docs))
         assert data == (
             b'{"documents":2,"ids":3,"magic":"ppkmsent/labeled-ids",'
             b'"tokens":["b","a"],"version":1}\n'

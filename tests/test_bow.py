@@ -33,7 +33,7 @@ from ppkmsent.bow import (
     vectorize,
 )
 from ppkmsent.errors import CheckpointFormatError, MissingClassError
-from ppkmsent.preprocess import SentimentLabel, as_labeled_ids, rank_tokens
+from ppkmsent.preprocess import SentimentLabel, labeled_ids, rank_tokens, token_ids
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -75,14 +75,15 @@ class TestBuildVocab:
     @example(train=[["a", "a", "a"], [], ["a"]], min_count=2)
     def test_equals_the_counter_reference(self, train, min_count):
         docs = [make_doc(tokens, doc_id=f"t{i}") for i, tokens in enumerate(train)]
-        assert build_vocab(docs, min_count) == reference_build_vocab(docs, min_count)
+        want = reference_build_vocab(docs, min_count)
+        assert build_vocab(token_ids(docs), min_count) == want
 
     def test_document_frequency_counts_documents_not_tokens(self):
         docs = [
             make_doc(["ppkm", "ppkm", "jakarta"], doc_id="a"),
             make_doc(["ppkm"], doc_id="b"),
         ]
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         idx = vocab.token_to_index["ppkm"]
         assert vocab.document_frequency[idx] == 2
         assert vocab.num_documents == 2
@@ -92,16 +93,16 @@ class TestBuildVocab:
             make_doc(["b", "b", "a", "c"], doc_id="a"),
             make_doc(["a", "c"], doc_id="b"),
         ]
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         # counts: a=2, b=2, c=2 -> all tie, lexicographic
         assert vocab.tokens_in_index_order() == ["a", "b", "c"]
         docs.append(make_doc(["b"], doc_id="c"))
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         # now b=3 leads
         assert vocab.tokens_in_index_order() == ["b", "a", "c"]
 
     def test_indices_are_dense(self):
-        vocab = build_vocab([make_doc(["x", "y", "z"], doc_id="a")])
+        vocab = build_vocab(token_ids([make_doc(["x", "y", "z"], doc_id="a")]))
         assert sorted(vocab.token_to_index.values()) == list(range(vocab.size))
 
     def test_min_count_drops_hapax_tokens(self):
@@ -109,14 +110,14 @@ class TestBuildVocab:
             make_doc(["ppkm", "unik"], doc_id="a"),
             make_doc(["ppkm"], doc_id="b"),
         ]
-        vocab = build_vocab(docs, min_count=2)
+        vocab = build_vocab(token_ids(docs), min_count=2)
         assert vocab.tokens_in_index_order() == ["ppkm"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
-            build_vocab([])
+            build_vocab(token_ids([]))
         with pytest.raises(ValueError, match="min_count"):
-            build_vocab([make_doc(["x"], doc_id="a")], min_count=0)
+            build_vocab(token_ids([make_doc(["x"], doc_id="a")]), min_count=0)
 
     def test_order_invariant_under_document_permutation(self):
         docs = [
@@ -124,8 +125,8 @@ class TestBuildVocab:
             make_doc(["jakarta"], doc_id="b"),
             make_doc(["ppkm", "covid19"], doc_id="c"),
         ]
-        forward = build_vocab(docs)
-        backward = build_vocab(list(reversed(docs)))
+        forward = build_vocab(token_ids(docs))
+        backward = build_vocab(token_ids(list(reversed(docs))))
         assert forward == backward
         assert all(
             df <= forward.num_documents for df in forward.document_frequency
@@ -191,10 +192,11 @@ class TestFeatureMatrix:
     def test_rows_equal_the_reference(self, train, queries, min_count, mode):
         # min_count above every total leaves a vocabulary of size 0
         vocab = build_vocab(
-            [make_doc(t, doc_id=f"t{i}") for i, t in enumerate(train)], min_count
+            token_ids([make_doc(t, doc_id=f"t{i}") for i, t in enumerate(train)]),
+            min_count,
         )
         docs = [make_doc(q, doc_id=f"q{i}") for i, q in enumerate(queries)]
-        indptr, indices, values = feature_matrix(docs, vocab, mode)
+        indptr, indices, values = feature_matrix(token_ids(docs), vocab, mode)
         assert indptr.shape == (len(docs) + 1,)
         expected = [reference_vectorize(doc, vocab, mode) for doc in docs]
         got = matrix_rows((indptr, indices, values))
@@ -204,9 +206,9 @@ class TestFeatureMatrix:
             assert list(vectorize(doc, vocab, mode).items()) == list(want.items())
 
     def test_no_documents(self):
-        vocab = build_vocab([make_doc(["a"], doc_id="t")])
+        vocab = build_vocab(token_ids([make_doc(["a"], doc_id="t")]))
         for mode in ("tf", "tfidf"):
-            indptr, indices, values = feature_matrix([], vocab, mode)
+            indptr, indices, values = feature_matrix(token_ids([]), vocab, mode)
             assert indptr.tolist() == [0]
             assert indices.size == values.size == 0
 
@@ -217,7 +219,7 @@ class TestFeatureMatrix:
             make_doc(["a", "b", "b", "b", "c", "c", "c"], doc_id="x"),
             make_doc(["d"], doc_id="y"),
         ]
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         row = vectorize(docs[0], vocab, mode="tfidf")
         assert [(vocab.tokens_in_index_order()[i], v) for i, v in row.items()] == [
             ("a", 0.2294157338705618),
@@ -228,11 +230,11 @@ class TestFeatureMatrix:
 
 class TestVectorize:
     def test_oov_only_document_is_a_zero_vector(self):
-        vocab = build_vocab([make_doc(["ppkm"], doc_id="a")])
+        vocab = build_vocab(token_ids([make_doc(["ppkm"], doc_id="a")]))
         assert vectorize(make_doc(["asing"], doc_id="b"), vocab) == {}
 
     def test_tf_counts(self):
-        vocab = build_vocab([make_doc(["ppkm", "jakarta"], doc_id="a")])
+        vocab = build_vocab(token_ids([make_doc(["ppkm", "jakarta"], doc_id="a")]))
         row = vectorize(make_doc(["ppkm", "ppkm"], doc_id="b"), vocab, mode="tf")
         assert row == {vocab.token_to_index["ppkm"]: 2.0}
 
@@ -242,7 +244,7 @@ class TestVectorize:
             make_doc(["ppkm"], doc_id="b"),
             make_doc(["ppkm", "bali"], doc_id="c"),
         ]
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         row = vectorize(
             make_doc(["ppkm", "ppkm", "jakarta"], doc_id="q"), vocab, mode="tfidf"
         )
@@ -257,13 +259,13 @@ class TestVectorize:
 
     def test_tfidf_rows_have_unit_norm(self):
         docs = three_class_docs()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         for doc in docs:
             row = vectorize(doc, vocab, mode="tfidf")
             assert math.sqrt(sum(v * v for v in row.values())) == pytest.approx(1.0)
 
     def test_unsupported_mode(self):
-        vocab = build_vocab([make_doc(["x"], doc_id="a")])
+        vocab = build_vocab(token_ids([make_doc(["x"], doc_id="a")]))
         with pytest.raises(ValueError, match="feature mode"):
             vectorize(make_doc(["x"], doc_id="b"), vocab, mode="binary")
 
@@ -317,8 +319,8 @@ class TestMnb:
     @pytest.mark.parametrize("min_count", [1, 8])
     def test_arrays_equal_the_per_token_loop(self, min_count):
         docs = random_corpus(n=90, vocab_words=40, seed=5)
-        vocab = build_vocab(docs, min_count=min_count)
-        model = mnb_train(docs, vocab, alpha=0.5)
+        vocab = build_vocab(token_ids(docs), min_count=min_count)
+        model = mnb_train(labeled_ids(docs), vocab, alpha=0.5)
         prior, likelihood = reference_mnb_arrays(docs, vocab, 0.5)
         assert np.array_equal(model.class_log_prior, prior)
         assert np.array_equal(model.token_log_likelihood, likelihood)
@@ -332,12 +334,12 @@ class TestMnb:
             make_doc(["e"], POS, "d4"),
             make_doc(["f"], POS, "d5"),
         ]
-        model = mnb_train(docs, build_vocab(docs))
+        model = mnb_train(labeled_ids(docs), build_vocab(token_ids(docs)))
         assert np.allclose(model.class_log_prior, math.log(1 / 3), atol=1e-12)
 
     def test_prior_and_likelihood_rows_normalize(self):
         docs = three_class_docs() + [make_doc(["ppkm", "rugi", "rugi"], NEG, "d3")]
-        model = mnb_train(docs, build_vocab(docs))
+        model = mnb_train(labeled_ids(docs), build_vocab(token_ids(docs)))
         assert np.exp(model.class_log_prior).sum() == pytest.approx(1.0, abs=1e-9)
         row_sums = np.exp(model.token_log_likelihood).sum(axis=1)
         assert np.allclose(row_sums, 1.0, atol=1e-9)
@@ -345,32 +347,30 @@ class TestMnb:
     def test_single_token_vocabulary_gives_zero_log_likelihood(self):
         # vocabulary from one single-token document: V=1, count=1, total=1,
         # so the smoothed likelihood is ln((1+1)/(1+1)) = 0 exactly
-        vocab = build_vocab([make_doc(["ppkm"], NEG, "seed")])
+        vocab = build_vocab(token_ids([make_doc(["ppkm"], NEG, "seed")]))
         assert vocab.size == 1
         train = [
             make_doc(["ppkm"], NEG, "d0"),
             make_doc(["tenang"], NEU, "d1"),
             make_doc(["bagus"], POS, "d2"),
         ]
-        model = mnb_train(train, vocab, alpha=1.0)
+        model = mnb_train(labeled_ids(train), vocab, alpha=1.0)
         idx = vocab.token_to_index["ppkm"]
         assert model.token_log_likelihood[int(NEG), idx] == 0.0
 
     def test_training_needs_every_class(self):
         docs = [make_doc(["a"], NEG, "d0"), make_doc(["b"], POS, "d1")]
         with pytest.raises(MissingClassError, match="NEUTRAL"):
-            mnb_train(docs, build_vocab(docs))
+            mnb_train(labeled_ids(docs), build_vocab(token_ids(docs)))
 
     def test_validation(self):
         docs = three_class_docs()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         with pytest.raises(ValueError, match="empty"):
-            mnb_train([], vocab)
+            mnb_train(labeled_ids([]), vocab)
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha"):
-                mnb_train(docs, vocab, alpha=bad)
-        with pytest.raises(ValueError, match="unlabeled"):
-            mnb_train(docs + [make_doc(["x"], None, "u")], vocab)
+                mnb_train(labeled_ids(docs), vocab, alpha=bad)
 
     def test_matches_exact_bayes_oracle_on_random_small_corpora(self):
         rng = random.Random(0)
@@ -383,8 +383,8 @@ class TestMnb:
                 label = SentimentLabel(i % 3) if i < 3 else SentimentLabel(rng.randrange(3))
                 tokens = [rng.choice(universe) for _ in range(rng.randint(0, 6))]
                 docs.append(make_doc(tokens, label, f"d{i}"))
-            vocab = build_vocab(docs)
-            model = mnb_train(docs, vocab, alpha=1.0)
+            vocab = build_vocab(token_ids(docs))
+            model = mnb_train(labeled_ids(docs), vocab, alpha=1.0)
             for _ in range(5):
                 probe = [
                     rng.choice(universe + ["oov-token"])
@@ -397,16 +397,16 @@ class TestMnb:
 
     def test_empty_document_falls_back_to_priors(self):
         docs = three_class_docs() + [make_doc(["ppkm", "lagi"], NEG, "d3")]
-        vocab = build_vocab(docs)
-        model = mnb_train(docs, vocab)
+        vocab = build_vocab(token_ids(docs))
+        model = mnb_train(labeled_ids(docs), vocab)
         label, scores = mnb_predict(make_doc([], None, "empty"), model, vocab)
         assert np.array_equal(scores, model.class_log_prior)
         assert label is NEG  # NEG has the largest prior (2 of 4 documents)
 
     def test_class_exclusive_token_wins(self):
         docs = three_class_docs()
-        vocab = build_vocab(docs)
-        model = mnb_train(docs, vocab)
+        vocab = build_vocab(token_ids(docs))
+        model = mnb_train(labeled_ids(docs), vocab)
         label, _ = mnb_predict(make_doc(["bagus", "bagus"], None, "q"), model, vocab)
         assert label is POS
 
@@ -416,17 +416,17 @@ class TestMnb:
             make_doc(["t"], NEU, "d1"),
             make_doc(["t"], POS, "d2"),
         ]
-        vocab = build_vocab(docs)
-        model = mnb_train(docs, vocab)
+        vocab = build_vocab(token_ids(docs))
+        model = mnb_train(labeled_ids(docs), vocab)
         label, scores = mnb_predict(make_doc(["t"], None, "q"), model, vocab)
         assert scores[0] == scores[1] == scores[2]
         assert label is NEG
 
     def test_parameters_invariant_under_training_order(self):
         docs = three_class_docs() + [make_doc(["rugi", "parah"], NEG, "d3")]
-        vocab = build_vocab(docs)
-        a = mnb_train(docs, vocab)
-        b = mnb_train(list(reversed(docs)), vocab)
+        vocab = build_vocab(token_ids(docs))
+        a = mnb_train(labeled_ids(docs), vocab)
+        b = mnb_train(labeled_ids(list(reversed(docs))), vocab)
         assert np.array_equal(a.class_log_prior, b.class_log_prior)
         assert np.array_equal(a.token_log_likelihood, b.token_log_likelihood)
 
@@ -434,12 +434,12 @@ class TestMnb:
 class TestSvm:
     def train_fixture(self, **overrides):
         docs = separable_fixture()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         defaults = dict(
             regularization_lambda=0.01, epochs=50, seed=0, feature_mode="tf"
         )
         defaults.update(overrides)
-        return docs, vocab, svm_train(docs, vocab, SvmConfig(**defaults))
+        return docs, vocab, svm_train(labeled_ids(docs), vocab, SvmConfig(**defaults))
 
     def test_separable_fixture_reaches_full_training_accuracy(self):
         docs, vocab, model = self.train_fixture()
@@ -463,11 +463,11 @@ class TestSvm:
 
     def test_mean_final_objective_improves_over_twenty_seeds(self):
         docs = separable_fixture()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         initials, finals = [], []
         for seed in range(20):
             model = svm_train(
-                docs,
+                labeled_ids(docs),
                 vocab,
                 SvmConfig(
                     regularization_lambda=0.05,
@@ -505,7 +505,7 @@ class TestSvm:
         assert svm_predict(make_doc(["fb"] * 6, None, "qp"), model, vocab)[0] is POS
 
     def test_scaled_input_keeps_argmax_when_biases_are_zero(self):
-        vocab = build_vocab([make_doc(["fa", "fb"], doc_id="basis")])
+        vocab = build_vocab(token_ids([make_doc(["fa", "fb"], doc_id="basis")]))
         weights = np.array([[2.0, -1.0], [0.5, 0.5], [-1.0, 2.0]])
         model = SvmModel(
             weights=weights,
@@ -522,12 +522,12 @@ class TestSvm:
 
     def test_training_order_permutation_keeps_fixture_predictions(self):
         docs = separable_fixture()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         config = SvmConfig(regularization_lambda=0.01, epochs=50, seed=0, feature_mode="tf")
         shuffled = list(docs)
         random.Random(3).shuffle(shuffled)
-        a = svm_train(docs, vocab, config)
-        b = svm_train(shuffled, vocab, config)
+        a = svm_train(labeled_ids(docs), vocab, config)
+        b = svm_train(labeled_ids(shuffled), vocab, config)
         probes = [
             make_doc(["fa"] * 4, None, "qa"),
             make_doc(["fb"] * 4, None, "qb"),
@@ -539,11 +539,13 @@ class TestSvm:
     def test_single_class_training_rejected(self):
         docs = [make_doc(["a"], NEG, "d0"), make_doc(["b"], NEG, "d1")]
         with pytest.raises(MissingClassError, match="2 classes"):
-            svm_train(docs, build_vocab(docs), SvmConfig())
+            svm_train(labeled_ids(docs), build_vocab(token_ids(docs)), SvmConfig())
 
     def test_two_classes_are_enough(self):
         docs = [make_doc(["fa"] * 3, NEG, "d0"), make_doc(["fb"] * 3, POS, "d1")]
-        model = svm_train(docs, build_vocab(docs), SvmConfig(feature_mode="tf"))
+        labeled = labeled_ids(docs)
+        vocab = build_vocab(labeled.documents)
+        model = svm_train(labeled, vocab, SvmConfig(feature_mode="tf"))
         assert model.weights.shape == (3, 2)
 
     def test_config_validation(self):
@@ -622,11 +624,11 @@ class TestClosedFormPegasos:
     @pytest.mark.parametrize("epochs", [1, 50])
     def test_matches_the_per_step_loop(self, corpus, feature_mode, epochs):
         docs = corpus()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         config = SvmConfig(
             regularization_lambda=0.01, epochs=epochs, seed=3, feature_mode=feature_mode
         )
-        model = svm_train(docs, vocab, config)
+        model = svm_train(labeled_ids(docs), vocab, config)
         reference = reference_svm_train(docs, vocab, config)
         assert np.allclose(model.weights, reference.weights, rtol=0, atol=1e-12)
         assert np.array_equal(model.biases, reference.biases)
@@ -648,11 +650,11 @@ class TestClosedFormPegasos:
 
     def test_hinge_objective_matches_the_reference_on_tfidf_rows(self):
         docs = random_corpus()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         rows = [vectorize(d, vocab, mode="tfidf") for d in docs]
         ys = np.where(np.arange(len(docs)) % 3 == 0, 1.0, -1.0)
         w = np.random.default_rng(5).normal(size=vocab.size)
-        matrix = feature_matrix(docs, vocab, "tfidf")
+        matrix = feature_matrix(token_ids(docs), vocab, "tfidf")
         assert hinge_objective(w, -0.3, matrix, ys, 0.01) == pytest.approx(
             reference_hinge_objective(w, -0.3, rows, ys, 0.01), rel=1e-12
         )
@@ -662,21 +664,22 @@ class TestClosedFormPegasos:
         # part of the file's bytes; at 100 rows np.sum's pairwise order
         # already gives another result
         docs = random_corpus(n=100)
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         rows = [vectorize(d, vocab, mode="tfidf") for d in docs]
         ys = np.where(np.arange(len(docs)) % 3 == 0, 1.0, -1.0)
         w = np.random.default_rng(5).normal(size=vocab.size)
-        matrix = feature_matrix(docs, vocab, "tfidf")
+        matrix = feature_matrix(token_ids(docs), vocab, "tfidf")
         assert hinge_objective(w, -0.3, matrix, ys, 0.01) == reference_hinge_objective(
             w, -0.3, rows, ys, 0.01
         )
 
     def test_rerun_saves_identical_bytes(self, tmp_path):
         docs = random_corpus()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         config = SvmConfig(regularization_lambda=0.01, epochs=5, seed=0)
         for name in ("a.json", "b.json"):
-            save_model(svm_train(docs, vocab, config), vocab, tmp_path / name)
+            model = svm_train(labeled_ids(docs), vocab, config)
+            save_model(model, vocab, tmp_path / name)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
@@ -693,11 +696,11 @@ def reference_scores(document, model, vocab):
     return SentimentLabel(int(np.argmax(scores))), scores
 
 
-def trained_models(docs, vocab):
-    yield mnb_train(docs, vocab)
+def trained_models(labeled, vocab):
+    yield mnb_train(labeled, vocab)
     for mode in ("tf", "tfidf"):
         config = SvmConfig(regularization_lambda=0.01, epochs=5, seed=1, feature_mode=mode)
-        yield svm_train(docs, vocab, config)
+        yield svm_train(labeled, vocab, config)
 
 
 class TestPredictBatch:
@@ -709,7 +712,7 @@ class TestPredictBatch:
             num_documents=1,
         )
         docs = [make_doc(["e", "b", "e"]), make_doc(["oov"]), make_doc(["a"])]
-        indptr, indices, values = feature_matrix(docs, vocab)
+        indptr, indices, values = feature_matrix(token_ids(docs), vocab)
         assert indptr.tolist() == [0, 2, 2, 3]
         assert indices.tolist() == [4, 1, 0]
         assert values.tolist() == [2.0, 1.0, 1.0]
@@ -717,10 +720,10 @@ class TestPredictBatch:
     @pytest.mark.parametrize("corpus", [separable_fixture, random_corpus])
     def test_scores_equal_the_per_document_loop(self, corpus):
         docs = corpus()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         probes = docs + [make_doc([], None, "empty"), make_doc(["asing", "lain"], None, "oov")]
-        for model in trained_models(docs, vocab):
-            labels, scores = predict_batch(probes, model, vocab)
+        for model in trained_models(labeled_ids(docs), vocab):
+            labels, scores = predict_batch(token_ids(probes), model, vocab)
             assert scores.shape == (len(probes), 3)
             for doc, label, row in zip(probes, labels, scores):
                 expected_label, expected = reference_scores(doc, model, vocab)
@@ -729,18 +732,18 @@ class TestPredictBatch:
 
     def test_empty_and_out_of_vocabulary_documents_score_the_offsets(self):
         docs = random_corpus()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         probes = [make_doc([], None, "empty"), make_doc(["asing"], None, "oov")]
-        for model in trained_models(docs, vocab):
+        for model in trained_models(labeled_ids(docs), vocab):
             offsets = model.class_log_prior if isinstance(model, MnbModel) else model.biases
-            _, scores = predict_batch(probes, model, vocab)
+            _, scores = predict_batch(token_ids(probes), model, vocab)
             assert np.array_equal(scores, [offsets, offsets])
 
     @pytest.mark.parametrize(
         "offsets, expected", [([0.0, 0.0, 0.0], NEG), ([-1.0, 0.5, 0.5], NEU)]
     )
     def test_ties_go_to_the_lowest_label_code(self, offsets, expected):
-        vocab = build_vocab([make_doc(["fa"], doc_id="basis")])
+        vocab = build_vocab(token_ids([make_doc(["fa"], doc_id="basis")]))
         model = SvmModel(
             weights=np.zeros((3, 1)),
             biases=np.array(offsets),
@@ -748,39 +751,40 @@ class TestPredictBatch:
             feature_mode="tf",
         )
         probes = [make_doc([], None, "e"), make_doc(["fa"], None, "q")]
-        labels, _ = predict_batch(probes, model, vocab)
+        labels, _ = predict_batch(token_ids(probes), model, vocab)
         assert labels == [expected, expected]
 
     def test_no_documents_give_no_labels(self):
         docs = three_class_docs()
-        vocab = build_vocab(docs)
-        labels, scores = predict_batch([], mnb_train(docs, vocab), vocab)
+        vocab = build_vocab(token_ids(docs))
+        model = mnb_train(labeled_ids(docs), vocab)
+        labels, scores = predict_batch(token_ids([]), model, vocab)
         assert labels == []
         assert scores.shape == (0, 3)
 
     def test_unsupported_model_type_rejected(self):
-        vocab = build_vocab([make_doc(["x"], doc_id="a")])
+        vocab = build_vocab(token_ids([make_doc(["x"], doc_id="a")]))
         with pytest.raises(TypeError, match="unsupported model"):
-            predict_batch([make_doc(["x"], doc_id="q")], object(), vocab)
+            predict_batch(token_ids([make_doc(["x"], doc_id="q")]), object(), vocab)
 
 
 def split_corpus(words: list[list[str]], seed: int):
-    """A labeled corpus (all three classes, some empty documents), its
-    labeled ids, and a shuffled training and probe half of each: documents,
-    and ids taken from the whole corpus's id table."""
+    """A labeled corpus (all three classes, some empty documents) cut into
+    a shuffled training and probe half, each half's ids twice: from its own
+    documents, and taken from the whole corpus's id table."""
     docs = [
         make_doc(tokens, SentimentLabel(i % 3), f"d{i}") for i, tokens in enumerate(words)
     ]
-    labeled = as_labeled_ids(docs)
+    labeled = labeled_ids(docs)
     rng = np.random.default_rng(seed)
     rest = rng.permutation(np.arange(3, len(docs)))
     # documents 0, 1 and 2 hold the three classes
     train_rows = rng.permutation(np.concatenate([[0, 1, 2], rest[: len(rest) // 2]]))
     probe_rows = rest[len(rest) // 2 :]
     return (
-        [docs[i] for i in train_rows.tolist()],
+        labeled_ids([docs[i] for i in train_rows.tolist()]),
         labeled.take(train_rows),
-        [docs[i] for i in probe_rows.tolist()],
+        token_ids([docs[i] for i in probe_rows.tolist()]),
         labeled.take(probe_rows).documents,
     )
 
@@ -795,8 +799,9 @@ def assert_models_equal(got, want):
 
 
 class TestTokenIdsInput:
-    """Token ids, taken from a larger corpus's id table so that some ids go
-    unused, give what the same documents give, element for element."""
+    """Token ids taken from a larger corpus's id table, so that some ids go
+    unused, give what the same documents' own ids give, element for
+    element."""
 
     @given(
         st.lists(st.lists(WORDS, max_size=6), min_size=6, max_size=24),
@@ -805,22 +810,25 @@ class TestTokenIdsInput:
     )
     @settings(max_examples=60, deadline=None)
     def test_every_bow_function_gives_the_document_result(self, words, seed, min_count):
-        train_docs, train_ids, probe_docs, probe_ids = split_corpus(words, seed)
-        vocab = build_vocab(train_docs, min_count=min_count)
-        assert build_vocab(train_ids, min_count=min_count) == vocab
-        for docs, ids in ((train_docs, train_ids), (probe_docs, probe_ids)):
+        train_own, train_taken, probe_own, probe_taken = split_corpus(words, seed)
+        vocab = build_vocab(train_own.documents, min_count=min_count)
+        assert build_vocab(train_taken.documents, min_count=min_count) == vocab
+        for own, taken in (
+            (train_own.documents, train_taken.documents),
+            (probe_own, probe_taken),
+        ):
             for mode in ("tf", "tfidf"):
                 for got, want in zip(
-                    feature_matrix(ids, vocab, mode), feature_matrix(docs, vocab, mode)
+                    feature_matrix(taken, vocab, mode), feature_matrix(own, vocab, mode)
                 ):
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want)
-        models = list(trained_models(train_docs, vocab))
-        assert len(models) == len(list(trained_models(train_ids, vocab)))
-        for got, want in zip(trained_models(train_ids, vocab), models):
+        models = list(trained_models(train_own, vocab))
+        assert len(models) == len(list(trained_models(train_taken, vocab)))
+        for got, want in zip(trained_models(train_taken, vocab), models):
             assert_models_equal(got, want)
-            got_labels, got_scores = predict_batch(probe_ids, want, vocab)
-            want_labels, want_scores = predict_batch(probe_docs, want, vocab)
+            got_labels, got_scores = predict_batch(probe_taken, want, vocab)
+            want_labels, want_scores = predict_batch(probe_own, want, vocab)
             assert got_labels == want_labels
             assert np.array_equal(got_scores, want_scores)
 
@@ -828,8 +836,8 @@ class TestTokenIdsInput:
 class TestModelPersistence:
     def test_mnb_round_trip(self, tmp_path):
         docs = three_class_docs()
-        vocab = build_vocab(docs)
-        model = mnb_train(docs, vocab, alpha=0.5)
+        vocab = build_vocab(token_ids(docs))
+        model = mnb_train(labeled_ids(docs), vocab, alpha=0.5)
         path = tmp_path / "mnb.json"
         save_model(model, vocab, path)
         loaded, loaded_vocab = load_model(path)
@@ -844,9 +852,11 @@ class TestModelPersistence:
 
     def test_svm_round_trip(self, tmp_path):
         docs = separable_fixture()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         model = svm_train(
-            docs, vocab, SvmConfig(regularization_lambda=0.05, epochs=5, feature_mode="tfidf")
+            labeled_ids(docs),
+            vocab,
+            SvmConfig(regularization_lambda=0.05, epochs=5, feature_mode="tfidf"),
         )
         path = tmp_path / "svm.json"
         save_model(model, vocab, path)
@@ -860,8 +870,8 @@ class TestModelPersistence:
 
     def test_magic_and_version_guards(self, tmp_path):
         docs = three_class_docs()
-        vocab = build_vocab(docs)
-        model = mnb_train(docs, vocab)
+        vocab = build_vocab(token_ids(docs))
+        model = mnb_train(labeled_ids(docs), vocab)
         path = tmp_path / "model.json"
         save_model(model, vocab, path)
 
@@ -879,14 +889,14 @@ class TestModelPersistence:
 
     def test_expected_kind_guard(self, tmp_path):
         docs = three_class_docs()
-        vocab = build_vocab(docs)
+        vocab = build_vocab(token_ids(docs))
         path = tmp_path / "model.json"
-        save_model(mnb_train(docs, vocab), vocab, path)
+        save_model(mnb_train(labeled_ids(docs), vocab), vocab, path)
         assert isinstance(load_model(path, "mnb")[0], MnbModel)
         with pytest.raises(CheckpointFormatError, match="expected 'svm'"):
             load_model(path, "svm")
 
     def test_unsupported_model_type_rejected(self, tmp_path):
-        vocab = build_vocab([make_doc(["x"], doc_id="a")])
+        vocab = build_vocab(token_ids([make_doc(["x"], doc_id="a")]))
         with pytest.raises(TypeError, match="unsupported model"):
             save_model(object(), vocab, tmp_path / "bad.json")

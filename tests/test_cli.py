@@ -28,6 +28,20 @@ def frequencies(payload: dict) -> list:
     return payload["vocab"]["document_frequency"]
 
 
+def tokens(payload: dict) -> list:
+    return payload["vocab"]["tokens"]
+
+
+def edit_second_corpus_text(out: Path) -> None:
+    """Rewrite the text of the second row of ``corpus.jsonl``, keeping the
+    row well formed."""
+    path = out / pipeline.CORPUS_FILE
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    lines[1] = json.dumps({**row, "text": row["text"] + " ppkm"})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_setup(tmp_path: Path, extra: str = "") -> Path:
     """Raw corpus plus a config file pointing at it; returns the config path."""
     write_jsonl(synthetic_tweets(40, seed=1), tmp_path / "raw.jsonl")
@@ -141,6 +155,28 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert f"{pipeline.CORPUS_FILE}:2: " in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            edit_second_corpus_text,
+            lambda out: (out / pipeline.INGEST_MANIFEST_FILE).unlink(),
+        ],
+        ids=["corpus-row-edited", "ingest-manifest-deleted"],
+    )
+    def test_corpus_that_ingest_did_not_write_exits_one(self, tmp_path, capsys, damage):
+        config_path = write_setup(tmp_path)
+        assert cli.main(["ingest", "-c", str(config_path)]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        damage(out)
+        capsys.readouterr()
+        assert cli.main(["label", "-c", str(config_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert pipeline.CORPUS_FILE in err
+        assert pipeline.INGEST_MANIFEST_FILE in err
+        assert not (out / pipeline.LABELED_FILE).exists()
 
     @pytest.mark.parametrize(
         "filename, corrupt",
@@ -341,6 +377,16 @@ class TestExitCodes:
                 },
                 "class_log_prior holds a non-finite value",
             ),
+            (
+                "mnb_model.json",
+                lambda p: with_vocab(p, tokens=[7, *tokens(p)[1:]]),
+                "vocab 'tokens' is missing or not a list of str",
+            ),
+            (
+                "svm_model.json",
+                lambda p: with_vocab(p, tokens=[tokens(p)[1], *tokens(p)[1:]]),
+                "vocab.tokens repeats a token",
+            ),
         ],
         ids=[
             "svm-negative-document-frequency",
@@ -351,6 +397,8 @@ class TestExitCodes:
             "svm-nan-weight",
             "svm-infinite-bias",
             "mnb-infinite-prior",
+            "mnb-token-not-a-string",
+            "svm-repeated-token",
         ],
     )
     def test_model_value_out_of_range_exits_two(

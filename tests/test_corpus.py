@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import make_doc, split_documents
 from ppkmsent.corpus import (
     PAPER_SPLIT_FRACTIONS,
     RateLimitState,
@@ -380,8 +380,8 @@ def reference_unstratified_split(documents, spec):
 def reference_document_split(documents, spec):
     """The Document split as it was written before it worked on label
     codes: documents grouped by label (or all in one group), groups in
-    label order with the unlabeled last, each group permuted by one draw
-    and cut at floor(fraction * n) with the remainder in train."""
+    label order, each group permuted by one draw and cut at
+    floor(fraction * n) with the remainder in train."""
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     groups: dict = {}
     for idx, doc in enumerate(documents):
@@ -398,6 +398,14 @@ def reference_document_split(documents, spec):
         for part, start, stop in zip(parts, cuts, cuts[1:]):
             part.extend(documents[i] for i in shuffled[start:stop])
     return parts
+
+
+def labeled_docs(labels):
+    return [make_doc([f"w{i}"], label, str(i)) for i, label in enumerate(labels)]
+
+
+def split_ids(docs, spec):
+    return [[doc.id for doc in part] for part in split_documents(docs, spec)]
 
 
 SPLIT_CASES = st.tuples(
@@ -417,9 +425,8 @@ SPLIT_CASES = st.tuples(
 
 class TestSplit:
     def test_corpus_scale_bucket_sizes(self):
-        docs = [make_doc(["w"], doc_id=str(i)) for i in range(5315)]
         spec = SplitSpec(*PAPER_SPLIT_FRACTIONS, seed=0)
-        train, val, test = split(docs, spec)
+        train, val, test = split(np.zeros(5315, dtype=np.intp), spec)
         assert (len(train), len(val), len(test)) == (4877, 293, 145)
 
     def test_fraction_strings_stay_exact(self):
@@ -427,35 +434,25 @@ class TestSplit:
         assert spec.train_fraction == Fraction(4877, 5315)
 
     def test_same_inputs_same_partition(self):
-        docs = [make_doc([f"w{i}"], doc_id=str(i)) for i in range(10)]
+        docs = labeled_docs([SentimentLabel.NEUTRAL] * 10)
         spec = SplitSpec("0.8", "0.1", "0.1", seed=7)
-        first = split(docs, spec)
-        second = split(docs, spec)
-        assert [[d.id for d in part] for part in first] == [
-            [d.id for d in part] for part in second
-        ]
+        first = split_ids(docs, spec)
+        assert first == split_ids(docs, spec)
         assert tuple(len(p) for p in first) == (8, 1, 1)
 
     def test_seed_changes_partition(self):
-        docs = [make_doc([f"w{i}"], doc_id=str(i)) for i in range(40)]
+        docs = labeled_docs([SentimentLabel.NEUTRAL] * 40)
         base = SplitSpec("0.8", "0.1", "0.1", seed=0)
         other = SplitSpec("0.8", "0.1", "0.1", seed=1)
-        assert [d.id for d in split(docs, base)[0]] != [
-            d.id for d in split(docs, other)[0]
-        ]
+        assert split_ids(docs, base)[0] != split_ids(docs, other)[0]
 
     def test_stratified_counts_per_class(self):
-        docs = [
-            make_doc(["a"], label=SentimentLabel.POSITIVE, doc_id=f"A{i}")
-            for i in range(90)
-        ] + [
-            make_doc(["b"], label=SentimentLabel.NEGATIVE, doc_id=f"B{i}")
-            for i in range(10)
-        ]
+        pos, neg = SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE
+        codes = np.repeat([pos, neg], [90, 10])
         spec = SplitSpec("0.8", "0.1", "0.1", seed=0, stratified=True)
-        train, val, test = split(docs, spec)
-        train_a = sum(1 for d in train if d.label is SentimentLabel.POSITIVE)
-        train_b = sum(1 for d in train if d.label is SentimentLabel.NEGATIVE)
+        train, val, test = split(codes, spec)
+        train_a = int(np.sum(codes[train] == pos))
+        train_b = int(np.sum(codes[train] == neg))
         assert (train_a, train_b) == (72, 8)
         assert len(val) == 10 and len(test) == 10
 
@@ -465,28 +462,13 @@ class TestSplit:
     @example((list(SentimentLabel) * 7, ("6/10", "2/10", "2/10"), 1, False))
     def test_label_codes_split_into_the_documents_split(self, case):
         labels, fractions, seed, stratified = case
-        docs = [
-            make_doc([f"w{i}"], label=label, doc_id=str(i))
-            for i, label in enumerate(labels)
-        ]
+        docs = labeled_docs(labels)
         spec = SplitSpec(*fractions, seed=seed, stratified=stratified)
         codes = np.array(labels, dtype=np.intp)
         rows = split(codes, spec)
         assert all(part.dtype == np.intp for part in rows)
         want = reference_document_split(docs, spec)
         assert [[docs[i] for i in part.tolist()] for part in rows] == list(want)
-        assert split(docs, spec) == tuple(want)
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
-    @pytest.mark.parametrize("stratified", [True, False])
-    def test_unlabeled_documents_split_as_before(self, seed, stratified):
-        labels = [SentimentLabel(i % 3) if i % 4 else None for i in range(50)]
-        docs = [
-            make_doc([f"w{i}"], label=label, doc_id=str(i))
-            for i, label in enumerate(labels)
-        ]
-        spec = SplitSpec("7/10", "2/10", "1/10", seed=seed, stratified=stratified)
-        assert split(docs, spec) == tuple(reference_document_split(docs, spec))
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -496,7 +478,7 @@ class TestSplit:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            split([], SplitSpec("0.8", "0.1", "0.1"))
+            split(np.zeros(0, dtype=np.intp), SplitSpec("0.8", "0.1", "0.1"))
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -517,20 +499,12 @@ class TestSplit:
             seed=seed,
             stratified=stratified,
         )
-        labels = [
-            SentimentLabel(i % 3) if i % 4 else None for i in range(n)
-        ]
-        docs = [
-            make_doc([f"w{i}"], label=labels[i], doc_id=str(i)) for i in range(n)
-        ]
-        train, val, test = split(docs, spec)
+        docs = labeled_docs([SentimentLabel(i % 3) for i in range(n)])
+        train, val, test = split_ids(docs, spec)
         assert len(train) + len(val) + len(test) == n
-        ids = [d.id for d in train + val + test]
-        assert sorted(ids) == sorted(d.id for d in docs)
+        assert sorted(train + val + test) == sorted(d.id for d in docs)
         if not stratified:
             assert len(val) == (val_tenths * n) // 10
             assert len(test) == (test_tenths * n) // 10
             want = reference_unstratified_split(docs, spec)
-            assert [[d.id for d in part] for part in (train, val, test)] == [
-                [d.id for d in part] for part in want
-            ]
+            assert [train, val, test] == [[d.id for d in part] for part in want]

@@ -65,7 +65,13 @@ from ppkmsent.errors import (
     EncoderNumericsError,
     TrainingDivergedError,
 )
-from ppkmsent.preprocess import SentimentLabel, token_ids
+from ppkmsent.preprocess import (
+    SentimentLabel,
+    label_codes,
+    labeled_ids,
+    sequence_ids,
+    token_ids,
+)
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -188,7 +194,7 @@ class TestTrainProfile:
 
 class TestTokenVocab:
     def test_reserved_tokens_occupy_the_first_four_ids(self):
-        vocab = build_token_vocab([make_doc(["x"], doc_id="a")])
+        vocab = build_token_vocab(token_ids([make_doc(["x"], doc_id="a")]))
         assert vocab.tokens_in_id_order()[:4] == ["[PAD]", "[UNK]", "[CLS]", "[SEP]"]
         assert (PAD_ID, UNK_ID, CLS_ID, SEP_ID) == (0, 1, 2, 3)
 
@@ -197,22 +203,22 @@ class TestTokenVocab:
             make_doc(["b", "b", "c"], doc_id="a"),
             make_doc(["a", "c"], doc_id="b"),
         ]
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         # counts: b=2, c=2, a=1 -> b, c by tie-break then a
         assert vocab.tokens_in_id_order()[4:] == ["b", "c", "a"]
 
     def test_min_count_threshold(self):
         docs = [make_doc(["a", "a", "b"], doc_id="a")]
-        vocab = build_token_vocab(docs, min_count=2)
+        vocab = build_token_vocab(token_ids(docs), min_count=2)
         assert vocab.tokens_in_id_order()[4:] == ["a"]
 
     def test_reserved_tokens_in_text_are_ignored(self):
         docs = [make_doc(["[PAD]", "[CLS]", "real"], doc_id="a")]
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         assert vocab.tokens_in_id_order()[4:] == ["real"]
 
     def test_lookup_falls_back_to_unk(self):
-        vocab = build_token_vocab([make_doc(["x"], doc_id="a")])
+        vocab = build_token_vocab(token_ids([make_doc(["x"], doc_id="a")]))
         ids, _ = format_input(["x", "missing"], vocab, 4)
         assert ids.tolist() == [CLS_ID, 4, UNK_ID, SEP_ID]
 
@@ -230,10 +236,10 @@ class TestTokenVocab:
                 }
             )
         with pytest.raises(ConfigError, match="min_count"):
-            build_token_vocab([], min_count=0)
+            build_token_vocab(token_ids([]), min_count=0)
 
     def test_dict_round_trip(self):
-        vocab = build_token_vocab([make_doc(["x", "y"], doc_id="a")])
+        vocab = build_token_vocab(token_ids([make_doc(["x", "y"], doc_id="a")]))
         assert TokenVocab.from_dict(vocab.to_dict()) == vocab
         with pytest.raises(ConfigError, match="token list"):
             TokenVocab.from_dict({"tokens": "nope"})
@@ -242,7 +248,7 @@ class TestTokenVocab:
 class TestFormatInput:
     def vocab(self):
         return build_token_vocab(
-            [make_doc(["jualan", "saya", "rugi"], doc_id="a")]
+            token_ids([make_doc(["jualan", "saya", "rugi"], doc_id="a")])
         )
 
     def test_explicit_layout(self):
@@ -316,8 +322,8 @@ def reference_format_input(tokens, vocab, max_sequence_length):
 @example(sequences=[[], ["oov1", "oov2"], ["saya"] * 12, ["rugi"]], seq_len=3)
 @settings(max_examples=300)
 def test_input_rows_match_the_reference(sequences, seq_len):
-    vocab = build_token_vocab([make_doc(["jualan", "saya", "rugi"], doc_id="a")])
-    ids, mask = input_rows(sequences, vocab, seq_len)
+    vocab = build_token_vocab(sequence_ids([["jualan", "saya", "rugi"]]))
+    ids, mask = input_rows(sequence_ids(sequences), vocab, seq_len)
     assert ids.shape == mask.shape == (len(sequences), seq_len)
     for row, tokens in enumerate(sequences):
         ref_ids, ref_mask = reference_format_input(tokens, vocab, seq_len)
@@ -349,18 +355,18 @@ def test_input_rows_match_the_reference(sequences, seq_len):
 def test_token_ids_give_the_document_rows_and_vocabulary(
     sequences, seq_len, min_count, random
 ):
-    # ids taken from the whole batch's id table, so some go unused
+    # ids taken from the whole batch's id table, so some go unused, against
+    # the subset's own ids
     docs = [make_doc(tokens, doc_id=str(i)) for i, tokens in enumerate(sequences)]
     rows = np.array(random.sample(range(len(docs)), random.randint(1, len(docs))))
-    subset = [docs[i] for i in rows.tolist()]
-    ids = token_ids(docs).take(rows)
-    vocab = build_token_vocab(subset, min_count=min_count)
-    assert build_token_vocab(ids, min_count=min_count) == vocab
+    taken = token_ids(docs).take(rows)
+    own = token_ids([docs[i] for i in rows.tolist()])
+    vocab = build_token_vocab(own, min_count=min_count)
+    assert build_token_vocab(taken, min_count=min_count) == vocab
     config = desk_config(vocab_size=vocab.size)
     config = replace(config, max_sequence_length=seq_len)
     for got, want in zip(
-        encode_documents(ids, vocab, config),
-        input_rows([doc.tokens for doc in subset], vocab, seq_len),
+        encode_documents(taken, vocab, config), input_rows(own, vocab, seq_len)
     ):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -938,24 +944,30 @@ class TestGradientCheck:
         assert worst < 1e-4, errors
 
 
+# an empty validation split
+NO_DOCUMENTS = labeled_ids([])
+
+
 class TestFineTune:
     def setup_training(self, **profile_overrides):
         docs = three_class_docs() * 2
         docs = [
             make_doc(d.tokens, d.label, f"{d.id}-{i}") for i, d in enumerate(docs)
         ]
-        vocab = build_token_vocab(docs)
+        train = labeled_ids(docs)
+        vocab = build_token_vocab(train.documents)
         config = tiny_config(
             vocab_size=vocab.size, hidden_size=8, num_heads=2, max_sequence_length=6
         )
         defaults = dict(batch_size=3, epochs=20, learning_rate=1e-2, seed=0)
         defaults.update(profile_overrides)
-        return docs, vocab, config, TrainProfile(**defaults)
+        return train, vocab, config, TrainProfile(**defaults)
 
     def test_deterministic_given_seed(self):
-        docs, vocab, config, profile = self.setup_training(epochs=3)
-        params_a, history_a = fine_tune(docs, docs[:2], vocab, config, profile)
-        params_b, history_b = fine_tune(docs, docs[:2], vocab, config, profile)
+        train, vocab, config, profile = self.setup_training(epochs=3)
+        val = train.take(np.arange(2))
+        params_a, history_a = fine_tune(train, val, vocab, config, profile)
+        params_b, history_b = fine_tune(train, val, vocab, config, profile)
         assert_views_of_one_buffer(params_a, config, "fine_tune")
         for (name, ta), (_, tb) in zip(
             params_a.items(), params_b.items()
@@ -964,18 +976,19 @@ class TestFineTune:
         assert history_a == history_b
 
     def test_learns_a_separable_three_class_corpus(self):
-        docs, vocab, config, profile = self.setup_training()
-        params, history = fine_tune(docs, [], vocab, config, profile)
+        train, vocab, config, profile = self.setup_training()
+        params, history = fine_tune(train, NO_DOCUMENTS, vocab, config, profile)
         assert len(history) == profile.epochs
         assert history[-1].train_acc == 1.0
         assert history[-1].train_loss < history[0].train_loss
-        assert predict_batch(docs, params, vocab, config) == [d.label for d in docs]
+        predicted = predict_batch(train.documents, params, vocab, config)
+        assert predicted == train.labels.tolist()
 
     def test_zero_learning_rate_keeps_initial_weights(self):
-        docs, vocab, config, profile = self.setup_training(
+        train, vocab, config, profile = self.setup_training(
             epochs=2, learning_rate=0.0
         )
-        params, _ = fine_tune(docs, [], vocab, config, profile)
+        params, _ = fine_tune(train, NO_DOCUMENTS, vocab, config, profile)
         init_seq, _ = np.random.SeedSequence(profile.seed).spawn(2)
         reference = init_params(config, init_seq)
         for (name, got), (_, want) in zip(
@@ -984,24 +997,25 @@ class TestFineTune:
             assert np.array_equal(got, want), name
 
     def test_empty_validation_set_records_nan(self):
-        docs, vocab, config, profile = self.setup_training(epochs=2)
-        _, history = fine_tune(docs, [], vocab, config, profile)
+        train, vocab, config, profile = self.setup_training(epochs=2)
+        _, history = fine_tune(train, NO_DOCUMENTS, vocab, config, profile)
         assert all(math.isnan(row.val_loss) for row in history)
         assert all(math.isnan(row.val_acc) for row in history)
 
     def test_validation_metrics_tracked_when_present(self):
-        docs, vocab, config, profile = self.setup_training(epochs=2)
-        _, history = fine_tune(docs, docs[:3], vocab, config, profile)
+        train, vocab, config, profile = self.setup_training(epochs=2)
+        val = train.take(np.arange(3))
+        _, history = fine_tune(train, val, vocab, config, profile)
         assert all(math.isfinite(row.val_loss) for row in history)
         assert all(0.0 <= row.val_acc <= 1.0 for row in history)
 
     def test_enormous_learning_rate_diverges(self):
-        docs, vocab, config, profile = self.setup_training(
+        train, vocab, config, profile = self.setup_training(
             epochs=3, learning_rate=1e300
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as excinfo:
-                fine_tune(docs, [], vocab, config, profile)
+                fine_tune(train, NO_DOCUMENTS, vocab, config, profile)
         assert excinfo.value.epoch == 1
 
     def test_epoch_orders_do_not_depend_on_dropout(self, monkeypatch):
@@ -1014,28 +1028,21 @@ class TestFineTune:
             return real_batches(ids, mask, batch_size, order)
 
         monkeypatch.setattr(encoder_train, "_batches", recording_batches)
-        docs, vocab, config, profile = self.setup_training(epochs=3)
+        train, vocab, config, profile = self.setup_training(epochs=3)
         for rate in (0.0, 0.1):
             orders.append([])
-            fine_tune(
-                docs, [], vocab, replace(config, dropout_rate=rate), profile
-            )
+            rate_config = replace(config, dropout_rate=rate)
+            fine_tune(train, NO_DOCUMENTS, vocab, rate_config, profile)
         plain, dropped = orders
         assert len(plain) == len(dropped) == profile.epochs
         for epoch, (a, b) in enumerate(zip(plain, dropped), start=1):
             assert np.array_equal(a, b), epoch
         assert not np.array_equal(plain[1], plain[2])
 
-    def test_unlabeled_document_rejected(self):
-        docs, vocab, config, profile = self.setup_training(epochs=1)
-        docs[0] = make_doc(docs[0].tokens, None, docs[0].id)
-        with pytest.raises(ConfigError, match="no label"):
-            fine_tune(docs, [], vocab, config, profile)
-
     def test_empty_training_set_rejected(self):
         _, vocab, config, profile = self.setup_training(epochs=1)
         with pytest.raises(ConfigError, match="empty"):
-            fine_tune([], [], vocab, config, profile)
+            fine_tune(NO_DOCUMENTS, NO_DOCUMENTS, vocab, config, profile)
 
 
 class TestTrainingStep:
@@ -1044,7 +1051,7 @@ class TestTrainingStep:
 
     def setup_training(self):
         docs = varied_docs()
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         config = tiny_config(
             vocab_size=vocab.size,
             num_layers=2,
@@ -1063,7 +1070,9 @@ class TestTrainingStep:
         # 0.3 on x86-64, where other SIMD kernels for exp/tanh or matmul may
         # round differently
         docs, vocab, config, profile = self.setup_training()
-        params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
+        params, _ = fine_tune(
+            labeled_ids(docs), labeled_ids(docs[:4]), vocab, config, profile
+        )
         digest = hashlib.sha256()
         for name, tensor in params.items():
             assert tensor.dtype == np.float32, name
@@ -1083,7 +1092,9 @@ class TestTrainingStep:
             functools.partial(init_params, dtype=np.float64),
         )
         docs, vocab, config, profile = self.setup_training()
-        params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
+        params, _ = fine_tune(
+            labeled_ids(docs), labeled_ids(docs[:4]), vocab, config, profile
+        )
         digest = hashlib.sha256()
         for name, tensor in params.items():
             assert tensor.dtype == np.float64, name
@@ -1106,7 +1117,9 @@ class TestTrainingStep:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(encoder_train, name, counting)
-        fine_tune(docs, docs[:4], vocab, config, profile)
+        fine_tune(
+            labeled_ids(docs), labeled_ids(docs[:4]), vocab, config, profile
+        )
         # 12 training documents in batches of 5, and one validation batch
         train_batches, val_batches = 3, 1
         assert calls == {
@@ -1118,8 +1131,8 @@ class TestTrainingStep:
         # encode_documents hands forward float64 masks; if any array upcast
         # float32 params, every later product would run in float64
         docs, vocab, config, profile = self.setup_training()
-        ids, mask = _trim(*encode_documents(docs[:5], vocab, config))
-        labels = encoder_train._labeled(docs[:5]).labels
+        ids, mask = _trim(*encode_documents(token_ids(docs[:5]), vocab, config))
+        labels = label_codes(docs[:5])
         assert mask.dtype == np.float64
 
         def cache_arrays(node):
@@ -1205,8 +1218,8 @@ class TestTrainingStep:
 
     def test_adam_updates_views_of_one_buffer_per_role(self):
         docs, vocab, config, profile = self.setup_training()
-        ids, mask = encode_documents(docs[:5], vocab, config)
-        labels = encoder_train._labeled(docs[:5]).labels
+        ids, mask = encode_documents(token_ids(docs[:5]), vocab, config)
+        labels = label_codes(docs[:5])
         params = init_params(config, seed=0)
         state = encoder_train._AdamState(params)
         # Adam updates the params themselves, not a copy
@@ -1232,52 +1245,43 @@ class TestTrainingStep:
 class TestEncodeAndPredict:
     def test_encode_documents_shapes(self):
         docs = three_class_docs()
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         config = tiny_config(vocab_size=vocab.size)
-        ids, mask = encode_documents(docs, vocab, config)
+        ids, mask = encode_documents(token_ids(docs), vocab, config)
         assert ids.shape == (3, 6)
         assert mask.shape == (3, 6)
-        labels = encoder_train._labeled(docs).labels
+        labels = labeled_ids(docs).labels
         assert labels.dtype == np.int64
         assert labels.tolist() == [0, 1, 2]
 
-    def test_unlabeled_documents_encode_but_do_not_train(self):
-        docs = [make_doc(["a"], None, "u")]
-        vocab = build_token_vocab(docs)
-        config = tiny_config(vocab_size=vocab.size)
-        ids, mask = encode_documents(docs, vocab, config)
-        assert ids.shape == mask.shape == (1, config.max_sequence_length)
-        with pytest.raises(ConfigError, match="document 'u' has no label"):
-            fine_tune(docs, [], vocab, config, TrainProfile(epochs=1))
-
     def test_predict_probabilities_sum_to_one(self):
         docs = three_class_docs()
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         config = tiny_config(vocab_size=vocab.size)
         params = init_params(config, seed=0, dtype=np.float64)
         ids, mask = _trim(
             *format_input(docs[0].tokens, vocab, config.max_sequence_length)
         )
         probs = softmax(forward(ids, mask, params, config).logits)[0]
-        (label,) = predict_batch(docs[:1], params, vocab, config)
+        (label,) = predict_batch(token_ids(docs[:1]), params, vocab, config)
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert label is SentimentLabel(int(np.argmax(probs)))
 
     def test_predict_batch_agrees_with_predict(self):
         docs = three_class_docs() + [make_doc(["ppkm", "rugi"], None, "q")]
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         config = tiny_config(vocab_size=vocab.size)
         params = init_params(config, seed=0)
-        batched = predict_batch(docs, params, vocab, config, batch_size=2)
-        single = [predict_batch([d], params, vocab, config)[0] for d in docs]
+        batched = predict_batch(token_ids(docs), params, vocab, config, batch_size=2)
+        single = [predict_batch(token_ids([d]), params, vocab, config)[0] for d in docs]
         assert batched == single
 
 
 class TestBatchTrimming:
     def test_trimmed_batch_matches_fully_padded_batch(self):
         docs = varied_docs()[:4]
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         config = tiny_config(
             vocab_size=vocab.size,
             num_layers=2,
@@ -1290,8 +1294,8 @@ class TestBatchTrimming:
         for name, tensor in params.items():
             if not name.endswith(("_gain", "_bias", "head_b")):
                 tensor *= 25.0
-        ids, mask = encode_documents(docs, vocab, config)
-        labels = encoder_train._labeled(docs).labels
+        ids, mask = encode_documents(token_ids(docs), vocab, config)
+        labels = label_codes(docs)
         trimmed = _trim(ids, mask)
         # the longest document is [CLS] + 4 tokens + [SEP]
         assert trimmed[0].shape == trimmed[1].shape == (4, 6)
@@ -1344,7 +1348,7 @@ class TestBatchTrimming:
         self, monkeypatch
     ):
         docs = varied_docs()
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         config = tiny_config(
             vocab_size=vocab.size, hidden_size=8, num_heads=2, max_sequence_length=12
         )
@@ -1357,9 +1361,11 @@ class TestBatchTrimming:
             return real_forward(ids, mask, *args, **kwargs)
 
         monkeypatch.setattr(encoder_train, "forward", recording_forward)
-        params, _ = fine_tune(docs, docs[:4], vocab, config, profile)
-        predict_batch(docs, params, vocab, config, batch_size=5)
-        predict_batch(docs[:1], params, vocab, config)
+        params, _ = fine_tune(
+            labeled_ids(docs), labeled_ids(docs[:4]), vocab, config, profile
+        )
+        predict_batch(token_ids(docs), params, vocab, config, batch_size=5)
+        predict_batch(token_ids(docs[:1]), params, vocab, config)
         # per epoch: 3 train batches and 1 validation batch; then 3
         # predict_batch batches and one single-document batch
         assert len(masks) == 2 * (3 + 1) + 3 + 1
@@ -1371,10 +1377,12 @@ class TestBatchTrimming:
 class TestHistoryCsv:
     def test_schedule_comment_and_rows(self):
         docs = three_class_docs()
-        vocab = build_token_vocab(docs)
+        vocab = build_token_vocab(token_ids(docs))
         config = tiny_config(vocab_size=vocab.size)
         profile = TrainProfile(batch_size=3, epochs=2, learning_rate=3e-6, seed=0)
-        _, history = fine_tune(docs, docs, vocab, config, profile)
+        _, history = fine_tune(
+            labeled_ids(docs), labeled_ids(docs), vocab, config, profile
+        )
         text = history_to_csv(history, profile)
         lines = text.strip().split("\n")
         assert lines[0] == "# batch_size=3 epochs=2 learning_rate=3e-06"

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import labeled_documents
-from ppkmsent import bow, corpus, evaluation, lexicon, pipeline
+from conftest import labeled_documents, split_documents
+from ppkmsent import bow, evaluation, lexicon, pipeline
 from ppkmsent.errors import ConfigError, StageOrderError
 from ppkmsent.fixtures import synthetic_documents, synthetic_tweets, write_jsonl
-from ppkmsent.preprocess import SentimentLabel, parse_label, token_ids
+from ppkmsent.preprocess import SentimentLabel, labeled_ids, parse_label, token_ids
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -585,9 +585,10 @@ class TestTrainStage:
         assert model_path in outputs
         model, vocab = bow.load_model(model_path)
         documents = labeled_documents(config.output_dir)
-        train_docs, _, _ = corpus.split(documents, config.split_spec())
-        rebuilt_vocab = bow.build_vocab(train_docs, min_count=config.min_count)
-        rebuilt = bow.mnb_train(train_docs, rebuilt_vocab, alpha=config.mnb_alpha)
+        train_docs, _, _ = split_documents(documents, config.split_spec())
+        train = labeled_ids(train_docs)
+        rebuilt_vocab = bow.build_vocab(train.documents, min_count=config.min_count)
+        rebuilt = bow.mnb_train(train, rebuilt_vocab, alpha=config.mnb_alpha)
         assert vocab.token_to_index == rebuilt_vocab.token_to_index
         import numpy as np
 
@@ -669,7 +670,7 @@ class TestEvalStage:
         )
 
         documents = labeled_documents(config.output_dir)
-        _, _, test_docs = corpus.split(documents, config.split_spec())
+        _, _, test_docs = split_documents(documents, config.split_spec())
         model, vocab = bow.load_model(config.output_dir / "mnb_model.json")
         predicted = [bow.mnb_predict(doc, model, vocab)[0] for doc in test_docs]
         cm = evaluation.confusion([doc.label for doc in test_docs], predicted)
@@ -727,7 +728,7 @@ class TestEvalStage:
         monkeypatch.setattr(bow, "predict_batch", spy)
         pipeline.run_eval(config)
         documents = labeled_documents(config.output_dir)
-        _, _, test_docs = corpus.split(documents, config.split_spec())
+        _, _, test_docs = split_documents(documents, config.split_spec())
         test_tokens = [doc.tokens for doc in test_docs]
         assert calls == [(bow.MnbModel, test_tokens), (bow.SvmModel, test_tokens)]
 

@@ -22,6 +22,7 @@ from ppkmsent.preprocess import (
     StopwordDict,
     cleanse,
     label_name,
+    labeled_ids,
     load_stopwords,
     make_document,
     parse_label,
@@ -259,6 +260,23 @@ class TestTokenIds:
         assert lengths.tolist() == [3, 0, 2]
         assert ids.tolist() == [0, 1, 0, 2, 1]
         assert tokens == ["b", "a", "c"]
+
+
+class TestLabeledIds:
+    def test_token_ids_and_label_codes(self):
+        docs = [
+            make_doc(["b", "a"], SentimentLabel.POSITIVE, "x"),
+            make_doc([], SentimentLabel.NEGATIVE, "y"),
+        ]
+        (lengths, ids, tokens), labels = labeled_ids(docs)
+        assert (lengths.tolist(), ids.tolist(), tokens) == ([2, 0], [0, 1], ["b", "a"])
+        assert labels.dtype == np.intp
+        assert labels.tolist() == [2, 0]
+
+    def test_unlabeled_document_rejected(self):
+        docs = [make_doc(["a"], SentimentLabel.NEUTRAL), make_doc(["b"], doc_id="u")]
+        with pytest.raises(ValueError, match="document 'u' has no label"):
+            labeled_ids(docs)
 
 
 class TestTokenize:

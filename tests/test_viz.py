@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import labeled_documents, make_doc
 from ppkmsent import pipeline
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
-from ppkmsent.preprocess import SentimentLabel, token_ids
+from ppkmsent.preprocess import SentimentLabel, label_codes, token_ids
 from ppkmsent.viz import (
     CloudWeights,
     NgramTable,
@@ -83,7 +83,7 @@ class TestNgrams:
         ]
 
     def test_unigram_hand_count(self):
-        table = ngrams(self.docs(), 1)
+        table = ngrams(token_ids(self.docs()), 1)
         assert table.n == 1
         assert table.entries == (
             (("ppkm",), 3),
@@ -91,7 +91,7 @@ class TestNgrams:
         )
 
     def test_bigram_hand_count(self):
-        table = ngrams(self.docs(), 2)
+        table = ngrams(token_ids(self.docs()), 2)
         # doc a: (ppkm,rugi) (rugi,ppkm) (ppkm,rugi); doc b: (rugi,ppkm)
         assert table.entries == (
             (("ppkm", "rugi"), 2),
@@ -100,33 +100,33 @@ class TestNgrams:
 
     def test_grams_do_not_cross_document_boundaries(self):
         docs = [make_doc(["a", "b"], doc_id="x"), make_doc(["c", "d"], doc_id="y")]
-        table = ngrams(docs, 2)
+        table = ngrams(token_ids(docs), 2)
         grams = {gram for gram, _ in table.entries}
         assert ("b", "c") not in grams
         assert grams == {("a", "b"), ("c", "d")}
 
     def test_top_k_truncates_after_sorting(self):
         docs = [make_doc(["z", "z", "z", "a", "a", "m"], doc_id="x")]
-        table = ngrams(docs, 1, top_k=2)
+        table = ngrams(token_ids(docs), 1, top_k=2)
         assert table.entries == ((("z",), 3), (("a",), 2))
 
     def test_ties_broken_lexicographically(self):
         docs = [make_doc(["b", "a"], doc_id="x")]
-        table = ngrams(docs, 1)
+        table = ngrams(token_ids(docs), 1)
         assert table.entries == ((("a",), 1), (("b",), 1))
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
-            ngrams([], 0)
+            ngrams(token_ids([]), 0)
 
     def test_short_documents_yield_no_grams(self):
-        assert ngrams([make_doc(["solo"], doc_id="x")], 2).entries == ()
+        assert ngrams(token_ids([make_doc(["solo"], doc_id="x")]), 2).entries == ()
 
     @given(token_lists, st.integers(min_value=1, max_value=3))
     @settings(max_examples=200)
     def test_total_gram_count_matches_window_arithmetic(self, lists, n):
         docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
-        table = ngrams(docs, n)
+        table = ngrams(token_ids(docs), n)
         want_total = sum(max(0, len(toks) - n + 1) for toks in lists)
         assert sum(count for _, count in table.entries) == want_total
         counts = [count for _, count in table.entries]
@@ -136,7 +136,7 @@ class TestNgrams:
     @settings(max_examples=200)
     def test_unigrams_match_direct_counter(self, lists):
         docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
-        table = ngrams(docs, 1)
+        table = ngrams(token_ids(docs), 1)
         direct = Counter(tok for toks in lists for tok in toks)
         assert {gram[0]: count for gram, count in table.entries} == dict(direct)
 
@@ -145,7 +145,6 @@ class TestNgrams:
     def test_matches_the_reference_loop(self, lists, n, top_k):
         docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
         want = reference_ngrams(docs, n, top_k)
-        assert ngrams(docs, n, top_k) == want
         assert ngrams(token_ids(docs), n, top_k) == want
 
     @pytest.mark.parametrize("top_k", [None, 5])
@@ -160,7 +159,7 @@ class TestNgrams:
             make_doc(words[:9] * 3, doc_id="repeats"),
             make_doc(words[-3:], doc_id="short"),
         ]
-        assert ngrams(docs, 4, top_k) == reference_ngrams(docs, 4, top_k)
+        assert ngrams(token_ids(docs), 4, top_k) == reference_ngrams(docs, 4, top_k)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("top_k", [None, 20])
@@ -168,12 +167,12 @@ class TestNgrams:
         self, labeled_fixture_documents, n, top_k
     ):
         docs = labeled_fixture_documents
-        assert ngrams(docs, n, top_k) == reference_ngrams(docs, n, top_k)
+        assert ngrams(token_ids(docs), n, top_k) == reference_ngrams(docs, n, top_k)
 
     def test_zero_top_k_is_empty_and_none_keeps_every_gram(self):
         docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
-        assert ngrams(docs, 1, top_k=0).entries == ()
-        assert ngrams(docs, 1, top_k=None).entries == (
+        assert ngrams(token_ids(docs), 1, top_k=0).entries == ()
+        assert ngrams(token_ids(docs), 1, top_k=None).entries == (
             (("x",), 2),
             (("y",), 1),
             (("z",), 1),
@@ -182,7 +181,7 @@ class TestNgrams:
     def test_negative_top_k_rejected(self):
         docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
         with pytest.raises(ValueError, match="top_k"):
-            ngrams(docs, 1, top_k=-1)
+            ngrams(token_ids(docs), 1, top_k=-1)
 
 
 class TestCloudWeights:
@@ -191,18 +190,18 @@ class TestCloudWeights:
             make_doc(["ppkm", "rugi", "ppkm"], doc_id="a"),
             make_doc(["usaha"], doc_id="b"),
         ]
-        cloud = cloud_weights(docs, top_k=10)
-        table = ngrams(docs, 1)
+        cloud = cloud_weights(token_ids(docs), top_k=10)
+        table = ngrams(token_ids(docs), 1)
         assert cloud.entries == {g[0]: c for g, c in table.entries}
 
     def test_extra_stopwords_excluded(self):
         docs = [make_doc(["ppkm", "rugi", "ppkm"], doc_id="a")]
-        cloud = cloud_weights(docs, top_k=10, extra_stopwords={"ppkm"})
+        cloud = cloud_weights(token_ids(docs), top_k=10, extra_stopwords={"ppkm"})
         assert cloud.entries == {"rugi": 1}
 
     def test_top_k_keeps_most_frequent(self):
         docs = [make_doc(["z", "z", "a", "m", "m", "m"], doc_id="a")]
-        cloud = cloud_weights(docs, top_k=2)
+        cloud = cloud_weights(token_ids(docs), top_k=2)
         assert cloud.entries == {"m": 3, "z": 2}
 
     @given(
@@ -214,9 +213,8 @@ class TestCloudWeights:
     def test_matches_the_reference_loop(self, lists, top_k, stopwords):
         docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
         want = list(reference_cloud_weights(docs, top_k, stopwords).entries.items())
-        for source in (docs, token_ids(docs)):
-            got = cloud_weights(source, top_k, stopwords)
-            assert list(got.entries.items()) == want
+        got = cloud_weights(token_ids(docs), top_k, stopwords)
+        assert list(got.entries.items()) == want
 
     @pytest.mark.parametrize("top_k", [1, 20, 10**6])
     def test_matches_the_reference_on_the_labeled_fixture(
@@ -225,17 +223,17 @@ class TestCloudWeights:
         docs = labeled_fixture_documents
         stopwords = frozenset({"ppkm", "tidak"})
         want = reference_cloud_weights(docs, top_k, stopwords)
-        got = cloud_weights(docs, top_k, stopwords)
+        got = cloud_weights(token_ids(docs), top_k, stopwords)
         assert list(got.entries.items()) == list(want.entries.items())
 
     def test_zero_top_k_is_empty(self):
         docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
-        assert cloud_weights(docs, top_k=0).entries == {}
+        assert cloud_weights(token_ids(docs), top_k=0).entries == {}
 
     def test_negative_top_k_rejected(self):
         docs = [make_doc(["x", "x", "y", "z"], doc_id="a")]
         with pytest.raises(ValueError, match="top_k"):
-            cloud_weights(docs, top_k=-1)
+            cloud_weights(token_ids(docs), top_k=-1)
 
 
 class TestSentimentDistribution:
@@ -245,11 +243,7 @@ class TestSentimentDistribution:
             make_doc(["y"], NEG, "b"),
             make_doc(["z"], POS, "c"),
         ]
-        assert sentiment_distribution(docs) == {NEG: 2, NEU: 0, POS: 1}
-
-    def test_unlabeled_document_rejected(self):
-        with pytest.raises(ValueError, match="unlabeled"):
-            sentiment_distribution([make_doc(["x"], None, "a")])
+        assert sentiment_distribution(label_codes(docs)) == {NEG: 2, NEU: 0, POS: 1}
 
 
 class TestNgramCsv:
