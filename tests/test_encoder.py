@@ -1039,6 +1039,13 @@ class TestFineTune:
             assert np.array_equal(a, b), epoch
         assert not np.array_equal(plain[1], plain[2])
 
+    def test_unlabeled_document_rejected(self):
+        _, vocab, config, profile = self.setup_training(epochs=1)
+        docs = three_class_docs()
+        docs[0] = make_doc(docs[0].tokens, None, docs[0].id)
+        with pytest.raises(ValueError, match=f"document {docs[0].id!r} has no label"):
+            fine_tune(labeled_ids(docs), NO_DOCUMENTS, vocab, config, profile)
+
     def test_empty_training_set_rejected(self):
         _, vocab, config, profile = self.setup_training(epochs=1)
         with pytest.raises(ConfigError, match="empty"):
@@ -1253,6 +1260,17 @@ class TestEncodeAndPredict:
         labels = labeled_ids(docs).labels
         assert labels.dtype == np.int64
         assert labels.tolist() == [0, 1, 2]
+
+    def test_unlabeled_documents_encode_but_do_not_train(self):
+        docs = [make_doc(["a"], None, "u")]
+        vocab = build_token_vocab(token_ids(docs))
+        config = tiny_config(vocab_size=vocab.size)
+        ids, mask = encode_documents(token_ids(docs), vocab, config)
+        assert ids.shape == mask.shape == (1, config.max_sequence_length)
+        with pytest.raises(ValueError, match="document 'u' has no label"):
+            fine_tune(
+                labeled_ids(docs), NO_DOCUMENTS, vocab, config, TrainProfile(epochs=1)
+            )
 
     def test_predict_probabilities_sum_to_one(self):
         docs = three_class_docs()

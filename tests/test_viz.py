@@ -245,6 +245,10 @@ class TestSentimentDistribution:
         ]
         assert sentiment_distribution(label_codes(docs)) == {NEG: 2, NEU: 0, POS: 1}
 
+    def test_unlabeled_document_rejected(self):
+        with pytest.raises(ValueError, match="unlabeled"):
+            sentiment_distribution(label_codes([make_doc(["x"], None, "a")]))
+
 
 class TestNgramCsv:
     def test_renders_space_joined_grams(self):
