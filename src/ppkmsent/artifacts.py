@@ -96,11 +96,14 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> Path:
 
 
 def write_csv(header: tuple[str, ...], rows: Iterable[tuple], path: str | Path) -> Path:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return write_text(buffer.getvalue(), path)
+    """Write a header and rows as CSV, encoded as the rows are drawn."""
+    path = Path(path)
+    with _replacing(path) as handle:
+        with io.TextIOWrapper(handle, "utf-8", newline="") as text:
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    return path
 
 
 def read_id_csv(path: Path, column: str, parse: Callable[[str], object]) -> dict:

@@ -36,7 +36,6 @@ class TweetRecord:
     id: str
     text: str
     created_at: datetime | None = None
-    matched_keywords: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -224,9 +223,10 @@ def dedupe(
 
 
 def match_keywords(text: str, keywords: list[str]) -> tuple[str, ...]:
-    """Case-insensitive containment check; returns matched keywords lowercase."""
+    """Case-insensitive containment check; returns each distinct matched
+    keyword once, lowercase, in listed order."""
     lowered = text.lower()
-    return tuple(kw.lower() for kw in keywords if kw.lower() in lowered)
+    return tuple(kw for kw in dict.fromkeys(map(str.lower, keywords)) if kw in lowered)
 
 
 def filter_relevant(
@@ -234,8 +234,9 @@ def filter_relevant(
     keywords: list[str],
     verdicts: dict[str, str] | None = None,
     mode: str = "any",
-) -> list[TweetRecord]:
-    """Keep records mentioning the configured keywords, honoring verdicts.
+) -> list[tuple[TweetRecord, tuple[str, ...]]]:
+    """Keep records mentioning the configured keywords, honoring verdicts;
+    each kept record comes paired with the keywords it matched.
 
     ``mode`` is "any" (default: at least one keyword present) or "all".  A
     verdicts entry (id -> "keep"/"drop") overrides the keyword decision;
@@ -255,20 +256,21 @@ def filter_relevant(
         if verdict not in ("keep", "drop"):
             raise ValueError(f"verdict for {rec_id!r} must be keep or drop, got {verdict!r}")
 
-    kept: list[TweetRecord] = []
+    distinct = len(set(map(str.lower, keywords)))
+    kept: list[tuple[TweetRecord, tuple[str, ...]]] = []
     for record in records:
         matched = match_keywords(record.text, keywords)
         if mode == "any":
             relevant = bool(matched)
         else:
-            relevant = len(matched) == len({kw.lower() for kw in keywords})
+            relevant = len(matched) == distinct
         verdict = verdicts.get(record.id)
         if verdict == "keep":
             relevant = True
         elif verdict == "drop":
             relevant = False
         if relevant:
-            kept.append(replace(record, matched_keywords=matched))
+            kept.append((record, matched))
     return kept
 
 

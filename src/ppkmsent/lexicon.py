@@ -125,12 +125,13 @@ def label_corpus(
     documents: list[Document],
     lexicon: LexiconDict,
     overrides: dict[str, SentimentLabel] | None = None,
-) -> tuple[list[Document], list[WorksheetRow]]:
-    """Label every document by the sign rule and emit the review worksheet.
+) -> list[WorksheetRow]:
+    """Label every document by the sign rule: the review worksheet, one row
+    per document, in input order.
 
     ``overrides`` carries human decisions (id -> label) from the review
-    pass; an override replaces the proposed label.  Overrides naming
-    unknown ids raise.
+    pass; an override replaces the proposed label as the final one.
+    Overrides naming unknown ids raise.
     """
     overrides = overrides or {}
     known_ids = {doc.id for doc in documents}
@@ -138,30 +139,19 @@ def label_corpus(
     if unknown:
         raise UnknownIdError(unknown)
 
-    labeled: list[Document] = []
     worksheet: list[WorksheetRow] = []
     for doc in documents:
         verdict = score_document(doc.tokens, lexicon)
-        final = overrides.get(doc.id, verdict.label)
-        labeled.append(
-            Document(
-                id=doc.id,
-                raw_text=doc.raw_text,
-                clean_text=doc.clean_text,
-                tokens=doc.tokens,
-                label=final,
-            )
-        )
         worksheet.append(
             WorksheetRow(
                 id=doc.id,
                 clean_text=doc.clean_text,
                 score=verdict.score,
                 proposed_label=verdict.label,
-                final_label=final,
+                final_label=overrides.get(doc.id, verdict.label),
             )
         )
-    return labeled, worksheet
+    return worksheet
 
 
 WORKSHEET_HEADER = ("id", "clean_text", "score", "proposed_label", "final_label")

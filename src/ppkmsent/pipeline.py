@@ -7,7 +7,8 @@ a ``<stage>.manifest.json`` (``train_<model>.manifest.json`` for ``train``)
 recording SHA-256 hashes of the exact inputs and outputs plus a hash of the
 effective settings.  A train manifest also records the split its model was
 fitted on, and ``eval`` refuses a model whose split differs from the one the
-current config gives.  ``label`` checks ``corpus.jsonl`` against
+current config gives, or whose files are not the ones the manifest
+records.  ``label`` checks ``corpus.jsonl`` against
 ``ingest.manifest.json`` and writes the labeled documents twice: as
 ``labeled.jsonl``, the record a person reads, and as token ids
 (``labeled_ids.bin``), which ``train``, ``eval`` and ``viz`` read after
@@ -23,12 +24,15 @@ import json
 import logging
 import math
 import os
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from ppkmsent import artifacts, bow, corpus, evaluation, lexicon, viz
 from ppkmsent.data import (
@@ -47,12 +51,11 @@ from ppkmsent.preprocess import (
     LabeledIds,
     SentimentLabel,
     TokenIds,
-    label_codes,
     label_name,
-    labeled_ids,
     load_stopwords,
     make_document,
     parse_label,
+    token_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -393,11 +396,15 @@ def _split_record(config: PipelineConfig, labeled_sha256: str) -> dict:
     }
 
 
-def _check_train_split(config: PipelineConfig, model: str, split: dict) -> Path:
-    """The model's train manifest, after checking that it records ``split``.
+def _check_trained_model(config: PipelineConfig, model: str, split: dict) -> dict[str, str]:
+    """The SHA-256 of the model's train manifest and of each file the model
+    is scored from, keyed by file name, after checking that the manifest
+    records ``split`` and those files.
 
-    Raises ConfigError naming the model and the first field that differs,
-    so that no model is scored on documents it was trained on.
+    Raises ConfigError naming the model and the first split field that
+    differs, so that no model is scored on documents it was trained on,
+    and naming the file and the manifest when a model file is missing or
+    is not the one train wrote.
     """
     path = config.output_dir / f"train_{model}.manifest.json"
     if not path.is_file():
@@ -405,8 +412,10 @@ def _check_train_split(config: PipelineConfig, model: str, split: dict) -> Path:
             f"{model}: {path} is missing, so the split the model was trained "
             f"on is unknown; run train again"
         )
+    data = path.read_bytes()
     try:
-        recorded = json.loads(path.read_text(encoding="utf-8")).get("split")
+        manifest = json.loads(data)
+        recorded = manifest.get("split")
     except (ValueError, AttributeError) as exc:
         raise ConfigError(f"{model}: {path} is not a train manifest") from exc
     if not isinstance(recorded, dict):
@@ -421,38 +430,48 @@ def _check_train_split(config: PipelineConfig, model: str, split: dict) -> Path:
             raise ConfigError(
                 f"{model} was trained on another split ({what}); run train again"
             )
-    return path
+    spec = MODELS[model]
+    files = [config.output_dir / name for name in (spec.file, *spec.predict_inputs)]
+    digests = {p: artifacts.sha256_file(p) if p.is_file() else None for p in files}
+    _check_outputs(path, digests, manifest)
+    digests[path] = hashlib.sha256(data).hexdigest()
+    return {p.name: digest for p, digest in digests.items()}
 
 
-def document_to_json(doc: Document, score: int | None = None) -> dict:
-    payload: dict = {
+def document_to_json(doc: Document, row: lexicon.WorksheetRow) -> dict:
+    return {
         "id": doc.id,
         "raw_text": doc.raw_text,
         "clean_text": doc.clean_text,
         "tokens": list(doc.tokens),
-        "label": label_name(doc.label),
+        "label": label_name(row.final_label),
+        "score": row.score,
     }
-    if score is not None:
-        payload["score"] = score
-    return payload
 
 
-def _check_outputs(manifest_path: Path, digests: dict[Path, str | None]) -> None:
+def _check_outputs(
+    manifest_path: Path, digests: dict[Path, str | None], manifest: object = None
+) -> None:
     """Check each file against the output digest that a stage's manifest
-    records; a digest of None stands for a missing file.
+    records; a digest of None stands for a missing file.  ``manifest`` is
+    the manifest's parsed JSON when the caller has read it, else it is
+    read here.
 
     A missing manifest, a file that is not a manifest, a missing file or a
     digest that differs is a ConfigError naming the file and the manifest.
     """
-    stage = manifest_path.name.removesuffix(".manifest.json")
+    # train_<model>.manifest.json is written by the train stage
+    stage = manifest_path.name.removesuffix(".manifest.json").partition("_")[0]
     rerun = f"run {stage} again"
     checked = f"{next(iter(digests)).name} cannot be checked; {rerun}"
-    if not manifest_path.is_file():
-        raise ConfigError(f"{manifest_path} is missing, so {checked}")
-    try:
-        recorded = json.loads(manifest_path.read_bytes()).get("outputs")
-    except (ValueError, AttributeError):
-        recorded = None
+    if manifest is None:
+        if not manifest_path.is_file():
+            raise ConfigError(f"{manifest_path} is missing, so {checked}")
+        try:
+            manifest = json.loads(manifest_path.read_bytes())
+        except ValueError:
+            pass
+    recorded = manifest.get("outputs") if isinstance(manifest, dict) else None
     if not isinstance(recorded, dict):
         raise ConfigError(f"{manifest_path} is not a {stage} manifest, so {checked}")
     for path, digest in digests.items():
@@ -542,24 +561,19 @@ def run_ingest(config: PipelineConfig) -> list[Path]:
         verdicts = read_verdicts(verdicts_path)
         inputs[VERDICTS_FILE] = verdicts_path
 
-    keywords = list(config.keywords)
     relevant = corpus.filter_relevant(
-        kept, keywords, verdicts or None, mode=config.keyword_mode
+        kept, list(config.keywords), verdicts or None, mode=config.keyword_mode
     )
-    kept_ids = {r.id for r in relevant}
-    dropped_by_verdict = sum(
-        1
-        for r in kept
-        if r.id not in kept_ids and verdicts.get(r.id) == "drop"
-    )
+    # a drop verdict always removes its record
+    dropped_by_verdict = sum(verdicts.get(r.id) == "drop" for r in kept)
     dropped_no_keyword = len(kept) - len(relevant) - dropped_by_verdict
 
     corpus_rows = []
-    for record in relevant:
+    for record, matched in relevant:
         row: dict = {
             "id": record.id,
             "text": record.text,
-            "matched_keywords": list(record.matched_keywords),
+            "matched_keywords": list(matched),
         }
         if record.created_at is not None:
             row["created_at"] = record.created_at.isoformat()
@@ -622,13 +636,13 @@ def run_label(config: PipelineConfig) -> list[Path]:
         overrides = read_label_overrides(overrides_path)
         inputs[OVERRIDES_FILE] = overrides_path
 
-    labeled, worksheet = lexicon.label_corpus(documents, lex, overrides or None)
-    outputs = write_label_artifacts(config, labeled, worksheet, inputs)
-    counts = viz.sentiment_distribution(label_codes(labeled))
+    worksheet = lexicon.label_corpus(documents, lex, overrides or None)
+    outputs = write_label_artifacts(config, documents, worksheet, inputs)
+    counts = Counter(row.final_label for row in worksheet)
     logger.info(
         "label: %d documents -> %d negative / %d neutral / %d positive "
         "(%d overrides)",
-        len(labeled),
+        len(worksheet),
         counts[SentimentLabel.NEGATIVE],
         counts[SentimentLabel.NEUTRAL],
         counts[SentimentLabel.POSITIVE],
@@ -639,22 +653,22 @@ def run_label(config: PipelineConfig) -> list[Path]:
 
 def write_label_artifacts(
     config: PipelineConfig,
-    labeled: list[Document],
+    documents: list[Document],
     worksheet: list[lexicon.WorksheetRow],
     inputs: dict[str, Path | str],
 ) -> list[Path]:
-    """Write what ``label`` writes: ``labeled.jsonl`` (each row with its
-    worksheet score, when it has one), its token ids, the worksheet and
-    the label manifest, which records ``inputs``."""
+    """Write what ``label`` writes: ``labeled.jsonl``, whose row i is
+    document i with the score and final label of worksheet row i, the same
+    documents and labels as token ids, the worksheet and the label
+    manifest, which records ``inputs``."""
     out = config.output_dir
-    score_by_id = {row.id: row.score for row in worksheet}
+    codes = np.array([row.final_label for row in worksheet], dtype=np.intp)
     outputs = [
         artifacts.write_jsonl(
-            (document_to_json(doc, score=score_by_id.get(doc.id)) for doc in labeled),
-            out / LABELED_FILE,
+            map(document_to_json, documents, worksheet), out / LABELED_FILE
         ),
         artifacts.write_bytes(
-            artifacts.encode_labeled_ids(labeled_ids(labeled)),
+            artifacts.encode_labeled_ids(LabeledIds(token_ids(documents), codes)),
             out / LABELED_IDS_FILE,
         ),
         artifacts.write_csv(
@@ -859,21 +873,16 @@ def run_eval(config: PipelineConfig) -> list[Path]:
     split = _split_record(config, digests[LABELED_FILE])
     inputs: dict[str, Path | str] = dict(digests)
     for name in available:
-        path = _check_train_split(config, name, split)
-        inputs[path.name] = path
+        inputs.update(_check_trained_model(config, name, split))
     test = labeled.take(test_rows)
     true_labels = list(map(SentimentLabel, test.labels.tolist()))
     outputs: list[Path] = []
     named_reports: list[tuple[str, evaluation.MetricsReport]] = []
     for name, spec in available.items():
-        model_files = [
-            artifacts.require_artifact(config.output_dir / filename, "train")
-            for filename in (spec.file, *spec.predict_inputs)
-        ]
-        inputs.update((path.name, path) for path in model_files)
         try:
             predicted = spec.predict(config.output_dir, test.documents)
         except (ValueError, KeyError, TypeError) as exc:
+            model_files = (config.output_dir / f for f in (spec.file, *spec.predict_inputs))
             raise CheckpointFormatError(
                 f"{', '.join(map(str, model_files))}: unreadable {name} model "
                 f"({type(exc).__name__}: {exc})"

@@ -122,17 +122,10 @@ def _count_grams(
     return keys[runs], np.diff(runs, append=len(keys)), tables
 
 
-def cloud_weights(
-    documents: TokenIds,
-    top_k: int,
-    extra_stopwords: frozenset[str] | set[str] = frozenset(),
-) -> CloudWeights:
-    """Unigram counts minus extra stopwords, the top ``top_k`` of them in
-    ``rank_tokens`` order."""
+def cloud_weights(documents: TokenIds, top_k: int) -> CloudWeights:
+    """Unigram counts, the top ``top_k`` of them in ``rank_tokens`` order."""
     _, ids, tokens = documents
     counts = np.bincount(ids, minlength=len(tokens))
-    if extra_stopwords:
-        counts[[i for i, word in enumerate(tokens) if word in extra_stopwords]] = 0
     words = np.array(tokens, dtype=object)
     ranked = _top_counts(counts, lambda labels: words[labels].tolist(), top_k)
     return CloudWeights(entries=dict(ranked))

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ppkmsent import artifacts, corpus
+from ppkmsent import artifacts, corpus, lexicon
+from ppkmsent.data import default_lexicon
 from ppkmsent.preprocess import Document, SentimentLabel, label_codes, parse_label
 
 _LABELED_ROW_FIELDS = {"id": str, "raw_text": str, "clean_text": str, "label": str}
@@ -29,6 +30,13 @@ def labeled_documents(output_dir: Path) -> list[Document]:
     """The documents of the ``labeled.jsonl`` in ``output_dir``, parsed row
     by row; no stage reads them this way."""
     return artifacts.load_jsonl(output_dir / "labeled.jsonl", document_from_row)[0]
+
+
+def worksheet_keeping_labels(documents: list[Document]) -> list[lexicon.WorksheetRow]:
+    """The label stage's worksheet for labeled documents, each document's
+    own label standing as a review override, so that it is the final one."""
+    overrides = {doc.id: doc.label for doc in documents}
+    return lexicon.label_corpus(documents, default_lexicon(), overrides=overrides)
 
 
 def split_documents(

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import csv
 import gc
 import hashlib
+import io
 import json
 import weakref
 from pathlib import Path
@@ -297,6 +299,57 @@ class TestWriteJsonl:
             artifacts.write_jsonl(make_rows(), path)
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+CSV_HEADER = ("id", "text", "score")
+# commas, quotes, newlines and non-ASCII, each of which the csv module quotes
+# or the encoder must carry
+CSV_ROWS = [
+    ("plain", "ppkm jualan", "1"),
+    ("comma", "rugi, tutup", "-2"),
+    ("quote", 'kata "PPKM" lagi', "0"),
+    ("newline", "baris\nbaru\r\nlagi", "3"),
+    ("non-ascii", "naïve — 😷 é", ""),
+]
+CSV_FIELDS = st.text(alphabet=st.sampled_from(list('ab,"\n\r é😷')), max_size=6)
+
+
+def csv_bytes(rows) -> bytes:
+    """What ``csv.writer`` with ``lineterminator="\n"`` writes, in UTF-8."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestWriteCsv:
+    # 2,000 rows span several of the text layer's buffers
+    @pytest.mark.parametrize("count", [0, 1, len(CSV_ROWS), 2000])
+    def test_bytes_are_the_csv_writers(self, tmp_path, count):
+        rows = [CSV_ROWS[i % len(CSV_ROWS)] for i in range(count)]
+        path = tmp_path / "rows.csv"
+        artifacts.write_csv(CSV_HEADER, iter(rows), path)
+        assert path.read_bytes() == csv_bytes(rows)
+
+    @given(st.lists(st.tuples(CSV_FIELDS, CSV_FIELDS, CSV_FIELDS), max_size=5))
+    @settings(max_examples=100)
+    def test_any_fields_give_the_csv_writers_bytes(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        artifacts.write_csv(CSV_HEADER, rows, path)
+        assert path.read_bytes() == csv_bytes(rows)
+
+    def test_a_failed_write_keeps_the_previous_file(self, tmp_path):
+        def rows():
+            yield from CSV_ROWS * 400
+            raise RuntimeError("row source failed")
+
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError, match="row source failed"):
+            artifacts.write_csv(CSV_HEADER, rows(), path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
 # tokens as the label stage never makes them, to show the format does not

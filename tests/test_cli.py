@@ -42,6 +42,27 @@ def edit_second_corpus_text(out: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_recorded(path: Path, data: bytes, manifest: str) -> None:
+    """Write ``data`` to ``path`` and record its digest in ``manifest``
+    beside it, as if the stage that owns the file had written it."""
+    path.write_bytes(data)
+    manifest_path = path.parent / manifest
+    payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+    payload["outputs"][path.name] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def write_recorded_model(out: Path, filename: str, data: bytes) -> None:
+    """Write ``data`` as a model file that train recorded, so that eval
+    reads it instead of refusing it unrecorded."""
+    (model,) = [
+        name
+        for name, spec in pipeline.MODELS.items()
+        if filename in (spec.file, *spec.train_outputs)
+    ]
+    write_recorded(out / filename, data, f"train_{model}.manifest.json")
+
+
 def write_setup(tmp_path: Path, extra: str = "") -> Path:
     """Raw corpus plus a config file pointing at it; returns the config path."""
     write_jsonl(synthetic_tweets(40, seed=1), tmp_path / "raw.jsonl")
@@ -94,8 +115,7 @@ class TestExitCodes:
         assert cli.main(["ingest", "-c", str(config_path)]) == cli.EXIT_OK
         assert cli.main(["label", "-c", str(config_path)]) == cli.EXIT_OK
         assert cli.main(["train", "-c", str(config_path)]) == cli.EXIT_OK
-        model_path = tmp_path / "out" / "mnb_model.json"
-        model_path.write_text("{ not json", encoding="utf-8")
+        write_recorded_model(tmp_path / "out", "mnb_model.json", b"{ not json")
         capsys.readouterr()
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
@@ -219,9 +239,10 @@ class TestExitCodes:
         for stage in ("ingest", "label", "train"):
             assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
         assert cli.main(["train", "-c", str(lexicon_config)]) == cli.EXIT_OK
-        model_path = tmp_path / "out" / filename
-        payload = json.loads(model_path.read_text(encoding="utf-8"))
-        model_path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        payload = json.loads((tmp_path / "out" / filename).read_text(encoding="utf-8"))
+        write_recorded_model(
+            tmp_path / "out", filename, json.dumps(corrupt(payload)).encode("utf-8")
+        )
         capsys.readouterr()
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
@@ -244,6 +265,26 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "metrics_mnb.json").exists()
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_OK
 
+    def test_model_file_that_train_did_not_write_exits_one(self, tmp_path, capsys):
+        # a well-formed model whose class rows were swapped would score
+        # silently; its digest differs from what the train manifest records
+        config_path = write_setup(tmp_path)
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        model_path = tmp_path / "out" / "mnb_model.json"
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        rows = payload["token_log_likelihood"]
+        rows[0], rows[1] = rows[1], rows[0]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "mnb_model.json is not the file" in err
+        assert "train_mnb.manifest.json" in err
+        assert not (tmp_path / "out" / "metrics_mnb.json").exists()
+
     @pytest.mark.parametrize(
         "expected, other", [("mnb", "svm"), ("svm", "mnb")], ids=["svm-as-mnb", "mnb-as-svm"]
     )
@@ -260,7 +301,7 @@ class TestExitCodes:
         assert cli.main(["train", "-c", str(svm_config)]) == cli.EXIT_OK
         out = tmp_path / "out"
         filename = f"{expected}_model.json"
-        (out / filename).write_bytes((out / f"{other}_model.json").read_bytes())
+        write_recorded_model(out, filename, (out / f"{other}_model.json").read_bytes())
         capsys.readouterr()
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
@@ -319,9 +360,10 @@ class TestExitCodes:
         for stage in ("ingest", "label", "train"):
             assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
         assert cli.main(["train", "-c", str(svm_config)]) == cli.EXIT_OK
-        model_path = tmp_path / "out" / filename
-        payload = json.loads(model_path.read_text(encoding="utf-8"))
-        model_path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        payload = json.loads((tmp_path / "out" / filename).read_text(encoding="utf-8"))
+        write_recorded_model(
+            tmp_path / "out", filename, json.dumps(corrupt(payload)).encode("utf-8")
+        )
         capsys.readouterr()
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
@@ -457,17 +499,6 @@ def edit_a_token(path: Path) -> None:
     path.write_text(path.read_text(encoding="utf-8").replace('"ppkm"', '"ppkn"', 1))
 
 
-def write_recorded(out: Path, data: bytes) -> None:
-    """Write ``data`` as the id file and record its digest in the label
-    manifest, as if label had written it."""
-    path = out / pipeline.LABELED_IDS_FILE
-    path.write_bytes(data)
-    manifest_path = out / pipeline.LABEL_MANIFEST_FILE
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["outputs"][path.name] = hashlib.sha256(data).hexdigest()
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-
-
 def recoded(out: Path, change) -> bytes:
     """The id file's bytes after ``change`` edits its decoded arrays."""
     path = out / pipeline.LABELED_IDS_FILE
@@ -549,7 +580,9 @@ class TestLabeledIdsContract:
     def test_a_malformed_recorded_file_exits_two(self, tmp_path, capsys, make_bytes):
         config_path = self.labeled_run(tmp_path)
         out = tmp_path / "out"
-        write_recorded(out, make_bytes(out))
+        write_recorded(
+            out / pipeline.LABELED_IDS_FILE, make_bytes(out), pipeline.LABEL_MANIFEST_FILE
+        )
         self.assert_refused(
             config_path, capsys, cli.EXIT_RUNTIME, pipeline.LABELED_IDS_FILE
         )
@@ -758,7 +791,9 @@ class TestBertTraining:
             assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
         vocab_path = tmp_path / "out" / pipeline.BERT_VOCAB_FILE
         payload = json.loads(vocab_path.read_text(encoding="utf-8"))
-        vocab_path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        write_recorded_model(
+            tmp_path / "out", vocab_path.name, json.dumps(corrupt(payload)).encode("utf-8")
+        )
         capsys.readouterr()
         assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
@@ -766,6 +801,35 @@ class TestBertTraining:
         assert message in err
         if "tokens, but" in message:
             assert "bert.ckpt" in err
+        assert not (tmp_path / "out" / "metrics_bert.json").exists()
+
+    def test_vocabulary_that_train_did_not_write_exits_one(self, tmp_path, capsys):
+        config_path = self.write_bert_setup(
+            tmp_path,
+            "train_fraction = 6/10\n"
+            "validation_fraction = 2/10\n"
+            "test_fraction = 2/10\n"
+            "num_layers = 1\n"
+            "num_heads = 1\n"
+            "hidden_size = 4\n"
+            "feedforward_size = 8\n"
+            "max_sequence_length = 12\n"
+            "epochs = 1\n",
+        )
+        for stage in ("ingest", "label", "train"):
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        # the same tokens under other ids: a vocabulary that fits the
+        # checkpoint, so only the manifest tells it apart
+        vocab_path = tmp_path / "out" / pipeline.BERT_VOCAB_FILE
+        payload = json.loads(vocab_path.read_text(encoding="utf-8"))
+        payload["tokens"][-2:] = reversed(payload["tokens"][-2:])
+        vocab_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vocab_path} is not the file ")
+        assert "Traceback" not in err
+        assert "train_bert.manifest.json" in err
         assert not (tmp_path / "out" / "metrics_bert.json").exists()
 
     def test_diverging_last_update_exits_two_without_a_checkpoint(

@@ -297,8 +297,13 @@ class TestDedupe:
 class TestFilterRelevant:
     def test_case_insensitive_keyword_match(self):
         kept = filter_relevant([rec("a", "ppkm diperpanjang")], ["PPKM"])
-        assert [r.id for r in kept] == ["a"]
-        assert kept[0].matched_keywords == ("ppkm",)
+        assert [(r.id, matched) for r, matched in kept] == [("a", ("ppkm",))]
+
+    @pytest.mark.parametrize("mode", ["any", "all"])
+    def test_a_repeated_keyword_matches_once(self, mode):
+        records = [rec("a", "PPKM diperpanjang"), rec("b", "cuaca cerah")]
+        kept = filter_relevant(records, ["ppkm", "PPKM"], mode=mode)
+        assert [(r.id, matched) for r, matched in kept] == [("a", ("ppkm",))]
 
     def test_no_keyword_dropped(self):
         assert filter_relevant([rec("a", "cuaca cerah")], ["PPKM"]) == []
@@ -308,21 +313,23 @@ class TestFilterRelevant:
         kept = filter_relevant(
             records, ["ppkm"], verdicts={"a": "drop", "b": "keep"}
         )
-        assert [r.id for r in kept] == ["b"]
+        assert [r.id for r, _ in kept] == ["b"]
 
     def test_match_keywords_finds_lowercase_subset(self):
         assert match_keywords("PPKM di Jakarta", ["ppkm", "jakarta", "bali"]) == (
             "ppkm",
             "jakarta",
         )
+        assert match_keywords("PPKM di Jakarta", ["Jakarta", "ppkm", "JAKARTA"]) == (
+            "jakarta",
+            "ppkm",
+        )
 
     def test_all_mode_requires_every_keyword(self):
         records = [rec("a", "ppkm di jakarta"), rec("b", "ppkm saja")]
-        assert [r.id for r in filter_relevant(records, ["ppkm", "jakarta"], mode="all")] == ["a"]
-        assert [r.id for r in filter_relevant(records, ["ppkm", "jakarta"], mode="any")] == [
-            "a",
-            "b",
-        ]
+        keywords = ["ppkm", "jakarta"]
+        assert [r.id for r, _ in filter_relevant(records, keywords, mode="all")] == ["a"]
+        assert [r.id for r, _ in filter_relevant(records, keywords, mode="any")] == ["a", "b"]
 
     def test_unknown_verdict_id_rejected(self):
         with pytest.raises(UnknownIdError):
@@ -355,7 +362,7 @@ class TestFilterRelevant:
         unique = {r.id: r for r in records}
         records = list(unique.values())
         kept = filter_relevant(records, ["ppkm"])
-        assert [r.id for r in kept] == [
+        assert [r.id for r, _ in kept] == [
             r.id for r in records if "ppkm" in r.text.lower()
         ]
 

@@ -240,11 +240,11 @@ class TestSyntheticDocuments:
     def test_lexicon_bootstrap_agrees_with_true_labels(self):
         docs = synthetic_documents(600, seed=0)
         lexicon = default_lexicon()
-        labeled, worksheet = label_corpus(
+        worksheet = label_corpus(
             [d for d in docs], lexicon
         )
         agreements = sum(
-            1 for got, want in zip(labeled, docs) if got.label == want.label
+            1 for got, want in zip(worksheet, docs) if got.final_label == want.label
         )
         assert agreements == 600
         assert all(

@@ -168,8 +168,8 @@ class TestLabelCorpus:
         ]
 
     def test_sign_rule_without_overrides(self):
-        labeled, worksheet = label_corpus(self.docs(), default_lexicon())
-        assert [d.label for d in labeled] == [
+        worksheet = label_corpus(self.docs(), default_lexicon())
+        assert [row.final_label for row in worksheet] == [
             SentimentLabel.POSITIVE,
             SentimentLabel.NEGATIVE,
             SentimentLabel.NEUTRAL,
@@ -180,13 +180,11 @@ class TestLabelCorpus:
         assert [row.score for row in worksheet] == [1, -2, 0]
 
     def test_override_replaces_proposed_label(self):
-        labeled, worksheet = label_corpus(
+        worksheet = label_corpus(
             self.docs(),
             default_lexicon(),
             overrides={"z": SentimentLabel.NEGATIVE},
         )
-        by_id = {d.id: d for d in labeled}
-        assert by_id["z"].label is SentimentLabel.NEGATIVE
         row = next(r for r in worksheet if r.id == "z")
         assert row.proposed_label is SentimentLabel.NEUTRAL
         assert row.final_label is SentimentLabel.NEGATIVE
@@ -202,7 +200,7 @@ class TestLabelCorpus:
             make_doc([vocab[(i * 7 + j) % len(vocab)] for j in range(i % 5)], doc_id=str(i))
             for i in range(60)
         ]
-        labeled, worksheet = label_corpus(docs, lexicon)
+        worksheet = label_corpus(docs, lexicon)
         counts = {label: 0 for label in SentimentLabel}
         for doc in docs:
             score = sum(1 for t in doc.tokens if t in lexicon.positive) - sum(
@@ -215,11 +213,11 @@ class TestLabelCorpus:
             else:
                 counts[SentimentLabel.NEUTRAL] += 1
         for label in SentimentLabel:
-            assert sum(1 for d in labeled if d.label is label) == counts[label]
+            assert sum(1 for row in worksheet if row.final_label is label) == counts[label]
         assert len(worksheet) == len(docs)
 
     def test_worksheet_csv_rows_are_strings(self):
-        _, worksheet = label_corpus(self.docs(), default_lexicon())
+        worksheet = label_corpus(self.docs(), default_lexicon())
         rows = worksheet_csv_rows(worksheet)
         assert WORKSHEET_HEADER == ("id", "clean_text", "score", "proposed_label", "final_label")
         assert rows[0] == ("p", "dermawan", "1", "positive", "positive")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import csv
 import hashlib
 import io
 import json
@@ -12,11 +13,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import labeled_documents, split_documents
+from conftest import labeled_documents, split_documents, worksheet_keeping_labels
 from ppkmsent import bow, evaluation, lexicon, pipeline
 from ppkmsent.errors import ConfigError, StageOrderError
 from ppkmsent.fixtures import synthetic_documents, synthetic_tweets, write_jsonl
-from ppkmsent.preprocess import SentimentLabel, labeled_ids, parse_label, token_ids
+from ppkmsent.preprocess import (
+    SentimentLabel,
+    label_name,
+    labeled_ids,
+    parse_label,
+    token_ids,
+)
 
 NEG, NEU, POS = (
     SentimentLabel.NEGATIVE,
@@ -60,8 +67,9 @@ def write_labeled_corpus(output_dir: Path, n: int = 60, seed: int = 0) -> None:
     seed)``, through its writer, without running ingest or label."""
     output_dir.mkdir(parents=True, exist_ok=True)
     config = pipeline.PipelineConfig(output_dir=output_dir)
+    documents = synthetic_documents(n, seed=seed)
     pipeline.write_label_artifacts(
-        config, synthetic_documents(n, seed=seed), [], {}
+        config, documents, worksheet_keeping_labels(documents), {}
     )
 
 
@@ -495,26 +503,46 @@ class TestLabelStage:
 
     def test_labeled_rows_and_worksheet_align(self, tmp_path):
         config = self.run_both(tmp_path)
+        out = config.output_dir
+        # one override, on a row inside the file, so that its final label
+        # differs from its proposed one
+        before = labeled_documents(out)
+        middle = before[len(before) // 2]
+        relabel = NEG if middle.label is not NEG else POS
+        pipeline.write_label_overrides({middle.id: relabel}, out / pipeline.OVERRIDES_FILE)
+        pipeline.run_label(config)
         labeled = [
             json.loads(line)
-            for line in (config.output_dir / pipeline.LABELED_FILE)
-            .read_text()
-            .strip()
-            .split("\n")
+            for line in (out / pipeline.LABELED_FILE).read_text().strip().split("\n")
         ]
-        corpus_rows = (
-            (config.output_dir / pipeline.CORPUS_FILE).read_text().strip().split("\n")
-        )
+        corpus_rows = (out / pipeline.CORPUS_FILE).read_text().strip().split("\n")
         assert len(labeled) == len(corpus_rows)
+        assert [row["id"] for row in labeled] == [
+            json.loads(line)["id"] for line in corpus_rows
+        ]
         assert all(
             row["label"] in ("negative", "neutral", "positive") for row in labeled
         )
         assert all(isinstance(row["score"], int) for row in labeled)
-        worksheet = (
-            (config.output_dir / pipeline.WORKSHEET_FILE).read_text().strip().split("\n")
+        worksheet_text = (out / pipeline.WORKSHEET_FILE).read_text()
+        assert worksheet_text.split("\n", 1)[0] == (
+            "id,clean_text,score,proposed_label,final_label"
         )
-        assert worksheet[0] == "id,clean_text,score,proposed_label,final_label"
-        assert len(worksheet) == len(labeled) + 1
+        worksheet = list(csv.reader(io.StringIO(worksheet_text)))[1:]
+        assert len(worksheet) == len(labeled)
+        ids, _ = pipeline.load_labeled_documents(out)
+        sequences = ids.documents.sequences()
+        assert len(sequences) == len(labeled)
+        for row, sheet, tokens, code in zip(labeled, worksheet, sequences, ids.labels):
+            assert sheet[0] == row["id"]
+            assert sheet[1] == row["clean_text"]
+            assert int(sheet[2]) == row["score"]
+            assert sheet[4] == row["label"] == label_name(SentimentLabel(code))
+            assert list(tokens) == row["tokens"]
+        changed = [sheet for sheet in worksheet if sheet[3] != sheet[4]]
+        assert [(sheet[0], sheet[3], sheet[4]) for sheet in changed] == [
+            (middle.id, label_name(middle.label), label_name(relabel))
+        ]
 
     def test_documents_round_trip_through_the_artifact(self, tmp_path):
         config = self.run_both(tmp_path)
@@ -849,7 +877,9 @@ class TestSplitFingerprint:
         # relabelled by the label stage's writer, as overrides and a rerun
         # of label do, the documents no longer match the trained model
         documents[0] = replace(documents[0], label=parse_label(relabelled))
-        pipeline.write_label_artifacts(config, documents, [], {})
+        pipeline.write_label_artifacts(
+            config, documents, worksheet_keeping_labels(documents), {}
+        )
         with pytest.raises(ConfigError, match=r"^mnb .*labeled\.jsonl has changed"):
             pipeline.run_eval(config)
 

@@ -55,11 +55,11 @@ def reference_ngrams(documents, n, top_k=None):
     return NgramTable(n=n, entries=tuple(ordered))
 
 
-def reference_cloud_weights(documents, top_k, extra_stopwords=frozenset()):
-    """The per-document filter and full sort that ``cloud_weights`` replaces."""
+def reference_cloud_weights(documents, top_k):
+    """The per-document count and full sort that ``cloud_weights`` replaces."""
     counts = Counter()
     for doc in documents:
-        counts.update(t for t in doc.tokens if t not in extra_stopwords)
+        counts.update(doc.tokens)
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:top_k]
     return CloudWeights(entries=dict(ordered))
 
@@ -194,26 +194,17 @@ class TestCloudWeights:
         table = ngrams(token_ids(docs), 1)
         assert cloud.entries == {g[0]: c for g, c in table.entries}
 
-    def test_extra_stopwords_excluded(self):
-        docs = [make_doc(["ppkm", "rugi", "ppkm"], doc_id="a")]
-        cloud = cloud_weights(token_ids(docs), top_k=10, extra_stopwords={"ppkm"})
-        assert cloud.entries == {"rugi": 1}
-
     def test_top_k_keeps_most_frequent(self):
         docs = [make_doc(["z", "z", "a", "m", "m", "m"], doc_id="a")]
         cloud = cloud_weights(token_ids(docs), top_k=2)
         assert cloud.entries == {"m": 3, "z": 2}
 
-    @given(
-        tied_token_lists,
-        top_ks.filter(lambda k: k is not None),
-        st.frozensets(st.sampled_from(["a", "b", "c", "d"]), min_size=1),
-    )
+    @given(tied_token_lists, top_ks.filter(lambda k: k is not None))
     @settings(max_examples=300)
-    def test_matches_the_reference_loop(self, lists, top_k, stopwords):
+    def test_matches_the_reference_loop(self, lists, top_k):
         docs = [make_doc(toks, doc_id=str(i)) for i, toks in enumerate(lists)]
-        want = list(reference_cloud_weights(docs, top_k, stopwords).entries.items())
-        got = cloud_weights(token_ids(docs), top_k, stopwords)
+        want = list(reference_cloud_weights(docs, top_k).entries.items())
+        got = cloud_weights(token_ids(docs), top_k)
         assert list(got.entries.items()) == want
 
     @pytest.mark.parametrize("top_k", [1, 20, 10**6])
@@ -221,9 +212,8 @@ class TestCloudWeights:
         self, labeled_fixture_documents, top_k
     ):
         docs = labeled_fixture_documents
-        stopwords = frozenset({"ppkm", "tidak"})
-        want = reference_cloud_weights(docs, top_k, stopwords)
-        got = cloud_weights(token_ids(docs), top_k, stopwords)
+        want = reference_cloud_weights(docs, top_k)
+        got = cloud_weights(token_ids(docs), top_k)
         assert list(got.entries.items()) == list(want.entries.items())
 
     def test_zero_top_k_is_empty(self):
