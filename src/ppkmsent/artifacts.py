@@ -106,13 +106,23 @@ def write_csv(header: tuple[str, ...], rows: Iterable[tuple], path: str | Path) 
     return path
 
 
+@contextmanager
+def csv_reader(path: Path) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over the UTF-8 text of ``path``; bytes that are not
+    UTF-8 are a ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            yield csv.reader(handle)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_id_csv(path: Path, column: str, parse: Callable[[str], object]) -> dict:
     """Read an ``id,<column>`` CSV into ``{id: parse(value)}``; a wrong
     header, or a value (missing: "") that ``parse`` rejects with ValueError,
     is a ConfigError naming ``<path>:<line>``."""
     values = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id", column]:
             raise ConfigError(f"{path}: expected header id,{column}")

@@ -1,8 +1,8 @@
 """Command-line interface for the sentiment pipeline.
 
 Usage: ``ppkmsent <stage> --config pipeline.cfg`` where stage is one of
-ingest, review, label, train, eval, viz, compare.  Exit codes: 0 success,
-1 configuration or stage-order error, 2 runtime failure.  The environment
+ingest, review, label, train, eval, viz.  Exit codes: 0 success, 1
+configuration or stage-order error, 2 runtime failure.  The environment
 variable ``PPKMSENT_OUTPUT_DIR`` overrides the configured output directory.
 """
 
@@ -27,7 +27,6 @@ _STAGE_RUNNERS = {
     "train": pipeline.run_train,
     "eval": pipeline.run_eval,
     "viz": pipeline.run_viz,
-    "compare": pipeline.run_compare,
 }
 
 
@@ -47,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", "fit the configured model on the training split"),
         ("eval", "score trained models on the test split"),
         ("viz", "write frequency tables, cloud weights, and charts"),
-        ("compare", "rebuild the model comparison from stored reports"),
     ):
         sub = subparsers.add_parser(stage, help=help_text)
         sub.add_argument(

@@ -67,8 +67,8 @@ class EncoderNumericsError(PipelineError):
 
 
 class CheckpointFormatError(PipelineError):
-    """A model, checkpoint or report file has the wrong magic, version,
-    shape or fields."""
+    """A model, checkpoint or labeled-ids file has the wrong magic,
+    version, shape or fields."""
 
 
 class CorruptProgressError(PipelineError):

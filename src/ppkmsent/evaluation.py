@@ -121,12 +121,6 @@ class ComparisonTable:
 
     rows: tuple[tuple[str, float, float, float], ...]
 
-    def to_csv(self) -> str:
-        lines = ["model,macro_precision,macro_recall,macro_f"]
-        for name, mp, mr, mf in self.rows:
-            lines.append(f"{name},{mp!r},{mr!r},{mf!r}")
-        return "\n".join(lines) + "\n"
-
     def to_text(self) -> str:
         name_width = max(len("model"), *(len(r[0]) for r in self.rows))
         header = f"{'model':<{name_width}}  {'macro_p':>8}  {'macro_r':>8}  {'macro_f':>8}"
@@ -165,25 +159,3 @@ def report_as_dict(report: MetricsReport) -> dict:
         "macro_f": report.macro_f,
         "accuracy": report.accuracy,
     }
-
-
-def report_from_dict(payload: dict) -> MetricsReport:
-    per_class = []
-    for c in range(NUM_CLASSES):
-        entry = payload["per_class"][SentimentLabel(c).name.lower()]
-        per_class.append(
-            ClassMetrics(
-                precision=entry["precision"],
-                recall=entry["recall"],
-                f_score=entry["f_score"],
-                support=entry["support"],
-                undefined=frozenset(entry["undefined"]),
-            )
-        )
-    return MetricsReport(
-        per_class=tuple(per_class),
-        macro_precision=payload["macro_precision"],
-        macro_recall=payload["macro_recall"],
-        macro_f=payload["macro_f"],
-        accuracy=payload["accuracy"],
-    )

@@ -906,69 +906,22 @@ def run_eval(config: PipelineConfig) -> list[Path]:
             len(test_rows),
         )
 
-    summary_rows = [
-        (
-            name,
-            repr(report.macro_precision),
-            repr(report.macro_recall),
-            repr(report.macro_f),
-            repr(report.accuracy),
-        )
-        for name, report in named_reports
-    ]
-    outputs.append(
-        artifacts.write_csv(
-            ("model", "macro_precision", "macro_recall", "macro_f", "accuracy"),
-            summary_rows,
-            config.output_dir / METRICS_SUMMARY_FILE,
-        )
+    out = config.output_dir
+    header = ("model", "macro_precision", "macro_recall", "macro_f", "accuracy")
+    summary_rows = (
+        (name, r.macro_precision, r.macro_recall, r.macro_f, r.accuracy)
+        for name, r in named_reports
     )
+    outputs.append(artifacts.write_csv(header, summary_rows, out / METRICS_SUMMARY_FILE))
     if len(named_reports) >= 2:
-        outputs.extend(_write_comparison(config, named_reports))
+        # the summary's macro columns ranked by macro F; the csv module
+        # writes each float as its repr, as in the summary
+        table = evaluation.compare(named_reports)
+        outputs += [
+            artifacts.write_csv(header[:4], table.rows, out / COMPARISON_CSV_FILE),
+            artifacts.write_text(table.to_text(), out / COMPARISON_TXT_FILE),
+        ]
     outputs.append(_write_manifest(config, "eval", inputs, outputs))
-    return outputs
-
-
-def _write_comparison(
-    config: PipelineConfig,
-    named_reports: list[tuple[str, evaluation.MetricsReport]],
-) -> list[Path]:
-    table = evaluation.compare(named_reports)
-    return [
-        artifacts.write_text(table.to_csv(), config.output_dir / COMPARISON_CSV_FILE),
-        artifacts.write_text(table.to_text(), config.output_dir / COMPARISON_TXT_FILE),
-    ]
-
-
-def _load_report(path: Path) -> evaluation.MetricsReport:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return evaluation.report_from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise CheckpointFormatError(
-            f"{path}: not an evaluation report ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def run_compare(config: PipelineConfig) -> list[Path]:
-    """Rebuild the comparison table from stored evaluation reports."""
-    named_reports: list[tuple[str, evaluation.MetricsReport]] = []
-    inputs: dict[str, Path] = {}
-    for name in MODELS:
-        report_path = config.output_dir / f"metrics_{name}.json"
-        if report_path.is_file():
-            named_reports.append((name, _load_report(report_path)))
-            inputs[report_path.name] = report_path
-    if len(named_reports) < 2:
-        raise StageOrderError(
-            "metrics_<model>.json (need at least 2)",
-            "run the eval stage for at least two trained models first",
-        )
-    outputs = _write_comparison(config, named_reports)
-    outputs.append(_write_manifest(config, "compare", inputs, outputs))
     return outputs
 
 

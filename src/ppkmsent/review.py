@@ -18,7 +18,6 @@ edited worksheet whose changed ``final_label`` values become overrides
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -120,16 +119,29 @@ def _persist(state: ReviewState, output_dir: Path) -> None:
 
 
 def load_review_items(output_dir: Path) -> tuple[str, list[ReviewItem]]:
-    """Worksheet rows when the label stage has run, else corpus records."""
+    """Worksheet rows when the label stage has run, else corpus records.
+
+    The file read must be the one its stage's manifest records, checked
+    after parsing as ``label`` checks its corpus: a worksheet edited or
+    truncated after ``label`` ran, or a corpus after ``ingest`` ran, is a
+    ConfigError naming the file and the manifest.
+    """
     worksheet = output_dir / pipeline.WORKSHEET_FILE
     if worksheet.is_file():
         items = [
             ReviewItem(id=row[0], text=row[1], proposed_label=proposed)
             for _, row, proposed in _read_worksheet(worksheet)
         ]
+        pipeline._check_outputs(
+            output_dir / pipeline.LABEL_MANIFEST_FILE,
+            {worksheet: artifacts.sha256_file(worksheet)},
+        )
         return "worksheet", items
     corpus = artifacts.require_artifact(output_dir / pipeline.CORPUS_FILE, "ingest")
-    rows, _ = artifacts.load_jsonl(corpus, artifacts.corpus_row)
+    rows, corpus_sha256 = artifacts.load_jsonl(corpus, artifacts.corpus_row)
+    pipeline._check_outputs(
+        output_dir / pipeline.INGEST_MANIFEST_FILE, {corpus: corpus_sha256}
+    )
     return "corpus", [ReviewItem(id=rid, text=text) for rid, text in rows]
 
 
@@ -138,11 +150,11 @@ def _read_worksheet(path: Path) -> list[tuple[int, list[str], SentimentLabel]]:
 
     Columns are read by position, so a header other than WORKSHEET_HEADER,
     a row with fewer than its five columns, or an unknown
-    ``proposed_label`` is a ConfigError naming ``<path>:<line>``.
+    ``proposed_label`` is a ConfigError naming ``<path>:<line>``, and
+    bytes that are not UTF-8 one naming ``path``.
     """
     rows = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with artifacts.csv_reader(path) as reader:
         header = [name.strip() for name in next(reader, [])]
         if header != list(WORKSHEET_HEADER):
             raise ConfigError(
@@ -192,8 +204,8 @@ def import_decisions(path: str | Path, output_dir: Path) -> ReviewState:
     if not path.is_file():
         raise ConfigError(f"import file not found: {path}")
     state = load_progress(output_dir) or ReviewState()
-    with open(path, encoding="utf-8", newline="") as handle:
-        header = [h.strip() for h in (next(csv.reader(handle), None) or [])]
+    with artifacts.csv_reader(path) as reader:
+        header = [h.strip() for h in (next(reader, None) or [])]
     if header[:2] == ["id", "verdict"]:
         state.verdicts.update(pipeline.read_verdicts(path))
     elif header[:2] == ["id", "label"]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppkmsent import artifacts, cli, pipeline
+from ppkmsent import artifacts, cli, pipeline, review
 from ppkmsent.encoder import train as enc_train
 from ppkmsent.encoder.checkpoint import load_checkpoint
 from ppkmsent.fixtures import synthetic_tweets, write_jsonl
@@ -448,37 +448,17 @@ class TestExitCodes:
     ):
         self.eval_with_corrupt_model(tmp_path, capsys, filename, corrupt, message)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [("{}", "not an evaluation report"), ('{"model": "mnb"', "not valid JSON")],
-        ids=["empty-object", "truncated"],
-    )
-    def test_corrupt_metrics_report_exits_two(self, tmp_path, capsys, text, message):
-        config_path = write_setup(tmp_path)
-        lexicon_config = tmp_path / "lexicon.cfg"
-        lexicon_config.write_text(
-            config_path.read_text().replace("model = mnb", "model = lexicon")
-        )
-        for stage in ("ingest", "label", "train"):
-            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
-        assert cli.main(["train", "-c", str(lexicon_config)]) == cli.EXIT_OK
-        assert cli.main(["eval", "-c", str(config_path)]) == cli.EXIT_OK
-        (tmp_path / "out" / "metrics_mnb.json").write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        assert cli.main(["compare", "-c", str(config_path)]) == cli.EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "metrics_mnb.json" in err
-        assert message in err
-
     def test_missing_stage_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main([])
 
     def test_unknown_stage_raises_system_exit(self, tmp_path):
         config_path = write_setup(tmp_path)
-        with pytest.raises(SystemExit):
-            cli.main(["deploy", "-c", str(config_path)])
+        # there is no compare stage: eval writes the comparison
+        for stage in ("deploy", "compare"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([stage, "-c", str(config_path)])
+            assert excinfo.value.code == 2, stage
 
     def test_config_flag_is_required(self):
         with pytest.raises(SystemExit):
@@ -697,6 +677,81 @@ class TestReviewStage:
         monkeypatch.setattr("sys.stdin", io.StringIO("q\n"))
         assert cli.main(["review", "-c", str(config_path)]) == cli.EXIT_VALIDATION
         assert "missing artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stages, filename, manifest",
+        [
+            (("ingest",), pipeline.CORPUS_FILE, pipeline.INGEST_MANIFEST_FILE),
+            (("ingest", "label"), pipeline.WORKSHEET_FILE, pipeline.LABEL_MANIFEST_FILE),
+        ],
+        ids=["corpus", "worksheet"],
+    )
+    def test_a_source_its_stage_did_not_write_exits_one(
+        self, tmp_path, capsys, monkeypatch, stages, filename, manifest
+    ):
+        config_path = write_setup(tmp_path)
+        for stage in stages:
+            assert cli.main([stage, "-c", str(config_path)]) == cli.EXIT_OK, stage
+        # keep the first rows, whole, as an interrupted copy would
+        path = tmp_path / "out" / filename
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:3]), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO("k\nq\n"))
+        capsys.readouterr()
+        assert cli.main(["review", "-c", str(config_path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f"{filename} is not the file " in captured.err
+        assert manifest in captured.err
+        assert "reviewing" not in captured.out
+        assert not (tmp_path / "out" / review.PROGRESS_FILE).exists()
+
+    @pytest.mark.parametrize(
+        "filename, damage, stage, code",
+        [
+            (
+                pipeline.VERDICTS_FILE,
+                lambda data: data[:-3],
+                "ingest",
+                cli.EXIT_VALIDATION,
+            ),
+            (
+                pipeline.VERDICTS_FILE,
+                lambda data: b"\xff\xfe" + data,
+                "ingest",
+                cli.EXIT_VALIDATION,
+            ),
+            (
+                pipeline.OVERRIDES_FILE,
+                lambda data: b"\xff\xfe" + data,
+                "label",
+                cli.EXIT_VALIDATION,
+            ),
+            (review.PROGRESS_FILE, lambda data: data[:-3], "review", cli.EXIT_RUNTIME),
+        ],
+        ids=[
+            "verdicts-truncated-row",
+            "verdicts-not-utf-8",
+            "overrides-not-utf-8",
+            "progress-truncated",
+        ],
+    )
+    def test_a_corrupt_review_file_exits_naming_it(
+        self, tmp_path, capsys, monkeypatch, filename, damage, stage, code
+    ):
+        config_path = write_setup(tmp_path)
+        assert cli.main(["ingest", "-c", str(config_path)]) == cli.EXIT_OK
+        monkeypatch.setattr("sys.stdin", io.StringIO("k\nd\n2\nq\n"))
+        assert cli.main(["review", "-c", str(config_path)]) == cli.EXIT_OK
+        path = tmp_path / "out" / filename
+        path.write_bytes(damage(path.read_bytes()))
+        monkeypatch.setattr("sys.stdin", io.StringIO("q\n"))
+        capsys.readouterr()
+        assert cli.main([stage, "-c", str(config_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert filename in err
 
 
 class TestOutputDirEnvironment:

@@ -390,12 +390,6 @@ class TestStageOrder:
         with pytest.raises(StageOrderError, match="label"):
             pipeline.run_viz(config)
 
-    def test_compare_requires_two_reports(self, tmp_path):
-        config = make_config(tmp_path)
-        config.output_dir.mkdir()
-        with pytest.raises(StageOrderError, match="at least two"):
-            pipeline.run_compare(config)
-
     def test_ingest_requires_corpus_path(self, tmp_path):
         config = make_config(tmp_path)
         with pytest.raises(ConfigError, match="corpus_path"):
@@ -712,34 +706,36 @@ class TestEvalStage:
     def test_all_trained_models_are_evaluated_and_compared(self, tmp_path):
         config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
         write_labeled_corpus(config.output_dir)
-        pipeline.run_train(config)
-        svm_config = make_config(tmp_path, model="svm", **EVEN_SPLIT)
-        pipeline.run_train(svm_config)
+        models = ("mnb", "svm", "lexicon")
+        for model in models:
+            pipeline.run_train(make_config(tmp_path, model=model, **EVEN_SPLIT))
         outputs = pipeline.run_eval(config)
         names = {p.name for p in outputs}
         assert {
             "metrics_mnb.json",
             "metrics_svm.json",
+            "metrics_lexicon.json",
             pipeline.METRICS_SUMMARY_FILE,
             pipeline.COMPARISON_CSV_FILE,
             pipeline.COMPARISON_TXT_FILE,
         } <= names
-        summary = (
-            (config.output_dir / pipeline.METRICS_SUMMARY_FILE)
-            .read_text()
-            .strip()
-            .split("\n")
+        out = config.output_dir
+        fields = ("macro_precision", "macro_recall", "macro_f", "accuracy")
+        rows = []
+        for model in models:
+            payload = json.loads((out / f"metrics_{model}.json").read_text())
+            rows.append((model, *(payload[field] for field in fields)))
+        # both tables hold the reports' values, each float as its repr;
+        # the comparison drops accuracy and ranks by macro F, ties in order
+        assert (out / pipeline.METRICS_SUMMARY_FILE).read_text() == "".join(
+            ",".join(map(str, row)) + "\n" for row in [("model", *fields), *rows]
         )
-        assert summary[0] == "model,macro_precision,macro_recall,macro_f,accuracy"
-        assert {line.split(",")[0] for line in summary[1:]} == {"mnb", "svm"}
-        comparison = (
-            (config.output_dir / pipeline.COMPARISON_CSV_FILE)
-            .read_text()
-            .strip()
-            .split("\n")
+        ranked = [row[:4] for row in sorted(rows, key=lambda row: -row[3])]
+        assert (out / pipeline.COMPARISON_CSV_FILE).read_text() == "".join(
+            ",".join(map(str, row)) + "\n" for row in [("model", *fields[:3]), *ranked]
         )
-        macro_fs = [float(line.split(",")[3]) for line in comparison[1:]]
-        assert macro_fs == sorted(macro_fs, reverse=True)
+        table = evaluation.ComparisonTable(rows=tuple(ranked))
+        assert (out / pipeline.COMPARISON_TXT_FILE).read_text() == table.to_text()
 
     def test_bow_models_score_the_test_split_in_one_batch(self, tmp_path, monkeypatch):
         config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
@@ -759,18 +755,6 @@ class TestEvalStage:
         _, _, test_docs = split_documents(documents, config.split_spec())
         test_tokens = [doc.tokens for doc in test_docs]
         assert calls == [(bow.MnbModel, test_tokens), (bow.SvmModel, test_tokens)]
-
-    def test_compare_stage_rebuilds_identical_tables(self, tmp_path):
-        config = make_config(tmp_path, model="mnb", **EVEN_SPLIT)
-        write_labeled_corpus(config.output_dir)
-        pipeline.run_train(config)
-        pipeline.run_train(make_config(tmp_path, model="lexicon", **EVEN_SPLIT))
-        pipeline.run_eval(config)
-        before = (config.output_dir / pipeline.COMPARISON_CSV_FILE).read_bytes()
-        (config.output_dir / pipeline.COMPARISON_CSV_FILE).unlink()
-        pipeline.run_compare(config)
-        after = (config.output_dir / pipeline.COMPARISON_CSV_FILE).read_bytes()
-        assert after == before
 
     def test_bert_eval_from_checkpoint(self, tmp_path):
         config = make_config(tmp_path, **TINY_BERT, **EVEN_SPLIT)

@@ -154,6 +154,14 @@ class TestInteractiveSession:
         with pytest.raises(ConfigError, match=rf"{pipeline.WORKSHEET_FILE}:{line}: {message}"):
             interact(config, "q\n")
 
+    def test_worksheet_that_is_not_utf8_names_the_file(self, tmp_path):
+        config = make_ingested(tmp_path)
+        pipeline.run_label(config)
+        worksheet = config.output_dir / pipeline.WORKSHEET_FILE
+        worksheet.write_bytes(worksheet.read_bytes() + b"\xff\n")
+        with pytest.raises(ConfigError, match=rf"{pipeline.WORKSHEET_FILE}: not UTF-8"):
+            interact(config, "q\n")
+
     def test_review_before_ingest_is_a_stage_order_error(self, tmp_path):
         config = pipeline.PipelineConfig(output_dir=tmp_path / "empty")
         with pytest.raises(StageOrderError, match="ingest"):
@@ -333,6 +341,13 @@ class TestImport:
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         with pytest.raises(ConfigError, match=message):
+            review.import_decisions(bad, config.output_dir)
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        config = make_ingested(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"id,verdict\nsome-id,keep\xff\n")
+        with pytest.raises(ConfigError, match="bad.csv: not UTF-8 text"):
             review.import_decisions(bad, config.output_dir)
 
     def test_unrecognized_header_rejected(self, tmp_path):
